@@ -54,9 +54,25 @@ class GrowthConfig:
             raise InvalidParameterError("offpattern_decay must lie in [0, 1)")
         if self.force_per_segment < 0:
             raise InvalidParameterError("force_per_segment must be non-negative")
-        if not self.threshold_policy == "all" and not self.threshold_policy.startswith("fraction:"):
+        if not self.eps_balance >= 0:
+            raise InvalidParameterError("eps_balance must be non-negative")
+        if not 0 <= self.close_cutoff <= 1:
+            raise InvalidParameterError("close_cutoff must lie in [0, 1]")
+        if self.threshold_policy != "all":
+            self._policy_fraction()
+
+    def _policy_fraction(self) -> float:
+        """The f of a ``fraction:<f>`` policy; raises unless f lies in (0, 1]."""
+        kind, _, text = self.threshold_policy.partition(":")
+        try:
+            fraction = float(text)
+        except ValueError:
+            fraction = math.nan
+        if kind != "fraction" or not 0 < fraction <= 1:
             raise InvalidParameterError(
-                f"unknown threshold_policy {self.threshold_policy!r}")
+                f"threshold_policy must be 'all' or 'fraction:<f>' with f in (0, 1], "
+                f"got {self.threshold_policy!r}")
+        return fraction
 
     def intermediary_threshold(self, group_size: int) -> int:
         """Threshold for a new intermediary over ``group_size`` joined inputs.
@@ -66,7 +82,7 @@ class GrowthConfig:
         """
         if self.threshold_policy == "all":
             return group_size
-        fraction = float(self.threshold_policy.split(":", 1)[1])
+        fraction = self._policy_fraction()
         return max(1, min(group_size, math.ceil(fraction * group_size)))
 
     def to_doc(self) -> dict:
@@ -157,50 +173,72 @@ def accumulate_turbulence(network: Network, record: FiringRecord,
     return state
 
 
-def _agreement(a: _SynapseStats, b: _SynapseStats) -> float:
-    """Fraction of shared carrying activity over the common recent window."""
-    ca, cb = list(a.carried), list(b.carried)
-    span = min(len(ca), len(cb))
-    if span == 0:
-        return 0.0
-    ca, cb = ca[-span:], cb[-span:]
-    both = sum(1 for x, y in zip(ca, cb) if x and y)
-    either = sum(1 for x, y in zip(ca, cb) if x or y)
-    return both / either if either else 0.0
+def _bit_indices(bits: int):
+    """Positions of the set bits of ``bits``, lowest first."""
+    while bits:
+        low = bits & -bits
+        yield low.bit_length() - 1
+        bits ^= low
 
 
 def _greedy_groups(ids: list[int], state: TurbulenceState) -> list[list[int]]:
     """Partition budded synapse ids into co-firing groups.
 
     Every member of a group must meet the agreement criterion pairwise with
-    every other member.  Largest group first; ties go to the lowest seed id.
+    every other member: over the recent span both windows cover, the ticks
+    both carried make up at least ``cofire_agreement`` of the ticks either
+    carried.  Largest group first; ties go to the lowest seed id.
+
+    Bit ``k`` of every bitset below stands for the ``k``-th smallest id.  A
+    seed's group grows by taking the lowest candidate that agrees with every
+    member so far, the order in which a scan of the sorted ids meets them.
     """
     threshold = state.config.cofire_agreement
-    cache: dict[tuple[int, int], bool] = {}
+    order = sorted(ids)
+    # Ids by carry window, as (mask, length) with the newest tick in bit 0.
+    windows: dict[tuple[int, int], int] = {}
+    for index, sid in enumerate(order):
+        carried = state.stats_for(sid).carried
+        mask = 0
+        for flag in carried:
+            mask = (mask << 1) | flag
+        key = (mask, len(carried))
+        windows[key] = windows.get(key, 0) | (1 << index)
+    adjacency = [0] * len(order)
+    for (mask_a, len_a), bits_a in windows.items():
+        row = 0
+        for (mask_b, len_b), bits_b in windows.items():
+            cut = (1 << min(len_a, len_b)) - 1
+            a, b = mask_a & cut, mask_b & cut
+            either = (a | b).bit_count()
+            if either and (a & b).bit_count() / either >= threshold:
+                row |= bits_b
+        for index in _bit_indices(bits_a):
+            adjacency[index] = row & ~(1 << index)
 
-    def agrees(x: int, y: int) -> bool:
-        key = (x, y) if x < y else (y, x)
-        hit = cache.get(key)
-        if hit is None:
-            hit = cache[key] = _agreement(state.stats_for(x), state.stats_for(y)) >= threshold
-        return hit
-
-    remaining = sorted(ids)
+    remaining = (1 << len(order)) - 1
     groups = []
     while True:
-        best: list[int] | None = None
-        for seed in remaining:
-            clique = [seed]
-            for other in remaining:
-                if other != seed and all(agrees(other, member) for member in clique):
-                    clique.append(other)
-            if best is None or len(clique) > len(best):
-                best = clique
-        if best is None or len(best) < 2:
+        best = best_size = 0
+        left = remaining.bit_count()
+        for seed in _bit_indices(remaining):
+            if best_size == left:
+                break  # a later seed wins only with a strictly larger group
+            candidates = adjacency[seed] & remaining
+            if candidates.bit_count() + 1 <= best_size:
+                continue
+            clique = 1 << seed
+            while candidates:
+                pick = candidates & -candidates
+                clique |= pick
+                candidates &= adjacency[pick.bit_length() - 1]
+            size = clique.bit_count()
+            if size > best_size:
+                best, best_size = clique, size
+        if best_size < 2:
             break
-        groups.append(sorted(best))
-        chosen = set(best)
-        remaining = [i for i in remaining if i not in chosen]
+        groups.append([order[index] for index in _bit_indices(best)])
+        remaining &= ~best
     return groups
 
 
@@ -216,15 +254,13 @@ def spawn_and_join(network: Network, state: TurbulenceState,
     """
     cfg = state.config
     events: list[GrowthEvent] = []
+    budded_by_target: dict[int, list[int]] = {}
     for sid in sorted(network.synapses):
         stats = state.stats_for(sid)
         if not stats.budded and stats.accumulator >= cfg.bud_threshold:
             stats.budded = True
             events.append(GrowthEvent(BUD_SPAWNED, tick, (sid,)))
-
-    budded_by_target: dict[int, list[int]] = {}
-    for sid in sorted(network.synapses):
-        if state.stats_for(sid).budded:
+        if stats.budded:
             budded_by_target.setdefault(network.synapses[sid].post, []).append(sid)
 
     for target in sorted(budded_by_target):

@@ -3,7 +3,10 @@
 import tempfile
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from oracles import _greedy_groups as oracle_greedy_groups
 from renforge import (GrowthConfig, GrowthEvent, InvalidParameterError,
                       Network, TurbulenceState, close_paths, growth_tick,
                       repulsion_at, run_until_balanced)
@@ -31,7 +34,9 @@ class TestGrowthConfig:
     @pytest.mark.parametrize("kwargs", [
         {"bud_threshold": 0}, {"window": 0}, {"cofire_agreement": 0},
         {"cofire_agreement": 1.5}, {"offpattern_decay": 1.0},
-        {"threshold_policy": "bogus"},
+        {"threshold_policy": "bogus"}, {"threshold_policy": "fraction:abc"},
+        {"threshold_policy": "fraction:0"}, {"threshold_policy": "fraction:1.5"},
+        {"eps_balance": -0.1}, {"close_cutoff": -0.01}, {"close_cutoff": 1.5},
     ])
     def test_validation(self, kwargs):
         with pytest.raises(InvalidParameterError):
@@ -158,6 +163,25 @@ class TestSpawnAndJoin:
         groups = _greedy_groups([0, 1, 2], state)
         # 0~1 and 1~2 agree, 0~2 do not: no group may contain both 0 and 2.
         assert groups == [[0, 1]]
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_greedy_groups_match_naive_oracle(self, data):
+        # Members are noisy copies of a few prototype windows, so large
+        # cliques and equal-size ties occur; some windows are cut short.
+        window = data.draw(st.integers(1, 12))
+        agreement = data.draw(st.floats(0.0, 1.0, exclude_min=True))
+        state = TurbulenceState(GrowthConfig(window=window, cofire_agreement=agreement))
+        pattern = st.lists(st.booleans(), min_size=window, max_size=window)
+        prototypes = data.draw(st.lists(pattern, min_size=1, max_size=4))
+        ids = data.draw(st.lists(st.integers(0, 99), max_size=30, unique=True))
+        for sid in ids:
+            flags = list(data.draw(st.sampled_from(prototypes)))
+            for flip in data.draw(st.lists(st.integers(0, window - 1), max_size=2)):
+                flags[flip] = not flags[flip]
+            length = data.draw(st.just(window) | st.integers(0, window))
+            state.stats_for(sid).carried.extend(flags[:length])
+        assert _greedy_groups(ids, state) == oracle_greedy_groups(ids, state)
 
     def test_duplicate_group_creates_no_second_intermediary(self):
         net, inputs, _main = build_direct_unit(25, 5.0)
