@@ -8,10 +8,8 @@ from .core_net import (FIRING_TOLERANCE, FiringRecord, Network, Neuron,
 from .errors import (ConfigurationError, DuplicateEdgeError,
                      InvalidCombinationError, InvalidParameterError,
                      InvalidSpecError, NotFoundError, RenforgeError)
-from .feedback import (DEFAULT_EPS_BALANCE, ExcessReport, RepulsionProfile,
-                       average_excess, excess_reports, is_balanced,
-                       repulsion_at, repulsion_profile, resistance_profile,
-                       total_input)
+from .feedback import (DEFAULT_EPS_BALANCE, average_excess, is_balanced,
+                       repulsion_at, resistance_profile)
 from .growth import (ConvergenceReport, GrowthConfig, GrowthEvent,
                      TurbulenceState, accumulate_turbulence, close_paths,
                      growth_tick, run_until_balanced, spawn_and_join)

@@ -11,6 +11,7 @@ from .concept_forest import ConceptForest, tokenize
 from .errors import RenforgeError
 from .harness import (default_config_json, load_config, run_scenario, sweep,
                       verify)
+from .harness.artifacts import write_text
 from .symbolic_cluster import ClusterNet
 
 
@@ -75,8 +76,7 @@ def _cmd_trees(args) -> int:
     if args.trees_command == "ingest":
         forest = ConceptForest()
         inserted = forest.ingest_corpus(args.corpus)
-        with open(args.out, "w", encoding="utf-8", newline="\n") as handle:
-            handle.write(forest.to_json() + "\n")
+        write_text(args.out, forest.to_json() + "\n")
         print(f"ingested {inserted} sequences into {len(forest.trees)} trees "
               f"({len(forest.links)} links)")
         return 0
@@ -94,8 +94,7 @@ def _cmd_trees(args) -> int:
 def _cmd_cluster(args) -> int:
     net = ClusterNet(decay=args.decay)
     reports = net.ingest_events_file(args.events, fuzzy=args.fuzzy)
-    with open(args.out, "w", encoding="utf-8", newline="\n") as handle:
-        handle.write(net.to_json() + "\n")
+    write_text(args.out, net.to_json() + "\n")
     print(f"clustered {len(reports)} events into {len(net.hidden)} hidden "
           f"nodes / {len(net.global_concepts)} global concepts")
     return 0

@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
-from .errors import InvalidParameterError, NotFoundError
+from .errors import InvalidParameterError, NotFoundError, reading_document
 
 LINK_LABEL = "M"
 
@@ -272,7 +272,6 @@ class ConceptForest:
 
     @classmethod
     def from_json(cls, text: str) -> "ConceptForest":
-        doc = json.loads(text)
         forest = cls()
 
         def build(entry, parent):
@@ -280,12 +279,14 @@ class ConceptForest:
             node.children = [build(c, node) for c in entry["children"]]
             return node
 
-        forest.trees = [build(entry, None) for entry in doc["trees"]]
-        for link_doc in doc["links"]:
-            node = forest.trees[link_doc["from_tree"]]
-            for index in link_doc["from_path"]:
-                node = node.children[index]
-            forest.links.append(DynamicLink(node, forest.trees[link_doc["to_tree"]],
-                                            link_doc["label"]))
+        with reading_document("forest"):
+            doc = json.loads(text)
+            forest.trees = [build(entry, None) for entry in doc["trees"]]
+            for link_doc in doc["links"]:
+                node = forest.trees[link_doc["from_tree"]]
+                for index in link_doc["from_path"]:
+                    node = node.children[index]
+                forest.links.append(DynamicLink(node, forest.trees[link_doc["to_tree"]],
+                                                link_doc["label"]))
         forest._rebuild_index()
         return forest

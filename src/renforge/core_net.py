@@ -13,14 +13,15 @@ import json
 from collections import deque
 from dataclasses import dataclass
 
-from .errors import DuplicateEdgeError, InvalidParameterError, NotFoundError
+from .errors import (DuplicateEdgeError, InvalidParameterError, NotFoundError,
+                     reading_document)
 
 # Real-valued input sums are compared to thresholds with this slack to
 # absorb fraction arithmetic.
 FIRING_TOLERANCE = 1e-9
 
-DEFAULT_REFRACTORY_TICKS = 1
-DEFAULT_HISTORY_LIMIT = 256
+REFRACTORY_TICKS = 1
+HISTORY_LIMIT = 256
 
 
 def fires(threshold: float, input_sum: float) -> int:
@@ -38,7 +39,6 @@ class Neuron:
     id: int
     threshold: float
     refractory_remaining: int = 0
-    last_fired: int | None = None
 
 
 @dataclass
@@ -82,25 +82,18 @@ class Network:
     """Directed threshold-unit graph with synchronous tick semantics.
 
     Externally driven ids act as firing sources for the current tick only;
-    neurons that fire enter a refractory period of ``refractory_ticks``
+    neurons that fire enter a refractory period of ``REFRACTORY_TICKS``
     during which they cannot fire and their blocked input is discarded.
     An instance is single-threaded during simulation and shares no state
     with other instances.
     """
 
-    def __init__(self, rng_seed: int = 0,
-                 refractory_ticks: int = DEFAULT_REFRACTORY_TICKS,
-                 history_limit: int = DEFAULT_HISTORY_LIMIT):
-        if refractory_ticks < 0:
-            raise InvalidParameterError("refractory_ticks must be >= 0")
-        if history_limit < 1:
-            raise InvalidParameterError("history_limit must be >= 1")
+    def __init__(self, rng_seed: int = 0):
         self.rng_seed = rng_seed
-        self.refractory_ticks = refractory_ticks
         self.neurons: dict[int, Neuron] = {}
         self.synapses: dict[int, Synapse] = {}
         self.tick = 0
-        self.history: deque[FiringRecord] = deque(maxlen=history_limit)
+        self.history: deque[FiringRecord] = deque(maxlen=HISTORY_LIMIT)
         self._edges: dict[tuple[int, int], int] = {}
         self._incoming: dict[int, list[int]] = {}
         self._outgoing: dict[int, list[int]] = {}
@@ -202,8 +195,7 @@ class Network:
 
         for nid, neuron in self.neurons.items():
             if nid in fired:
-                neuron.refractory_remaining = self.refractory_ticks
-                neuron.last_fired = self.tick
+                neuron.refractory_remaining = REFRACTORY_TICKS
             elif neuron.refractory_remaining > 0:
                 neuron.refractory_remaining -= 1
 
@@ -222,7 +214,6 @@ class Network:
         self._last_fired = frozenset()
         for neuron in self.neurons.values():
             neuron.refractory_remaining = 0
-            neuron.last_fired = None
 
     # -- serialization ----------------------------------------------------
 
@@ -238,16 +229,17 @@ class Network:
         return json.dumps({"neurons": neurons, "synapses": synapses})
 
     @classmethod
-    def from_json(cls, text: str, **kwargs) -> "Network":
-        doc = json.loads(text)
-        net = cls(**kwargs)
-        for entry in doc["neurons"]:
-            nid = net.add_neuron(entry["threshold"])
-            if nid != entry["id"]:
-                raise InvalidParameterError(
-                    f"neuron ids must be dense and ascending, got {entry['id']}")
-            net.neurons[nid].refractory_remaining = entry["refractory"]
-        for entry in doc["synapses"]:
-            net.add_synapse(entry["pre"], entry["post"], entry["open_fraction"],
-                            entry["distance"], entry["multiplicity"])
+    def from_json(cls, text: str) -> "Network":
+        net = cls()
+        with reading_document("network"):
+            doc = json.loads(text)
+            for entry in doc["neurons"]:
+                nid = net.add_neuron(entry["threshold"])
+                if nid != entry["id"]:
+                    raise InvalidParameterError(
+                        f"neuron ids must be dense and ascending, got {entry['id']}")
+                net.neurons[nid].refractory_remaining = entry["refractory"]
+            for entry in doc["synapses"]:
+                net.add_synapse(entry["pre"], entry["post"], entry["open_fraction"],
+                                entry["distance"], entry["multiplicity"])
         return net

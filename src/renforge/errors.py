@@ -1,5 +1,8 @@
 """Exception types shared across the package."""
 
+import json
+from contextlib import contextmanager
+
 
 class RenforgeError(Exception):
     """Base class for all errors raised by this package."""
@@ -26,4 +29,16 @@ class InvalidCombinationError(RenforgeError):
 
 
 class ConfigurationError(RenforgeError):
-    """An experiment configuration is unreadable or names unknown entries."""
+    """An experiment configuration is unreadable, names unknown entries or
+    holds an out-of-range value."""
+
+
+@contextmanager
+def reading_document(kind: str):
+    """Turn a non-JSON text or a missing or mistyped key or index met while
+    loading a ``kind`` document into InvalidParameterError."""
+    try:
+        yield
+    except (json.JSONDecodeError, KeyError, IndexError, TypeError) as exc:
+        raise InvalidParameterError(
+            f"malformed {kind} document: {type(exc).__name__}: {exc}") from exc

@@ -9,24 +9,12 @@ at zero once forward resistance swallows it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .core_net import FiringRecord, Network
+from .core_net import Network
 from .errors import InvalidParameterError
 
 # A 5-input unit with threshold 4 carries per-input excess exactly 0.2 when
 # saturated; that canonical stable unit must count as balanced.
 DEFAULT_EPS_BALANCE = 0.2
-
-
-def total_input(per_synapse_signals) -> float:
-    """Sum of the per-synapse forward signals arriving at one neuron."""
-    total = 0.0
-    for value in per_synapse_signals:
-        if value < 0:
-            raise InvalidParameterError(f"signals must be non-negative, got {value}")
-        total += value
-    return total
 
 
 def average_excess(input_total: float, threshold: float, input_count: int) -> float:
@@ -77,48 +65,3 @@ def is_balanced(network: Network, window: int,
             if excess > eps_balance:
                 return False
     return True
-
-
-@dataclass(frozen=True)
-class ExcessReport:
-    """Per-neuron excess bookkeeping for one tick, emitted only on firing."""
-
-    neuron: int
-    input_count: int
-    input_total: float
-    threshold: float
-    excess_per_input: float
-
-
-def excess_reports(network: Network, record: FiringRecord) -> list[ExcessReport]:
-    """Excess reports for every neuron that fired in ``record``."""
-    reports = []
-    for nid in sorted(record.fired):
-        if nid not in record.rejections:
-            continue
-        reports.append(ExcessReport(
-            neuron=nid,
-            input_count=network.open_input_count(nid),
-            input_total=record.input_sums[nid],
-            threshold=network.neurons[nid].threshold,
-            excess_per_input=record.rejections[nid],
-        ))
-    return reports
-
-
-@dataclass(frozen=True)
-class RepulsionProfile:
-    """Backward repulsion at each segment 1..distance; non-increasing, >= 0."""
-
-    synapse: int | None
-    values: tuple[float, ...]
-    clamped: bool
-
-
-def repulsion_profile(excess_per_input: float, distance: int,
-                      forward_force_per_segment: float,
-                      synapse: int | None = None) -> RepulsionProfile:
-    values = tuple(repulsion_at(excess_per_input, d, forward_force_per_segment)
-                   for d in range(1, distance + 1))
-    clamped = excess_per_input - distance * forward_force_per_segment < 0
-    return RepulsionProfile(synapse=synapse, values=values, clamped=clamped)

@@ -7,25 +7,25 @@ from ..core_net import Network
 
 
 def build_direct_unit(input_count: int, threshold: float,
-                      rng_seed: int = 0, input_threshold: float = 1.0,
-                      **network_kwargs) -> tuple[Network, list[int], int]:
+                      rng_seed: int = 0) -> tuple[Network, list[int], int]:
     """A main neuron fed directly by ``input_count`` unit synapses.
 
     Returns (network, input ids, main id).
     """
-    net = Network(rng_seed=rng_seed, **network_kwargs)
-    inputs = [net.add_neuron(input_threshold) for _ in range(input_count)]
+    net = Network(rng_seed=rng_seed)
+    inputs = [net.add_neuron(1.0) for _ in range(input_count)]
     main = net.add_neuron(float(threshold))
     for nid in inputs:
         net.add_synapse(nid, main, 1.0, 1)
     return net, inputs, main
 
 
-def network_from_forest(forest: ConceptForest, threshold: float = 1.0):
+def network_from_forest(forest: ConceptForest):
     """Map a concept forest onto a threshold-unit graph.
 
-    Every node becomes a neuron, every parent-child edge and dynamic link a
-    unit synapse.  Returns (network, neuron id -> label, root neuron ids).
+    Every node becomes a threshold-1 neuron, every parent-child edge and
+    dynamic link a unit synapse.  Returns (network, neuron id -> label,
+    root neuron ids).
     """
     net = Network()
     ids: dict[int, int] = {}
@@ -33,7 +33,7 @@ def network_from_forest(forest: ConceptForest, threshold: float = 1.0):
     roots: list[int] = []
     for root in forest.trees:
         for node in _preorder(root):
-            nid = net.add_neuron(threshold)
+            nid = net.add_neuron(1.0)
             ids[id(node)] = nid
             labels[nid] = node.label
             if node is root:

@@ -29,6 +29,19 @@ class ExperimentConfig:
     sweep_inputs: list[int] = field(default_factory=lambda: [10, 25, 50])
     sweep_thresholds: list[float] = field(default_factory=lambda: [5.0])
 
+    def __post_init__(self):
+        if self.schedule not in KNOWN_SCHEDULES:
+            raise ConfigurationError(
+                f"unknown schedule {self.schedule!r}; expected one of {KNOWN_SCHEDULES}")
+        if not 0 <= self.schedule_probability <= 1:
+            raise ConfigurationError("schedule_probability must lie in [0, 1]")
+        if not isinstance(self.max_ticks, int) or self.max_ticks < 1:
+            raise ConfigurationError("max_ticks must be an integer >= 1")
+        if not self.sweep_inputs:
+            raise ConfigurationError("sweep_inputs must be non-empty")
+        if not self.sweep_thresholds:
+            raise ConfigurationError("sweep_thresholds must be non-empty")
+
     def to_doc(self) -> dict:
         return {
             "seed": self.seed,
@@ -66,13 +79,9 @@ def config_from_doc(doc: dict) -> ExperimentConfig:
         if "refined_specs" in kwargs:
             kwargs["refined_specs"] = [RefinedSpec.from_doc(d)
                                        for d in kwargs["refined_specs"]]
-        config = ExperimentConfig(**kwargs)
+        return ExperimentConfig(**kwargs)
     except (TypeError, ValueError) as exc:
         raise ConfigurationError(f"bad configuration value: {exc}") from exc
-    if config.schedule not in KNOWN_SCHEDULES:
-        raise ConfigurationError(
-            f"unknown schedule {config.schedule!r}; expected one of {KNOWN_SCHEDULES}")
-    return config
 
 
 def config_from_json(text: str) -> ExperimentConfig:

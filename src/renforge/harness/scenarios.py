@@ -13,8 +13,6 @@ summary.  The config's growth settings govern the sweep command instead.
 
 from __future__ import annotations
 
-import csv
-import json
 from pathlib import Path
 
 from ..concept_forest import ConceptForest, tokenize
@@ -22,6 +20,7 @@ from ..errors import ConfigurationError
 from ..growth import GrowthConfig, INTERMEDIARY_CREATED, run_until_balanced
 from ..resonance import report_csv_rows, report_to_json, resonate
 from ..symbolic_cluster import ClusterNet
+from .artifacts import write_csv, write_json_doc, write_text
 from .builders import build_direct_unit, network_from_forest
 from .config import ExperimentConfig
 
@@ -43,22 +42,6 @@ FIG4_QUERY = "black cat drank milk"
 FIG3_EVENTS = [("c0", "c1", "c2"), ("c1", "c2", "c3"), ("c2", "c3", "c4")]
 
 
-def _write_text(path: Path, text: str) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as handle:
-        handle.write(text)
-
-
-def _write_json_doc(path: Path, doc) -> None:
-    _write_text(path, json.dumps(doc, indent=2, sort_keys=True) + "\n")
-
-
-def _write_csv(path: Path, header, rows) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(rows)
-
-
 def _run_growth_scenario(net, schedule, growth_cfg, max_ticks, outdir,
                          original_synapses):
     metrics_rows = []
@@ -77,9 +60,9 @@ def _run_growth_scenario(net, schedule, growth_cfg, max_ticks, outdir,
 
     report = run_until_balanced(net, schedule, growth_cfg, max_ticks,
                                 on_tick=on_tick)
-    _write_csv(outdir / "metrics.csv", METRICS_HEADER, metrics_rows)
-    _write_csv(outdir / "events.csv", EVENTS_HEADER, events_rows)
-    _write_text(outdir / "network.json", net.to_json() + "\n")
+    write_csv(outdir / "metrics.csv", METRICS_HEADER, metrics_rows)
+    write_csv(outdir / "events.csv", EVENTS_HEADER, events_rows)
+    write_text(outdir / "network.json", net.to_json() + "\n")
     originals = [{"synapse": sid, "source": net.synapses[sid].pre,
                   "open_fraction": net.synapses[sid].open_fraction}
                  for sid in original_synapses]
@@ -119,7 +102,7 @@ def run_fig4_trees(config: ExperimentConfig, outdir: Path) -> dict:
     forest = ConceptForest()
     for line in FIG4_LINES:
         forest.insert_sequence(tokenize(line))
-    _write_text(outdir / "forest.json", forest.to_json() + "\n")
+    write_text(outdir / "forest.json", forest.to_json() + "\n")
     paths = forest.search(tokenize(FIG4_QUERY))
     return {
         "scenario": "fig4_trees",
@@ -141,7 +124,7 @@ def run_fig3_cluster(config: ExperimentConfig, outdir: Path) -> dict:
     net = ClusterNet()
     for event in FIG3_EVENTS:
         net.present_event(event)
-    _write_text(outdir / "cluster.json", net.to_json() + "\n")
+    write_text(outdir / "cluster.json", net.to_json() + "\n")
     retrieval = [[sorted(inputs), weight] for inputs, weight in net.retrieve(0)]
     return {
         "scenario": "fig3_cluster",
@@ -158,19 +141,19 @@ def run_fig6_stack(config: ExperimentConfig, outdir: Path) -> dict:
     events, tree graph -> resonance search from the bases."""
     forest = ConceptForest()
     forest.ingest_lines(FIG4_LINES)
-    _write_text(outdir / "forest.json", forest.to_json() + "\n")
+    write_text(outdir / "forest.json", forest.to_json() + "\n")
 
     cluster = ClusterNet()
     for line in FIG4_LINES:
         cluster.present_event(tokenize(line))
-    _write_text(outdir / "cluster.json", cluster.to_json() + "\n")
+    write_text(outdir / "cluster.json", cluster.to_json() + "\n")
 
     net, labels, roots = network_from_forest(forest)
-    _write_text(outdir / "network.json", net.to_json() + "\n")
+    write_text(outdir / "network.json", net.to_json() + "\n")
     report = resonate(net, roots)
-    _write_text(outdir / "resonance.json", report_to_json(report) + "\n")
+    write_text(outdir / "resonance.json", report_to_json(report) + "\n")
     rows = report_csv_rows(report)
-    _write_csv(outdir / "resonance.csv", rows[0], rows[1:])
+    write_csv(outdir / "resonance.csv", rows[0], rows[1:])
 
     retrieval = [[sorted(inputs), weight] for inputs, weight in cluster.retrieve(0)]
     return {
@@ -205,5 +188,5 @@ def run_scenario(config: ExperimentConfig) -> dict:
     outdir = Path(config.output_dir)
     outdir.mkdir(parents=True, exist_ok=True)
     summary = runner(config, outdir)
-    _write_json_doc(outdir / "summary.json", summary)
+    write_json_doc(outdir / "summary.json", summary)
     return summary

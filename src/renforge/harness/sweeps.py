@@ -13,9 +13,9 @@ from pathlib import Path
 
 from ..errors import InvalidParameterError
 from ..growth import GrowthConfig, run_until_balanced
+from .artifacts import write_csv
 from .builders import build_direct_unit
 from .config import ExperimentConfig
-from .scenarios import _write_csv
 
 SWEEP_HEADER = ["sample", "sample_seed", "n_inputs", "threshold",
                 "initial_excess", "ticks_to_balance", "intermediaries"]
@@ -72,6 +72,6 @@ def sweep(config: ExperimentConfig, n_samples: int) -> list[dict]:
         })
     outdir = Path(config.output_dir)
     outdir.mkdir(parents=True, exist_ok=True)
-    _write_csv(outdir / "sweep.csv", SWEEP_HEADER,
+    write_csv(outdir / "sweep.csv", SWEEP_HEADER,
                [[row[key] for key in SWEEP_HEADER] for row in results])
     return results

@@ -79,14 +79,13 @@ def _group_threshold(spec: RefinedSpec, size: int) -> int:
     return min(spec.group_threshold, size)
 
 
-def build_refined(network: Network, spec: RefinedSpec,
-                  input_threshold: float = 1.0):
-    """Wire a refined unit into ``network``.
+def build_refined(network: Network, spec: RefinedSpec):
+    """Wire a refined unit into ``network``; its inputs have threshold 1.
 
     Returns (main neuron id, input neuron ids, intermediary ids).  Grouping
     is by input ordering (consecutive ids) so construction is deterministic.
     """
-    input_ids = [network.add_neuron(input_threshold) for _ in range(spec.input_count)]
+    input_ids = [network.add_neuron(1.0) for _ in range(spec.input_count)]
     current = list(input_ids)
     intermediaries: list[int] = []
     for _ in range(spec.layers):

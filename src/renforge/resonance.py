@@ -112,19 +112,18 @@ def resonate(network: Network, seeds, max_depth: int = DEFAULT_MAX_DEPTH,
                 next_reflection[pre] = next_reflection.get(pre, 0) + flow
         reflection = next_reflection
 
+    return _finish(forward, backward, frozenset(arrivals), seed_set, max_depth,
+                   network_fingerprint(network))
+
+
+def _finish(forward, backward, terminals_hit, seeds, max_depth,
+            network_hash) -> ResonanceReport:
+    """Report over the wave counts; an edge resonates with min(forward, backward)."""
     resonance = {edge: min(count, backward.get(edge, 0))
                  for edge, count in forward.items()}
     recognized = frozenset(edge for edge, value in resonance.items() if value >= 1)
-    return ResonanceReport(
-        forward_visits=forward,
-        backward_visits=backward,
-        resonance=resonance,
-        recognized_path=recognized,
-        terminals_hit=frozenset(arrivals),
-        seeds=seed_set,
-        max_depth=max_depth,
-        network_hash=network_fingerprint(network),
-    )
+    return ResonanceReport(forward, backward, resonance, recognized, terminals_hit,
+                           seeds, max_depth, network_hash)
 
 
 def combine_searches(report_a: ResonanceReport,
@@ -139,19 +138,11 @@ def combine_searches(report_a: ResonanceReport,
     backward: dict[tuple[int, int], int] = dict(report_a.backward_visits)
     for edge, count in report_b.backward_visits.items():
         backward[edge] = backward.get(edge, 0) + count
-    resonance = {edge: min(count, backward.get(edge, 0))
-                 for edge, count in forward.items()}
-    recognized = frozenset(edge for edge, value in resonance.items() if value >= 1)
-    return ResonanceReport(
-        forward_visits=forward,
-        backward_visits=backward,
-        resonance=resonance,
-        recognized_path=recognized,
-        terminals_hit=report_a.terminals_hit | report_b.terminals_hit,
-        seeds=report_a.seeds | report_b.seeds,
-        max_depth=max(report_a.max_depth, report_b.max_depth),
-        network_hash=report_a.network_hash,
-    )
+    return _finish(forward, backward,
+                   report_a.terminals_hit | report_b.terminals_hit,
+                   report_a.seeds | report_b.seeds,
+                   max(report_a.max_depth, report_b.max_depth),
+                   report_a.network_hash)
 
 
 def report_to_json(report: ResonanceReport) -> str:

@@ -11,9 +11,10 @@ direction to retrieve the original feature sets.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
-from .errors import InvalidParameterError, NotFoundError
+from .errors import InvalidParameterError, NotFoundError, reading_document
 
 
 @dataclass
@@ -104,7 +105,7 @@ class ClusterNet:
                            new_bases)
 
     def ingest_events(self, lines, fuzzy: bool = False) -> list[EventReport]:
-        """Parse ``time<TAB>label,label,...`` lines; times strictly increase."""
+        """Parse ``time<TAB>label,label,...`` lines; times are finite and rise strictly."""
         reports = []
         last_time = None
         for line_number, raw in enumerate(lines, 1):
@@ -120,6 +121,9 @@ class ClusterNet:
             except ValueError:
                 raise InvalidParameterError(
                     f"line {line_number}: bad time {time_part!r}") from None
+            if not math.isfinite(moment):
+                raise InvalidParameterError(
+                    f"line {line_number}: time must be finite, got {time_part!r}")
             if last_time is not None and moment <= last_time:
                 raise InvalidParameterError(
                     f"line {line_number}: times must be strictly increasing")
@@ -201,15 +205,16 @@ class ClusterNet:
 
     @classmethod
     def from_json(cls, text: str) -> "ClusterNet":
-        doc = json.loads(text)
-        net = cls(decay=doc["decay"])
-        net.event_count = doc["event_count"]
-        net.base_concepts = set(doc["base_concepts"])
-        for entry in doc["hidden_nodes"]:
-            net.hidden[entry["id"]] = HiddenNode(entry["id"],
-                                                 frozenset(entry["inputs"]),
-                                                 entry["weight"],
-                                                 entry["created_at"])
+        with reading_document("cluster"):
+            doc = json.loads(text)
+            net = cls(decay=doc["decay"])
+            net.event_count = doc["event_count"]
+            net.base_concepts = set(doc["base_concepts"])
+            for entry in doc["hidden_nodes"]:
+                net.hidden[entry["id"]] = HiddenNode(entry["id"],
+                                                     frozenset(entry["inputs"]),
+                                                     entry["weight"],
+                                                     entry["created_at"])
         net._next_hidden_id = max(net.hidden, default=-1) + 1
         net._recompute_globals()
         return net

@@ -159,6 +159,17 @@ class TestSerialization:
         text = forest.to_json()
         assert ConceptForest.from_json(text).to_json() == text
 
+    @pytest.mark.parametrize("text", [
+        "{not json",
+        '{"trees": [{"label": "a", "children": []}], "links": []}',
+        '{"trees": [{"label": "a", "count": 1, "children": []}], '
+        '"links": [{"from_tree": 0, "from_path": [3], "to_tree": 0, "label": "M"}]}',
+        '{"trees": 7, "links": []}',
+    ])
+    def test_malformed_document_rejected(self, text):
+        with pytest.raises(InvalidParameterError, match="malformed forest document"):
+            ConceptForest.from_json(text)
+
     def test_links_survive_round_trip(self):
         forest = ConceptForest.from_json(build_fig4_forest().to_json())
         paths = forest.search(tokenize("black cat drank milk"))

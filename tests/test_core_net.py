@@ -156,6 +156,16 @@ class TestSerialization:
         restored = Network.from_json(net.to_json())
         assert restored.neurons[main].refractory_remaining == 1
 
+    @pytest.mark.parametrize("text", [
+        "{not json",
+        '{"neurons": [{"threshold": 1.0, "refractory": 0}], "synapses": []}',
+        '{"neurons": [], "synapses": [{"pre": 0}]}',
+        "[]",
+    ])
+    def test_malformed_document_rejected(self, text):
+        with pytest.raises(InvalidParameterError, match="malformed network document"):
+            Network.from_json(text)
+
 
 def random_network(rng, n_neurons=8, n_edges=12):
     net = Network()

@@ -3,23 +3,7 @@
 import pytest
 
 from renforge import (InvalidParameterError, Network, average_excess,
-                      excess_reports, is_balanced, repulsion_at,
-                      repulsion_profile, resistance_profile, total_input)
-
-
-class TestTotalInput:
-    def test_ten_unit_signals(self):
-        assert total_input([1] * 10) == 10
-
-    def test_empty(self):
-        assert total_input([]) == 0
-
-    def test_mixed_fractions(self):
-        assert total_input([1, 0.5, 0.25]) == 1.75
-
-    def test_negative_signal_rejected(self):
-        with pytest.raises(InvalidParameterError):
-            total_input([1, -0.5])
+                      is_balanced, repulsion_at, resistance_profile)
 
 
 class TestAverageExcess:
@@ -87,22 +71,6 @@ class TestResistanceProfile:
             resistance_profile(5, 0)
 
 
-class TestRepulsionProfile:
-    def test_values_non_increasing_and_clamped(self):
-        profile = repulsion_profile(0.5, 10, 0.1, synapse=3)
-        assert profile.synapse == 3
-        assert profile.clamped
-        assert all(v >= 0 for v in profile.values)
-        assert all(a >= b for a, b in zip(profile.values, profile.values[1:]))
-        assert profile.values[-1] == 0.0
-
-    def test_unclamped_when_force_small(self):
-        profile = repulsion_profile(0.5, 3, 0.1)
-        assert not profile.clamped
-        assert profile.values == (pytest.approx(0.4), pytest.approx(0.3),
-                                  pytest.approx(0.2))
-
-
 def saturated_unit(n_inputs, threshold):
     net = Network()
     inputs = [net.add_neuron(1.0) for _ in range(n_inputs)]
@@ -141,21 +109,3 @@ class TestIsBalanced:
         with pytest.raises(InvalidParameterError):
             is_balanced(net, window=0)
 
-
-class TestExcessReports:
-    def test_report_contents(self):
-        net, inputs, main = saturated_unit(10, 5)
-        record = net.step(inputs)
-        reports = excess_reports(net, record)
-        assert len(reports) == 1
-        report = reports[0]
-        assert report.neuron == main
-        assert report.input_count == 10
-        assert report.input_total == 10.0
-        assert report.threshold == 5.0
-        assert report.excess_per_input == 0.5
-
-    def test_silent_tick_has_no_reports(self):
-        net, inputs, _ = saturated_unit(10, 5)
-        record = net.step()
-        assert excess_reports(net, record) == []

@@ -42,6 +42,18 @@ class TestConfig:
         with pytest.raises(ConfigurationError):
             config_from_json('{"schedule": "sometimes"}')
 
+    @pytest.mark.parametrize("kwargs", [
+        {"sweep_inputs": []},
+        {"sweep_thresholds": []},
+        {"schedule_probability": 7.5},
+        {"schedule_probability": -0.1},
+        {"schedule_probability": float("nan")},
+        {"max_ticks": 0},
+    ])
+    def test_invalid_values_rejected_when_built(self, kwargs):
+        with pytest.raises(ConfigurationError):
+            ExperimentConfig(**kwargs)
+
     def test_seed_env_override(self, tmp_path, monkeypatch):
         path = tmp_path / "config.json"
         path.write_text(config_to_json(ExperimentConfig(seed=1)), encoding="utf-8")
@@ -228,3 +240,20 @@ class TestCli:
     def test_missing_config_path(self, capsys):
         assert main(["run", "--config", "/nowhere/config.json"]) == 2
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("name, text, command", [
+        ("config.json", '{"sweep_inputs": []}',
+         ["sweep", "--config", "{path}", "--samples", "1"]),
+        ("forest.json", "{not json",
+         ["trees", "query", "--forest", "{path}", "--terms", "a"]),
+        ("forest.json", '{"trees": [{"label": "a", "children": []}], "links": []}',
+         ["trees", "query", "--forest", "{path}", "--terms", "a"]),
+        ("events.tsv", "1.0\ta,b\nnan\tb,c\n0.5\tc,d\n",
+         ["cluster", "--events", "{path}", "--out", "{out}"]),
+    ])
+    def test_malformed_input_exits_2(self, tmp_path, capsys, name, text, command):
+        path = tmp_path / name
+        path.write_text(text, encoding="utf-8")
+        argv = [arg.format(path=path, out=tmp_path / "out.json") for arg in command]
+        assert main(argv) == 2
+        assert capsys.readouterr().err.startswith("error: ")

@@ -229,6 +229,11 @@ class TestIngestEvents:
         with pytest.raises(InvalidParameterError):
             ClusterNet().ingest_events(["soon\ta,b"])
 
+    @pytest.mark.parametrize("time", ["nan", "inf", "-inf"])
+    def test_non_finite_time_rejected(self, time):
+        with pytest.raises(InvalidParameterError, match="line 2: time must be finite"):
+            ClusterNet().ingest_events(["1.0\ta,b", f"{time}\tb,c", "0.5\tc,d"])
+
     def test_file_round_trip(self, tmp_path):
         path = tmp_path / "events.tsv"
         path.write_text("0\ta,b\n1\tb,c\n", encoding="utf-8")
@@ -246,6 +251,16 @@ class TestSerialization:
         restored = ClusterNet.from_json(text)
         assert restored.to_json() == text
         assert restored.retrieve(0) == net.retrieve(0)
+
+    @pytest.mark.parametrize("text", [
+        "{not json",
+        '{"event_count": 0, "base_concepts": [], "hidden_nodes": []}',
+        '{"decay": 0.0, "event_count": 1, "base_concepts": ["a"], "hidden_nodes": [{"id": 0}]}',
+        '{"decay": 0.0, "event_count": 0, "base_concepts": [], "hidden_nodes": [[0]]}',
+    ])
+    def test_malformed_document_rejected(self, text):
+        with pytest.raises(InvalidParameterError, match="malformed cluster document"):
+            ClusterNet.from_json(text)
 
     def test_restored_net_keeps_learning(self):
         net = ClusterNet()
