@@ -11,7 +11,8 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
-from .errors import InvalidParameterError, NotFoundError, reading_document
+from .errors import (InvalidParameterError, NotFoundError, reading_document,
+                     reading_text)
 
 LINK_LABEL = "M"
 
@@ -155,7 +156,7 @@ class ConceptForest:
 
     def ingest_corpus(self, path) -> int:
         """Insert one whitespace-tokenized sequence per non-empty line."""
-        with open(path, "r", encoding="utf-8") as handle:
+        with reading_text(path), open(path, "r", encoding="utf-8") as handle:
             return self.ingest_lines(handle)
 
     def ingest_lines(self, lines) -> int:

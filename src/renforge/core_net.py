@@ -38,7 +38,6 @@ def fires(threshold: float, input_sum: float) -> int:
 class Neuron:
     id: int
     threshold: float
-    refractory_remaining: int = 0
 
 
 @dataclass
@@ -47,6 +46,9 @@ class Synapse:
 
     ``multiplicity`` represents parallel unit connections on the same
     (pre, post) pair; a weight-w link is w unit inputs bundled together.
+    The fields are read-only outside ``Network``: change an open fraction
+    with ``Network.set_open_fraction``, so views derived from the network
+    are rebuilt.
     """
 
     id: int
@@ -86,6 +88,11 @@ class Network:
     during which they cannot fire and their blocked input is discarded.
     An instance is single-threaded during simulation and shares no state
     with other instances.
+
+    Every change to the topology, the open fractions or the refractory
+    state goes through a method of this class, and each such method drops
+    the views ``derived`` built, so a view is built at most once between
+    two changes.
     """
 
     def __init__(self, rng_seed: int = 0):
@@ -98,6 +105,9 @@ class Network:
         self._incoming: dict[int, list[int]] = {}
         self._outgoing: dict[int, list[int]] = {}
         self._last_fired: frozenset[int] = frozenset()
+        # Ticks left for each refractory neuron; every value is >= 1.
+        self._refractory: dict[int, int] = {}
+        self._derived: dict = {}
 
     # -- construction -----------------------------------------------------
 
@@ -107,6 +117,7 @@ class Network:
             raise InvalidParameterError(f"threshold must be positive, got {threshold}")
         nid = len(self.neurons)
         self.neurons[nid] = Neuron(id=nid, threshold=float(threshold))
+        self._derived.clear()
         return nid
 
     def add_synapse(self, pre: int, post: int, open_fraction: float = 1.0,
@@ -135,7 +146,18 @@ class Network:
         self._edges[(pre, post)] = sid
         self._incoming.setdefault(post, []).append(sid)
         self._outgoing.setdefault(pre, []).append(sid)
+        self._derived.clear()
         return sid
+
+    def set_open_fraction(self, synapse_id: int, open_fraction: float) -> None:
+        """Set a synapse's open fraction, which must lie in [0, 1]."""
+        if synapse_id not in self.synapses:
+            raise NotFoundError(f"unknown synapse id {synapse_id}")
+        if not 0.0 <= open_fraction <= 1.0:
+            raise InvalidParameterError(
+                f"open_fraction must lie in [0, 1], got {open_fraction}")
+        self.synapses[synapse_id].open_fraction = float(open_fraction)
+        self._derived.clear()
 
     # -- queries ----------------------------------------------------------
 
@@ -148,6 +170,23 @@ class Network:
     def synapse_between(self, pre: int, post: int) -> Synapse | None:
         sid = self._edges.get((pre, post))
         return None if sid is None else self.synapses[sid]
+
+    def refractory_remaining(self, neuron_id: int) -> int:
+        """Ticks for which the neuron still cannot fire; 0 when it can."""
+        if neuron_id not in self.neurons:
+            raise NotFoundError(f"unknown neuron id {neuron_id}")
+        return self._refractory.get(neuron_id, 0)
+
+    def derived(self, build):
+        """``build(self)``, built at most once between two changes to the network.
+
+        The caller must not mutate the returned value: later callers share it.
+        """
+        try:
+            return self._derived[build]
+        except KeyError:
+            view = self._derived[build] = build(self)
+            return view
 
     def open_input_count(self, neuron_id: int) -> int:
         """Number of open direct unit inputs (multiplicity counted)."""
@@ -179,12 +218,10 @@ class Network:
                     total += syn.delivery
             input_sums[nid] = total
 
+        refractory = self._refractory
         fired = set()
         for nid in sorted(self.neurons):
-            neuron = self.neurons[nid]
-            if neuron.refractory_remaining > 0:
-                continue
-            if fires(neuron.threshold, input_sums[nid]):
+            if nid not in refractory and fires(self.neurons[nid].threshold, input_sums[nid]):
                 fired.add(nid)
 
         rejections: dict[int, float] = {}
@@ -193,11 +230,10 @@ class Network:
             if open_inputs >= 1:
                 rejections[nid] = (input_sums[nid] - self.neurons[nid].threshold) / open_inputs
 
-        for nid, neuron in self.neurons.items():
-            if nid in fired:
-                neuron.refractory_remaining = REFRACTORY_TICKS
-            elif neuron.refractory_remaining > 0:
-                neuron.refractory_remaining -= 1
+        # A refractory neuron cannot fire, so no id is both counted down and reset.
+        self._refractory = {nid: left - 1 for nid, left in refractory.items() if left > 1}
+        self._refractory.update(dict.fromkeys(fired, REFRACTORY_TICKS))
+        self._derived.clear()
 
         record = FiringRecord(tick=self.tick, fired=frozenset(fired),
                               input_sums=input_sums, rejections=rejections,
@@ -212,15 +248,15 @@ class Network:
         self.tick = 0
         self.history.clear()
         self._last_fired = frozenset()
-        for neuron in self.neurons.values():
-            neuron.refractory_remaining = 0
+        self._refractory = {}
+        self._derived.clear()
 
     # -- serialization ----------------------------------------------------
 
     def to_json(self) -> str:
         """Canonical JSON form; re-serialization round-trips bit-exactly."""
         neurons = [{"id": n.id, "threshold": n.threshold,
-                    "refractory": n.refractory_remaining}
+                    "refractory": self._refractory.get(n.id, 0)}
                    for n in (self.neurons[i] for i in sorted(self.neurons))]
         synapses = [{"pre": s.pre, "post": s.post,
                      "open_fraction": s.open_fraction, "distance": s.distance,
@@ -238,7 +274,11 @@ class Network:
                 if nid != entry["id"]:
                     raise InvalidParameterError(
                         f"neuron ids must be dense and ascending, got {entry['id']}")
-                net.neurons[nid].refractory_remaining = entry["refractory"]
+                left = entry["refractory"]
+                if type(left) is not int or left < 0:
+                    raise TypeError(f"refractory must be an integer >= 0, got {left!r}")
+                if left:
+                    net._refractory[nid] = left
             for entry in doc["synapses"]:
                 net.add_synapse(entry["pre"], entry["post"], entry["open_fraction"],
                                 entry["distance"], entry["multiplicity"])

@@ -42,3 +42,13 @@ def reading_document(kind: str):
     except (json.JSONDecodeError, KeyError, IndexError, TypeError) as exc:
         raise InvalidParameterError(
             f"malformed {kind} document: {type(exc).__name__}: {exc}") from exc
+
+
+@contextmanager
+def reading_text(path):
+    """Turn bytes of the file at ``path`` that do not decode as UTF-8 into
+    InvalidParameterError."""
+    try:
+        yield
+    except UnicodeDecodeError as exc:
+        raise InvalidParameterError(f"{path} is not UTF-8 text: {exc}") from exc

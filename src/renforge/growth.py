@@ -304,10 +304,10 @@ def close_paths(network: Network, state: TurbulenceState, joined_group,
         ratio = rejected / carried
         new_fraction = syn.open_fraction * (1.0 - ratio)
         if new_fraction < cfg.close_cutoff:
-            syn.open_fraction = 0.0
+            network.set_open_fraction(sid, 0.0)
             events.append(GrowthEvent(PATH_CLOSED, tick, (sid,)))
         else:
-            syn.open_fraction = new_fraction
+            network.set_open_fraction(sid, new_fraction)
             events.append(GrowthEvent(PATH_REDUCED, tick, (sid,)))
     return events
 

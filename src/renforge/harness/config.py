@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 import os
 from dataclasses import dataclass, field
 
@@ -39,8 +40,17 @@ class ExperimentConfig:
             raise ConfigurationError("max_ticks must be an integer >= 1")
         if not self.sweep_inputs:
             raise ConfigurationError("sweep_inputs must be non-empty")
+        for count in self.sweep_inputs:
+            if type(count) is not int or count < 1:
+                raise ConfigurationError(
+                    f"sweep_inputs entries must be integers >= 1, got {count!r}")
         if not self.sweep_thresholds:
             raise ConfigurationError("sweep_thresholds must be non-empty")
+        for threshold in self.sweep_thresholds:
+            if (type(threshold) not in (int, float) or not math.isfinite(threshold)
+                    or threshold <= 0):
+                raise ConfigurationError(
+                    f"sweep_thresholds entries must be finite numbers > 0, got {threshold!r}")
 
     def to_doc(self) -> dict:
         return {

@@ -19,15 +19,36 @@ from .errors import InvalidCombinationError, InvalidParameterError, NotFoundErro
 DEFAULT_MAX_DEPTH = 32
 
 
-def network_fingerprint(network: Network) -> str:
-    """Stable digest of the network snapshot a report was computed over."""
+def _fingerprint(network: Network) -> str:
     return hashlib.sha256(network.to_json().encode("utf-8")).hexdigest()
+
+
+def _open_successors(network: Network) -> dict[int, tuple[int, ...]]:
+    """Per source with an open outgoing synapse, its targets in synapse-id order."""
+    successors = {}
+    for nid in network.neurons:
+        posts = tuple(s.post for s in network.outgoing(nid) if s.open_fraction > 0.0)
+        if posts:
+            successors[nid] = posts
+    return successors
+
+
+def _terminals(network: Network) -> frozenset[int]:
+    successors = network.derived(_open_successors)
+    return frozenset(nid for nid in network.neurons if nid not in successors)
+
+
+def network_fingerprint(network: Network) -> str:
+    """Stable digest of the network snapshot a report was computed over.
+
+    The SHA-256 of ``network.to_json()``, computed once per mutation.
+    """
+    return network.derived(_fingerprint)
 
 
 def find_terminals(network: Network) -> frozenset[int]:
     """Nodes with zero open outgoing synapses; cycles have none."""
-    return frozenset(nid for nid in network.neurons
-                     if not any(s.open_fraction > 0.0 for s in network.outgoing(nid)))
+    return network.derived(_terminals)
 
 
 @dataclass(frozen=True)
@@ -62,10 +83,11 @@ def resonate(network: Network, seeds, max_depth: int = DEFAULT_MAX_DEPTH,
     if max_depth < 1:
         raise InvalidParameterError(f"max_depth must be >= 1, got {max_depth}")
 
-    reflectors = set(find_terminals(network))
+    reflectors = find_terminals(network)
     if reflect_refractory:
-        reflectors |= {nid for nid, n in network.neurons.items()
-                       if n.refractory_remaining > 0}
+        reflectors |= {nid for nid in network.neurons
+                       if network.refractory_remaining(nid) > 0}
+    successors = network.derived(_open_successors)
 
     forward: dict[tuple[int, int], int] = {}
     arrivals: dict[int, int] = {}
@@ -80,12 +102,10 @@ def resonate(network: Network, seeds, max_depth: int = DEFAULT_MAX_DEPTH,
         next_activation: dict[int, int] = {}
         for nid in sorted(activation):
             flow = activation[nid]
-            for syn in network.outgoing(nid):
-                if syn.open_fraction <= 0.0:
-                    continue
-                edge = (nid, syn.post)
+            for post in successors.get(nid, ()):
+                edge = (nid, post)
                 forward[edge] = forward.get(edge, 0) + flow
-                next_activation[syn.post] = next_activation.get(syn.post, 0) + flow
+                next_activation[post] = next_activation.get(post, 0) + flow
         for nid in sorted(next_activation):
             if nid in reflectors:
                 arrivals[nid] = arrivals.get(nid, 0) + next_activation[nid]

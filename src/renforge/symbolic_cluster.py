@@ -14,7 +14,8 @@ import json
 import math
 from dataclasses import dataclass
 
-from .errors import InvalidParameterError, NotFoundError, reading_document
+from .errors import (InvalidParameterError, NotFoundError, reading_document,
+                     reading_text)
 
 
 @dataclass
@@ -133,7 +134,7 @@ class ClusterNet:
         return reports
 
     def ingest_events_file(self, path, fuzzy: bool = False) -> list[EventReport]:
-        with open(path, "r", encoding="utf-8") as handle:
+        with reading_text(path), open(path, "r", encoding="utf-8") as handle:
             return self.ingest_events(handle, fuzzy=fuzzy)
 
     # -- queries ---------------------------------------------------------------

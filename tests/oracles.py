@@ -7,6 +7,9 @@ same result on randomized inputs.
 
 from __future__ import annotations
 
+import hashlib
+
+from renforge.core_net import Network
 from renforge.growth import TurbulenceState, _SynapseStats
 
 
@@ -55,3 +58,14 @@ def _greedy_groups(ids: list[int], state: TurbulenceState) -> list[list[int]]:
         chosen = set(best)
         remaining = [i for i in remaining if i not in chosen]
     return groups
+
+
+def network_fingerprint(network: Network) -> str:
+    """Stable digest of the network snapshot a report was computed over."""
+    return hashlib.sha256(network.to_json().encode("utf-8")).hexdigest()
+
+
+def find_terminals(network: Network) -> frozenset[int]:
+    """Nodes with zero open outgoing synapses; cycles have none."""
+    return frozenset(nid for nid in network.neurons
+                     if not any(s.open_fraction > 0.0 for s in network.outgoing(nid)))

@@ -132,6 +132,25 @@ class TestMutations:
         with pytest.raises(NotFoundError):
             net.add_synapse(0, 9)
 
+    def test_set_open_fraction(self):
+        net, _inputs, main = build_fan_in(2, 1.0)
+        net.set_open_fraction(1, 0.25)
+        assert net.synapses[1].open_fraction == 0.25
+        assert net.open_input_count(main) == 2
+        net.set_open_fraction(1, 0)
+        assert net.synapses[1].open_fraction == 0.0
+        assert net.open_input_count(main) == 1
+
+    @pytest.mark.parametrize("sid, fraction, error", [
+        (0, 1.5, InvalidParameterError), (0, -0.1, InvalidParameterError),
+        (0, float("nan"), InvalidParameterError), (7, 0.5, NotFoundError),
+    ])
+    def test_set_open_fraction_rejects(self, sid, fraction, error):
+        net, _inputs, _main = build_fan_in(1, 1.0)
+        with pytest.raises(error):
+            net.set_open_fraction(sid, fraction)
+        assert net.synapses[0].open_fraction == 1.0
+
 
 class TestSerialization:
     def test_round_trip_is_bit_exact(self):
@@ -154,13 +173,17 @@ class TestSerialization:
         net, inputs, main = build_fan_in(2, 1.0)
         net.step(inputs)
         restored = Network.from_json(net.to_json())
-        assert restored.neurons[main].refractory_remaining == 1
+        assert restored.refractory_remaining(main) == 1
 
     @pytest.mark.parametrize("text", [
         "{not json",
         '{"neurons": [{"threshold": 1.0, "refractory": 0}], "synapses": []}',
         '{"neurons": [], "synapses": [{"pre": 0}]}',
         "[]",
+        '{"neurons": [{"id": 0, "threshold": 1.0, "refractory": -3}], "synapses": []}',
+        '{"neurons": [{"id": 0, "threshold": 1.0, "refractory": 2.5}], "synapses": []}',
+        '{"neurons": [{"id": 0, "threshold": 1.0, "refractory": "x"}], "synapses": []}',
+        '{"neurons": [{"id": 0, "threshold": 1.0, "refractory": true}], "synapses": []}',
     ])
     def test_malformed_document_rejected(self, text):
         with pytest.raises(InvalidParameterError, match="malformed network document"):

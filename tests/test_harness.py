@@ -49,6 +49,17 @@ class TestConfig:
         {"schedule_probability": -0.1},
         {"schedule_probability": float("nan")},
         {"max_ticks": 0},
+        {"sweep_inputs": ["a"]},
+        {"sweep_inputs": [0]},
+        {"sweep_inputs": [10, -5]},
+        {"sweep_inputs": [2.5]},
+        {"sweep_inputs": [True]},
+        {"sweep_thresholds": [0.0]},
+        {"sweep_thresholds": [-1.0]},
+        {"sweep_thresholds": [float("inf")]},
+        {"sweep_thresholds": [float("nan")]},
+        {"sweep_thresholds": ["5"]},
+        {"sweep_thresholds": [True]},
     ])
     def test_invalid_values_rejected_when_built(self, kwargs):
         with pytest.raises(ConfigurationError):
@@ -250,10 +261,14 @@ class TestCli:
          ["trees", "query", "--forest", "{path}", "--terms", "a"]),
         ("events.tsv", "1.0\ta,b\nnan\tb,c\n0.5\tc,d\n",
          ["cluster", "--events", "{path}", "--out", "{out}"]),
+        ("corpus.txt", b"\xff\xfea b\n",
+         ["trees", "ingest", "--corpus", "{path}", "--out", "{out}"]),
+        ("events.tsv", b"\xff\xfe1.0\ta,b\n",
+         ["cluster", "--events", "{path}", "--out", "{out}"]),
     ])
     def test_malformed_input_exits_2(self, tmp_path, capsys, name, text, command):
         path = tmp_path / name
-        path.write_text(text, encoding="utf-8")
+        path.write_bytes(text if isinstance(text, bytes) else text.encode("utf-8"))
         argv = [arg.format(path=path, out=tmp_path / "out.json") for arg in command]
         assert main(argv) == 2
         assert capsys.readouterr().err.startswith("error: ")

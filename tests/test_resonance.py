@@ -3,10 +3,15 @@
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from oracles import find_terminals as oracle_find_terminals
+from oracles import network_fingerprint as oracle_network_fingerprint
 from renforge import (InvalidCombinationError, InvalidParameterError, Network,
                       NotFoundError, combine_searches, find_terminals,
-                      report_csv_rows, report_to_json, resonate)
+                      network_fingerprint, report_csv_rows, report_to_json,
+                      resonate)
 
 
 def chain(length):
@@ -31,8 +36,41 @@ class TestFindTerminals:
 
     def test_closed_synapses_do_not_count_as_outgoing(self):
         net, ids = chain(3)
-        net.synapses[1].open_fraction = 0.0
+        net.set_open_fraction(1, 0.0)
         assert find_terminals(net) == {ids[1], ids[2]}
+
+
+class TestDerivedViews:
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_views_match_naive_oracles_after_every_mutation(self, data):
+        # Each view is read after every operation, so a view the next
+        # operation fails to drop is compared against a changed network.
+        fractions = st.sampled_from([0.0, 0.25, 1.0])
+        net = Network()
+        for _ in range(data.draw(st.integers(1, 40))):
+            op = data.draw(st.sampled_from(["neuron", "synapse", "fraction", "step", "reset"]))
+            ids = st.integers(0, max(len(net.neurons) - 1, 0))
+            if op == "neuron" or len(net.neurons) < 2:
+                net.add_neuron(data.draw(st.sampled_from([1.0, 2.0, 3.5])))
+            elif op == "synapse":
+                pre, post = data.draw(st.lists(ids, min_size=2, max_size=2, unique=True))
+                if net.synapse_between(pre, post) is None:
+                    net.add_synapse(pre, post, data.draw(fractions))
+            elif op == "fraction" and net.synapses:
+                sid = data.draw(st.integers(0, len(net.synapses) - 1))
+                net.set_open_fraction(sid, data.draw(fractions))
+            elif op == "step":
+                net.step(data.draw(st.sets(ids)))
+            elif op == "reset":
+                net.reset_dynamics()
+            assert network_fingerprint(net) == oracle_network_fingerprint(net)
+            assert find_terminals(net) == oracle_find_terminals(net)
+            seeds = data.draw(st.sets(st.integers(0, len(net.neurons) - 1), min_size=1))
+            flag = data.draw(st.booleans())
+            restored = Network.from_json(net.to_json())
+            assert (report_to_json(resonate(net, seeds, reflect_refractory=flag))
+                    == report_to_json(resonate(restored, seeds, reflect_refractory=flag)))
 
 
 class TestResonate:
@@ -84,14 +122,14 @@ class TestResonate:
 
     def test_closed_paths_are_not_traversed(self):
         net, ids = chain(3)
-        net.synapses[0].open_fraction = 0.0
+        net.set_open_fraction(0, 0.0)
         report = resonate(net, {ids[0]})
         assert report.forward_visits == {}
         assert report.recognized_path == frozenset()
 
     def test_refractory_reflector_flag(self):
         net, ids = chain(4)
-        net.neurons[ids[2]].refractory_remaining = 1
+        net.step([ids[1]])
         blocked = resonate(net, {ids[0]}, reflect_refractory=True)
         assert blocked.terminals_hit == {ids[2]}
         assert (ids[2], ids[3]) not in blocked.forward_visits
