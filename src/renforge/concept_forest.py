@@ -3,12 +3,13 @@
 A child may never count higher than its parent.  When repeated use pushes a
 branch above its parent, the branch is detached and becomes the base of a
 new tree, with a dynamic link preserving the original path.  Heavily used
-concepts therefore migrate to tree bases, where searches can index them.
+concepts therefore migrate to tree bases, where searches enter them.
 """
 
 from __future__ import annotations
 
 import json
+from collections import deque
 from dataclasses import dataclass
 
 from .errors import (InvalidParameterError, NotFoundError, reading_document,
@@ -65,9 +66,9 @@ class SearchPath:
 
 
 def _level_order(root: ConceptNode):
-    queue = [root]
+    queue = deque([root])
     while queue:
-        node = queue.pop(0)
+        node = queue.popleft()
         yield node
         queue.extend(node.children)
 
@@ -86,7 +87,6 @@ class ConceptForest:
     def __init__(self):
         self.trees: list[ConceptNode] = []
         self.links: list[DynamicLink] = []
-        self.base_index: dict[str, list[ConceptNode]] = {}
 
     # -- mutation ----------------------------------------------------------
 
@@ -129,29 +129,25 @@ class ConceptForest:
     def split_if_violates(self) -> list[SplitEvent]:
         """Detach every over-counted branch into a new linked base tree.
 
-        Scans root-down, lowest tree index first, and repeats until the
-        count rule holds forest-wide.  Applying it twice equals once.
+        Walks each tree root-down, lowest tree index first.  A detached
+        branch is appended as a new tree and walked when the loop reaches
+        it; a split changes no count, so one walk restores the count rule
+        forest-wide.  Applying it twice equals once.
         """
         events: list[SplitEvent] = []
-        while True:
-            found = None
-            for tree_index, root in enumerate(self.trees):
-                for node in _level_order(root):
-                    if node.parent is not None and node.count > node.parent.count:
-                        found = (tree_index, node)
-                        break
-                if found:
-                    break
-            if found is None:
-                break
-            tree_index, node = found
-            parent = node.parent
-            parent.children.remove(node)
-            node.parent = None
-            self.trees.append(node)
-            self.links.append(DynamicLink(parent, node))
-            events.append(SplitEvent(node.label, tree_index, len(self.trees) - 1))
-        self._rebuild_index()
+        for tree_index, root in enumerate(self.trees):
+            queue = deque([root])
+            while queue:
+                node = queue.popleft()
+                parent = node.parent
+                if parent is None or node.count <= parent.count:
+                    queue.extend(node.children)
+                    continue
+                parent.children.remove(node)
+                node.parent = None
+                self.trees.append(node)
+                self.links.append(DynamicLink(parent, node))
+                events.append(SplitEvent(node.label, tree_index, len(self.trees) - 1))
         return events
 
     def ingest_corpus(self, path) -> int:
@@ -181,9 +177,9 @@ class ConceptForest:
         if not q:
             raise InvalidParameterError("query is empty")
         results: list[SearchPath] = []
-        for root in self.base_index.get(q[0], []):
-            tree_index = self.tree_index_of(root)
-            self._explore(root, q, 1, [(tree_index, [root.label])], results)
+        for tree_index, root in enumerate(self.trees):
+            if root.label == q[0]:
+                self._explore(root, q, 1, [(tree_index, [root.label])], results)
         return results
 
     def _explore(self, node, q, qi, segments, results):
@@ -235,12 +231,6 @@ class ConceptForest:
     def node_count(self) -> int:
         return sum(1 for root in self.trees for _ in _preorder(root))
 
-    def _rebuild_index(self):
-        index: dict[str, list[ConceptNode]] = {}
-        for root in self.trees:
-            index.setdefault(root.label, []).append(root)
-        self.base_index = index
-
     # -- serialization -------------------------------------------------------
 
     def _node_path(self, node: ConceptNode) -> list[int]:
@@ -289,5 +279,4 @@ class ConceptForest:
                     node = node.children[index]
                 forest.links.append(DynamicLink(node, forest.trees[link_doc["to_tree"]],
                                                 link_doc["label"]))
-        forest._rebuild_index()
         return forest

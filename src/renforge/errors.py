@@ -35,11 +35,12 @@ class ConfigurationError(RenforgeError):
 
 @contextmanager
 def reading_document(kind: str):
-    """Turn a non-JSON text or a missing or mistyped key or index met while
-    loading a ``kind`` document into InvalidParameterError."""
+    """Turn a non-JSON or too deeply nested text or a missing or mistyped key
+    or index met while loading a ``kind`` document into InvalidParameterError."""
     try:
         yield
-    except (json.JSONDecodeError, KeyError, IndexError, TypeError) as exc:
+    except (json.JSONDecodeError, RecursionError, KeyError, IndexError,
+            TypeError) as exc:
         raise InvalidParameterError(
             f"malformed {kind} document: {type(exc).__name__}: {exc}") from exc
 

@@ -9,6 +9,8 @@ at zero once forward resistance swallows it.
 
 from __future__ import annotations
 
+from itertools import islice
+
 from .core_net import Network
 from .errors import InvalidParameterError
 
@@ -59,8 +61,7 @@ def is_balanced(network: Network, window: int,
     """
     if window < 1:
         raise InvalidParameterError(f"window must be >= 1, got {window}")
-    recent = list(network.history)[-min(window, len(network.history)):]
-    for record in recent:
+    for record in islice(reversed(network.history), window):
         for excess in record.rejections.values():
             if excess > eps_balance:
                 return False

@@ -9,11 +9,12 @@ in proportion to how often they met rejection.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from collections import deque
 from dataclasses import dataclass, field
 
-from .core_net import FiringRecord, Network
+from .core_net import HISTORY_LIMIT, FiringRecord, Network
 from .errors import InvalidParameterError
 from .feedback import DEFAULT_EPS_BALANCE, is_balanced, repulsion_at
 
@@ -46,8 +47,9 @@ class GrowthConfig:
     def __post_init__(self):
         if self.bud_threshold <= 0:
             raise InvalidParameterError("bud_threshold must be positive")
-        if self.window < 1:
-            raise InvalidParameterError("window must be >= 1")
+        if not 1 <= self.window <= HISTORY_LIMIT:
+            # is_balanced can look back no further than the kept history.
+            raise InvalidParameterError(f"window must lie in [1, {HISTORY_LIMIT}]")
         if not 0 < self.cofire_agreement <= 1:
             raise InvalidParameterError("cofire_agreement must lie in (0, 1]")
         if not 0 <= self.offpattern_decay < 1:
@@ -86,13 +88,7 @@ class GrowthConfig:
         return max(1, min(group_size, math.ceil(fraction * group_size)))
 
     def to_doc(self) -> dict:
-        return {"bud_threshold": self.bud_threshold, "window": self.window,
-                "cofire_agreement": self.cofire_agreement,
-                "offpattern_decay": self.offpattern_decay,
-                "eps_balance": self.eps_balance,
-                "force_per_segment": self.force_per_segment,
-                "close_cutoff": self.close_cutoff,
-                "threshold_policy": self.threshold_policy}
+        return dataclasses.asdict(self)
 
     @classmethod
     def from_doc(cls, doc: dict) -> "GrowthConfig":
@@ -390,23 +386,19 @@ def run_until_balanced(network: Network, input_schedule,
     ticks_to_balance = None
     initial_max = 0.0
     ticks_run = 0
-    last_excess_tick = -1
     for tick in range(max_ticks):
         record, tick_events = growth_tick(network, state, schedule(tick))
         events.extend(tick_events)
         ticks_run = tick + 1
         if tick == 0:
             initial_max = max(record.rejections.values(), default=0.0)
-        if any(excess > cfg.eps_balance for excess in record.rejections.values()):
-            last_excess_tick = tick
         balanced = is_balanced(network, cfg.window, cfg.eps_balance)
         if on_tick is not None:
             on_tick(record, state, tick_events, balanced)
-        if tick - last_excess_tick >= cfg.window:
-            ticks_to_balance = last_excess_tick + 1
+        if balanced and ticks_run >= cfg.window:
+            ticks_to_balance = ticks_run - cfg.window
             break
-    recent = list(network.history)[-min(cfg.window, len(network.history)):]
-    final_excesses = [excess for record in recent
+    final_excesses = [excess for record in list(network.history)[-cfg.window:]
                       for excess in record.rejections.values()]
     return ConvergenceReport(
         ticks_to_balance=ticks_to_balance,

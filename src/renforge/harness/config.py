@@ -53,18 +53,7 @@ class ExperimentConfig:
                     f"sweep_thresholds entries must be finite numbers > 0, got {threshold!r}")
 
     def to_doc(self) -> dict:
-        return {
-            "seed": self.seed,
-            "scenario": self.scenario,
-            "growth": self.growth.to_doc(),
-            "refined_specs": [spec.to_doc() for spec in self.refined_specs],
-            "schedule": self.schedule,
-            "schedule_probability": self.schedule_probability,
-            "max_ticks": self.max_ticks,
-            "output_dir": self.output_dir,
-            "sweep_inputs": list(self.sweep_inputs),
-            "sweep_thresholds": list(self.sweep_thresholds),
-        }
+        return dataclasses.asdict(self)
 
 
 def config_to_json(config: ExperimentConfig) -> str:
@@ -97,7 +86,7 @@ def config_from_doc(doc: dict) -> ExperimentConfig:
 def config_from_json(text: str) -> ExperimentConfig:
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise ConfigurationError(f"config is not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise ConfigurationError("config must be a JSON object")

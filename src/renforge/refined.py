@@ -8,6 +8,7 @@ wiring alone produces the analogue behaviour.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -58,9 +59,7 @@ class RefinedSpec:
         return self.unit_counts()[-1]
 
     def to_doc(self) -> dict:
-        return {"input_count": self.input_count, "group_size": self.group_size,
-                "group_threshold": self.group_threshold,
-                "main_threshold": self.main_threshold, "layers": self.layers}
+        return dataclasses.asdict(self)
 
     @classmethod
     def from_doc(cls, doc: dict) -> "RefinedSpec":

@@ -61,10 +61,10 @@ class ClusterNet:
     def present_event(self, concepts, fuzzy: bool = False) -> EventReport:
         """Present one event; duplicate labels collapse to a set.
 
-        An exact-matching hidden node is reinforced, otherwise a new one is
-        created with weight 1.  With fuzzy feedback every strict subset of
-        the presentation is reinforced as well.  Non-reinforced nodes decay
-        by the configured amount (default none).
+        The first exact-matching hidden node is reinforced, otherwise a new
+        one is created with weight 1.  With fuzzy feedback every strict
+        subset of the presentation is reinforced as well.  Non-reinforced
+        nodes decay by the configured amount (default none).
         """
         concept_set = frozenset(concepts)
         if not concept_set:
@@ -73,31 +73,23 @@ class ClusterNet:
         self.base_concepts |= concept_set
 
         reinforced: list[int] = []
+        decayed: list[int] = []
+        exact = None
+        for node in self.hidden.values():
+            if exact is None and node.inputs == concept_set:
+                exact = node
+            if node is exact or (fuzzy and node.inputs < concept_set):
+                node.weight += 1.0
+                reinforced.append(node.id)
+            elif self.decay > 0:
+                node.weight = max(0.0, node.weight - self.decay)
+                decayed.append(node.id)
         created = None
-        exact = next((h for h in self.hidden.values() if h.inputs == concept_set), None)
-        if exact is not None:
-            exact.weight += 1.0
-            reinforced.append(exact.id)
-        else:
+        if exact is None:
             created = self._next_hidden_id
             self._next_hidden_id += 1
             self.hidden[created] = HiddenNode(created, concept_set, 1.0,
                                               self.event_count)
-        if fuzzy:
-            for node in self.hidden.values():
-                if node.id != created and node.inputs < concept_set:
-                    node.weight += 1.0
-                    reinforced.append(node.id)
-
-        decayed: list[int] = []
-        if self.decay > 0:
-            touched = set(reinforced)
-            if created is not None:
-                touched.add(created)
-            for node in self.hidden.values():
-                if node.id not in touched:
-                    node.weight = max(0.0, node.weight - self.decay)
-                    decayed.append(node.id)
 
         self.event_count += 1
         self._recompute_globals()
@@ -164,30 +156,29 @@ class ClusterNet:
         return removed
 
     def _recompute_globals(self):
-        by_label: dict[str, list[int]] = {}
-        for node in self.hidden.values():
-            for label in node.inputs:
-                by_label.setdefault(label, []).append(node.id)
-        seen: set[int] = set()
-        components: list[tuple[int, ...]] = []
-        for hid in sorted(self.hidden):
-            if hid in seen:
-                continue
-            component = {hid}
-            seen.add(hid)
-            queue = [hid]
-            while queue:
-                current = queue.pop()
-                for label in self.hidden[current].inputs:
-                    for other in by_label[label]:
-                        if other not in seen:
-                            seen.add(other)
-                            component.add(other)
-                            queue.append(other)
-            components.append(tuple(sorted(component)))
-        components.sort(key=lambda c: c[0])
-        self.global_concepts = [GlobalConcept(i, members)
-                                for i, members in enumerate(components)]
+        # Union-find (Tarjan 1975): each node joins the first node that
+        # carried each of its labels, and the smaller root wins.  Walking ids
+        # in ascending order lists each component by its smallest member.
+        root_of: dict[int, int] = {}
+        first_with: dict[str, int] = {}
+
+        def find(hid: int) -> int:
+            while root_of[hid] != hid:
+                root_of[hid] = root_of[root_of[hid]]
+                hid = root_of[hid]
+            return hid
+
+        ids = sorted(self.hidden)
+        for hid in ids:
+            root_of[hid] = hid
+            for label in self.hidden[hid].inputs:
+                a, b = find(hid), find(first_with.setdefault(label, hid))
+                root_of[max(a, b)] = min(a, b)
+        components: dict[int, list[int]] = {}
+        for hid in ids:
+            components.setdefault(find(hid), []).append(hid)
+        self.global_concepts = [GlobalConcept(i, tuple(members))
+                                for i, members in enumerate(components.values())]
 
     # -- serialization -----------------------------------------------------------
 

@@ -1,16 +1,22 @@
 """Naive predecessors of optimised library paths, kept as test oracles.
 
 Each function here is the implementation an optimised path replaced, copied
-unchanged.  Differential tests check that the optimised path returns the
-same result on randomized inputs.
+unchanged; a replaced method takes its object as the first argument.
+Differential tests check that the optimised path returns the same result on
+randomized inputs.
 """
 
 from __future__ import annotations
 
 import hashlib
 
+from renforge.concept_forest import (ConceptForest, ConceptNode, DynamicLink,
+                                     SplitEvent)
 from renforge.core_net import Network
+from renforge.errors import InvalidParameterError
 from renforge.growth import TurbulenceState, _SynapseStats
+from renforge.symbolic_cluster import (ClusterNet, EventReport, GlobalConcept,
+                                       HiddenNode)
 
 
 def _agreement(a: _SynapseStats, b: _SynapseStats) -> float:
@@ -69,3 +75,114 @@ def find_terminals(network: Network) -> frozenset[int]:
     """Nodes with zero open outgoing synapses; cycles have none."""
     return frozenset(nid for nid in network.neurons
                      if not any(s.open_fraction > 0.0 for s in network.outgoing(nid)))
+
+
+def _level_order(root: ConceptNode):
+    queue = [root]
+    while queue:
+        node = queue.pop(0)
+        yield node
+        queue.extend(node.children)
+
+
+def split_if_violates(forest: ConceptForest) -> list[SplitEvent]:
+    """Detach every over-counted branch into a new linked base tree.
+
+    Scans root-down, lowest tree index first, and repeats until the
+    count rule holds forest-wide.  Applying it twice equals once.
+    """
+    events: list[SplitEvent] = []
+    while True:
+        found = None
+        for tree_index, root in enumerate(forest.trees):
+            for node in _level_order(root):
+                if node.parent is not None and node.count > node.parent.count:
+                    found = (tree_index, node)
+                    break
+            if found:
+                break
+        if found is None:
+            break
+        tree_index, node = found
+        parent = node.parent
+        parent.children.remove(node)
+        node.parent = None
+        forest.trees.append(node)
+        forest.links.append(DynamicLink(parent, node))
+        events.append(SplitEvent(node.label, tree_index, len(forest.trees) - 1))
+    return events
+
+
+def present_event(net: ClusterNet, concepts, fuzzy: bool = False) -> EventReport:
+    """Present one event; duplicate labels collapse to a set.
+
+    An exact-matching hidden node is reinforced, otherwise a new one is
+    created with weight 1.  With fuzzy feedback every strict subset of
+    the presentation is reinforced as well.  Non-reinforced nodes decay
+    by the configured amount (default none).
+    """
+    concept_set = frozenset(concepts)
+    if not concept_set:
+        raise InvalidParameterError("event concept set is empty")
+    new_bases = tuple(sorted(concept_set - net.base_concepts))
+    net.base_concepts |= concept_set
+
+    reinforced: list[int] = []
+    created = None
+    exact = next((h for h in net.hidden.values() if h.inputs == concept_set), None)
+    if exact is not None:
+        exact.weight += 1.0
+        reinforced.append(exact.id)
+    else:
+        created = net._next_hidden_id
+        net._next_hidden_id += 1
+        net.hidden[created] = HiddenNode(created, concept_set, 1.0,
+                                         net.event_count)
+    if fuzzy:
+        for node in net.hidden.values():
+            if node.id != created and node.inputs < concept_set:
+                node.weight += 1.0
+                reinforced.append(node.id)
+
+    decayed: list[int] = []
+    if net.decay > 0:
+        touched = set(reinforced)
+        if created is not None:
+            touched.add(created)
+        for node in net.hidden.values():
+            if node.id not in touched:
+                node.weight = max(0.0, node.weight - net.decay)
+                decayed.append(node.id)
+
+    net.event_count += 1
+    recompute_globals(net)
+    return EventReport(net.event_count - 1, created,
+                       tuple(sorted(reinforced)), tuple(sorted(decayed)),
+                       new_bases)
+
+
+def recompute_globals(net: ClusterNet):
+    by_label: dict[str, list[int]] = {}
+    for node in net.hidden.values():
+        for label in node.inputs:
+            by_label.setdefault(label, []).append(node.id)
+    seen: set[int] = set()
+    components: list[tuple[int, ...]] = []
+    for hid in sorted(net.hidden):
+        if hid in seen:
+            continue
+        component = {hid}
+        seen.add(hid)
+        queue = [hid]
+        while queue:
+            current = queue.pop()
+            for label in net.hidden[current].inputs:
+                for other in by_label[label]:
+                    if other not in seen:
+                        seen.add(other)
+                        component.add(other)
+                        queue.append(other)
+        components.append(tuple(sorted(component)))
+    components.sort(key=lambda c: c[0])
+    net.global_concepts = [GlobalConcept(i, members)
+                           for i, members in enumerate(components)]

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import split_if_violates as oracle_split_if_violates
 from renforge import ConceptForest, InvalidParameterError, NotFoundError, tokenize
 from renforge.concept_forest import ConceptNode
 
@@ -72,7 +73,6 @@ class TestSplitIfViolates:
         leaf = ConceptNode("c", 5, parent=middle)
         root.children, middle.children = [middle], [leaf]
         forest.trees = [root]
-        forest._rebuild_index()
         events = forest.split_if_violates()
         assert len(events) == 2
         assert len(forest.trees) == 3
@@ -86,7 +86,6 @@ class TestSplitIfViolates:
         child = ConceptNode("y", 4, parent=root)
         root.children = [child]
         forest.trees = [root]
-        forest._rebuild_index()
         forest.split_if_violates()
         labels = sorted((r.label, r.count) for r in forest.trees)
         assert labels == [("x", 2), ("y", 4)]
@@ -165,6 +164,7 @@ class TestSerialization:
         '{"trees": [{"label": "a", "count": 1, "children": []}], '
         '"links": [{"from_tree": 0, "from_path": [3], "to_tree": 0, "label": "M"}]}',
         '{"trees": 7, "links": []}',
+        "[" * 5000,
     ])
     def test_malformed_document_rejected(self, text):
         with pytest.raises(InvalidParameterError, match="malformed forest document"):
@@ -228,6 +228,63 @@ class TestProperties:
                         if any(p.complete for p in forest.search(s))}
             assert found_ever <= findable
             found_ever = findable
+
+
+class RecordingForest(ConceptForest):
+    """A forest whose count-rule repair is ``split`` and whose split events
+    are kept, one list per call."""
+
+    def __init__(self, split):
+        super().__init__()
+        self.split = split
+        self.events = []
+
+    def split_if_violates(self):
+        events = self.split(self)
+        self.events.append(events)
+        return events
+
+
+def _build_tree(shape, parent=None):
+    label, count, children = shape
+    node = ConceptNode(label, count, parent)
+    node.children = [_build_tree(child, node) for child in children]
+    return node
+
+
+tree_shapes = st.recursive(
+    st.tuples(st.sampled_from("abc"), st.integers(1, 6), st.just(())),
+    lambda children: st.tuples(st.sampled_from("abc"), st.integers(1, 6),
+                               st.lists(children, max_size=3)),
+    max_leaves=25)
+
+
+class TestSplitMatchesOracle:
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(tree_shapes, min_size=1, max_size=4))
+    def test_hand_built_trees(self, shapes):
+        forests = []
+        for split in (ConceptForest.split_if_violates, oracle_split_if_violates):
+            forest = ConceptForest()
+            forest.trees = [_build_tree(shape) for shape in shapes]
+            forests.append((forest, split(forest)))
+        (forest, events), (oracle, oracle_events) = forests
+        assert events == oracle_events
+        assert forest.to_json() == oracle.to_json()
+        assert forest.count_rule_holds()
+        assert forest.split_if_violates() == []
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.lists(st.sampled_from("abcde"), min_size=1, max_size=5),
+                    min_size=1, max_size=30))
+    def test_insert_streams(self, corpus):
+        forest = RecordingForest(ConceptForest.split_if_violates)
+        oracle = RecordingForest(oracle_split_if_violates)
+        for sentence in corpus:
+            forest.insert_sequence(sentence)
+            oracle.insert_sequence(sentence)
+            assert forest.events == oracle.events
+            assert forest.to_json() == oracle.to_json()
 
 
 def _all_nodes(root):

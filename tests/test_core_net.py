@@ -184,6 +184,7 @@ class TestSerialization:
         '{"neurons": [{"id": 0, "threshold": 1.0, "refractory": 2.5}], "synapses": []}',
         '{"neurons": [{"id": 0, "threshold": 1.0, "refractory": "x"}], "synapses": []}',
         '{"neurons": [{"id": 0, "threshold": 1.0, "refractory": true}], "synapses": []}',
+        "[" * 5000,
     ])
     def test_malformed_document_rejected(self, text):
         with pytest.raises(InvalidParameterError, match="malformed network document"):

@@ -37,6 +37,7 @@ class TestGrowthConfig:
         {"threshold_policy": "bogus"}, {"threshold_policy": "fraction:abc"},
         {"threshold_policy": "fraction:0"}, {"threshold_policy": "fraction:1.5"},
         {"eps_balance": -0.1}, {"close_cutoff": -0.01}, {"close_cutoff": 1.5},
+        {"window": 257},
     ])
     def test_validation(self, kwargs):
         with pytest.raises(InvalidParameterError):

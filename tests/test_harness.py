@@ -265,6 +265,9 @@ class TestCli:
          ["trees", "ingest", "--corpus", "{path}", "--out", "{out}"]),
         ("events.tsv", b"\xff\xfe1.0\ta,b\n",
          ["cluster", "--events", "{path}", "--out", "{out}"]),
+        ("config.json", "[" * 5000, ["run", "--config", "{path}"]),
+        ("forest.json", "[" * 5000,
+         ["trees", "query", "--forest", "{path}", "--terms", "a"]),
     ])
     def test_malformed_input_exits_2(self, tmp_path, capsys, name, text, command):
         path = tmp_path / name

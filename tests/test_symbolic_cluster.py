@@ -1,9 +1,13 @@
 """Event clustering, fuzzy reinforcement, global concepts, and retrieval."""
 
+import json
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import oracles
 from renforge import ClusterNet, InvalidParameterError, NotFoundError
 
 FIG3_EVENTS = [("c0", "c1", "c2"), ("c1", "c2", "c3"), ("c2", "c3", "c4")]
@@ -257,6 +261,7 @@ class TestSerialization:
         '{"event_count": 0, "base_concepts": [], "hidden_nodes": []}',
         '{"decay": 0.0, "event_count": 1, "base_concepts": ["a"], "hidden_nodes": [{"id": 0}]}',
         '{"decay": 0.0, "event_count": 0, "base_concepts": [], "hidden_nodes": [[0]]}',
+        "[" * 5000,
     ])
     def test_malformed_document_rejected(self, text):
         with pytest.raises(InvalidParameterError, match="malformed cluster document"):
@@ -268,3 +273,47 @@ class TestSerialization:
         restored = ClusterNet.from_json(net.to_json())
         report = restored.present_event({"c"})
         assert report.created == 1
+
+
+class OracleClusterNet(ClusterNet):
+    present_event = oracles.present_event
+    _recompute_globals = oracles.recompute_globals
+
+
+cluster_ops = st.lists(st.one_of(
+    st.tuples(st.just("event"),
+              st.lists(st.sampled_from("abcdef"), min_size=1, max_size=4),
+              st.booleans()),
+    st.tuples(st.just("prune"), st.sampled_from([0.0, 0.5, 1.0, 2.0])),
+    st.tuples(st.just("duplicate"), st.integers(0, 50), st.integers(0, 50),
+              st.sampled_from([0.0, 1.0, 3.5]))),
+    min_size=1, max_size=40)
+
+
+def _with_duplicate(net, pick, position, weight):
+    """Reload ``net`` from its document with one hidden node repeated under
+    a fresh id, inserted at ``position`` among the loaded nodes."""
+    doc = json.loads(net.to_json())
+    nodes = doc["hidden_nodes"]
+    if nodes:
+        copy = dict(nodes[pick % len(nodes)], weight=weight,
+                    id=max(node["id"] for node in nodes) + 1)
+        nodes.insert(position % (len(nodes) + 1), copy)
+    return type(net).from_json(json.dumps(doc))
+
+
+class TestPresentEventMatchesOracle:
+    @settings(max_examples=300, deadline=None)
+    @given(st.sampled_from([0.0, 0.01, 0.5]), cluster_ops)
+    def test_event_streams(self, decay, ops):
+        net, oracle = ClusterNet(decay=decay), OracleClusterNet(decay=decay)
+        for op in ops:
+            if op[0] == "event":
+                _, labels, fuzzy = op
+                assert (net.present_event(labels, fuzzy=fuzzy)
+                        == oracle.present_event(labels, fuzzy=fuzzy))
+            elif op[0] == "prune":
+                assert net.prune(op[1]) == oracle.prune(op[1])
+            else:
+                net, oracle = (_with_duplicate(n, *op[1:]) for n in (net, oracle))
+            assert net.to_json() == oracle.to_json()
