@@ -247,6 +247,8 @@ class ConceptForest:
         return self.tree_index_of(node)
 
     def to_json(self) -> str:
+        """Nested JSON form; raises InvalidParameterError for a forest too
+        deep for the JSON encoder to nest."""
         def node_doc(node):
             return {"label": node.label, "count": node.count,
                     "children": [node_doc(c) for c in node.children]}
@@ -258,25 +260,43 @@ class ConceptForest:
               "label": link.label}
              for link in self.links),
             key=lambda d: (d["from_tree"], d["from_path"], d["to_tree"]))
-        return json.dumps({"trees": [node_doc(r) for r in self.trees],
-                           "links": link_docs})
+        try:
+            return json.dumps({"trees": [node_doc(r) for r in self.trees],
+                               "links": link_docs})
+        except RecursionError:
+            depth, level = 0, self.trees
+            while level:
+                depth, level = depth + 1, [c for node in level for c in node.children]
+            raise InvalidParameterError(
+                f"forest is {depth} levels deep, too deep to write as nested JSON") from None
 
     @classmethod
     def from_json(cls, text: str) -> "ConceptForest":
         forest = cls()
 
         def build(entry, parent):
-            node = ConceptNode(entry["label"], entry["count"], parent)
+            count = entry["count"]
+            limit = count if parent is None else parent.count
+            if type(count) is not int or not 1 <= count <= limit:
+                raise InvalidParameterError(
+                    f"malformed forest document: count {count!r} of {entry['label']!r} "
+                    "is not an integer >= 1 and at most its parent's count")
+            node = ConceptNode(entry["label"], count, parent)
             node.children = [build(c, node) for c in entry["children"]]
             return node
+
+        def at(items, index):
+            if type(index) is not int or index < 0:
+                raise IndexError(f"index {index!r} is not an integer >= 0")
+            return items[index]
 
         with reading_document("forest"):
             doc = json.loads(text)
             forest.trees = [build(entry, None) for entry in doc["trees"]]
             for link_doc in doc["links"]:
-                node = forest.trees[link_doc["from_tree"]]
+                node = at(forest.trees, link_doc["from_tree"])
                 for index in link_doc["from_path"]:
-                    node = node.children[index]
-                forest.links.append(DynamicLink(node, forest.trees[link_doc["to_tree"]],
+                    node = at(node.children, index)
+                forest.links.append(DynamicLink(node, at(forest.trees, link_doc["to_tree"]),
                                                 link_doc["label"]))
         return forest

@@ -209,26 +209,23 @@ class Network:
                 raise NotFoundError(f"unknown neuron id {nid}")
         sources = self._last_fired | externals
 
+        synapses, incoming, refractory = self.synapses, self._incoming, self._refractory
         input_sums: dict[int, float] = {}
-        for nid in sorted(self.neurons):
+        rejections: dict[int, float] = {}
+        fired = []
+        # Ids are dense and never deleted, so the dict iterates in id order.
+        for nid, neuron in self.neurons.items():
             total = 0.0
-            for sid in self._incoming.get(nid, ()):
-                syn = self.synapses[sid]
+            for sid in incoming.get(nid, ()):
+                syn = synapses[sid]
                 if syn.pre in sources:
                     total += syn.delivery
             input_sums[nid] = total
-
-        refractory = self._refractory
-        fired = set()
-        for nid in sorted(self.neurons):
-            if nid not in refractory and fires(self.neurons[nid].threshold, input_sums[nid]):
-                fired.add(nid)
-
-        rejections: dict[int, float] = {}
-        for nid in sorted(fired):
-            open_inputs = self.open_input_count(nid)
-            if open_inputs >= 1:
-                rejections[nid] = (input_sums[nid] - self.neurons[nid].threshold) / open_inputs
+            if nid not in refractory and fires(neuron.threshold, total):
+                fired.append(nid)
+                open_inputs = self.open_input_count(nid)
+                if open_inputs >= 1:
+                    rejections[nid] = (total - neuron.threshold) / open_inputs
 
         # A refractory neuron cannot fire, so no id is both counted down and reset.
         self._refractory = {nid: left - 1 for nid, left in refractory.items() if left > 1}
@@ -257,11 +254,11 @@ class Network:
         """Canonical JSON form; re-serialization round-trips bit-exactly."""
         neurons = [{"id": n.id, "threshold": n.threshold,
                     "refractory": self._refractory.get(n.id, 0)}
-                   for n in (self.neurons[i] for i in sorted(self.neurons))]
+                   for n in self.neurons.values()]
         synapses = [{"pre": s.pre, "post": s.post,
                      "open_fraction": s.open_fraction, "distance": s.distance,
                      "multiplicity": s.multiplicity}
-                    for s in (self.synapses[i] for i in sorted(self.synapses))]
+                    for s in self.synapses.values()]
         return json.dumps({"neurons": neurons, "synapses": synapses})
 
     @classmethod

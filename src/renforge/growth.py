@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import dataclasses
 import math
-from collections import deque
 from dataclasses import dataclass, field
 
 from .core_net import HISTORY_LIMIT, FiringRecord, Network
@@ -103,12 +102,15 @@ class GrowthEvent:
 
 
 class _SynapseStats:
-    __slots__ = ("accumulator", "carried", "rejected", "budded")
+    # carried and rejected hold one flag per recent tick, newest in bit 0; both
+    # take a flag every tick, so one length counts the ticks they hold.
+    __slots__ = ("accumulator", "carried", "rejected", "length", "budded")
 
-    def __init__(self, window: int):
+    def __init__(self):
         self.accumulator = 0.0
-        self.carried: deque[bool] = deque(maxlen=window)
-        self.rejected: deque[bool] = deque(maxlen=window)
+        self.carried = 0
+        self.rejected = 0
+        self.length = 0
         self.budded = False
 
 
@@ -124,17 +126,17 @@ class TurbulenceState:
     def stats_for(self, synapse_id: int) -> _SynapseStats:
         stats = self.stats.get(synapse_id)
         if stats is None:
-            stats = self.stats[synapse_id] = _SynapseStats(self.config.window)
+            stats = self.stats[synapse_id] = _SynapseStats()
         return stats
 
     def accumulator(self, synapse_id: int) -> float:
         return self.stats_for(synapse_id).accumulator
 
     def fired_count(self, synapse_id: int) -> int:
-        return sum(1 for c in self.stats_for(synapse_id).carried if c)
+        return self.stats_for(synapse_id).carried.bit_count()
 
     def rejection_count(self, synapse_id: int) -> int:
-        return sum(1 for r in self.stats_for(synapse_id).rejected if r)
+        return self.stats_for(synapse_id).rejected.bit_count()
 
     def budded_ids(self) -> list[int]:
         return sorted(s for s, st in self.stats.items() if st.budded)
@@ -152,15 +154,18 @@ def accumulate_turbulence(network: Network, record: FiringRecord,
     not reject decay instead, which keeps frequently useful paths open.
     """
     cfg = state.config
+    window = cfg.window
+    keep = (1 << window) - 1
     rejecting = {nid for nid, excess in record.rejections.items()
                  if excess > cfg.eps_balance}
-    for sid in sorted(network.synapses):
-        syn = network.synapses[sid]
+    for sid, syn in network.synapses.items():
         stats = state.stats_for(sid)
         carried = syn.pre in record.sources and syn.open_fraction > 0.0
         hit_rejection = carried and syn.post in rejecting
-        stats.carried.append(carried)
-        stats.rejected.append(hit_rejection)
+        stats.carried = (stats.carried << 1 | carried) & keep
+        stats.rejected = (stats.rejected << 1 | hit_rejection) & keep
+        if stats.length < window:
+            stats.length += 1
         if hit_rejection:
             stats.accumulator += repulsion_at(record.rejections[syn.post],
                                               syn.distance, cfg.force_per_segment)
@@ -191,14 +196,11 @@ def _greedy_groups(ids: list[int], state: TurbulenceState) -> list[list[int]]:
     """
     threshold = state.config.cofire_agreement
     order = sorted(ids)
-    # Ids by carry window, as (mask, length) with the newest tick in bit 0.
+    # Ids by carry window, keyed (mask, length) as _SynapseStats holds it.
     windows: dict[tuple[int, int], int] = {}
     for index, sid in enumerate(order):
-        carried = state.stats_for(sid).carried
-        mask = 0
-        for flag in carried:
-            mask = (mask << 1) | flag
-        key = (mask, len(carried))
+        stats = state.stats_for(sid)
+        key = (stats.carried, stats.length)
         windows[key] = windows.get(key, 0) | (1 << index)
     adjacency = [0] * len(order)
     for (mask_a, len_a), bits_a in windows.items():
@@ -251,13 +253,13 @@ def spawn_and_join(network: Network, state: TurbulenceState,
     cfg = state.config
     events: list[GrowthEvent] = []
     budded_by_target: dict[int, list[int]] = {}
-    for sid in sorted(network.synapses):
+    for sid, syn in network.synapses.items():
         stats = state.stats_for(sid)
         if not stats.budded and stats.accumulator >= cfg.bud_threshold:
             stats.budded = True
             events.append(GrowthEvent(BUD_SPAWNED, tick, (sid,)))
         if stats.budded:
-            budded_by_target.setdefault(network.synapses[sid].post, []).append(sid)
+            budded_by_target.setdefault(syn.post, []).append(sid)
 
     for target in sorted(budded_by_target):
         for group in _greedy_groups(budded_by_target[target], state):
@@ -293,11 +295,10 @@ def close_paths(network: Network, state: TurbulenceState, joined_group,
     for sid in sorted(joined_group):
         syn = network.synapses[sid]
         stats = state.stats_for(sid)
-        carried = sum(1 for c in stats.carried if c)
+        carried = stats.carried.bit_count()
         if carried == 0:
             continue
-        rejected = sum(1 for r in stats.rejected if r)
-        ratio = rejected / carried
+        ratio = stats.rejected.bit_count() / carried
         new_fraction = syn.open_fraction * (1.0 - ratio)
         if new_fraction < cfg.close_cutoff:
             network.set_open_fraction(sid, 0.0)

@@ -47,8 +47,8 @@ class ClusterNet:
     """Base concepts, hidden event nodes, and overlap-closure global concepts."""
 
     def __init__(self, decay: float = 0.0):
-        if decay < 0:
-            raise InvalidParameterError(f"decay must be non-negative, got {decay}")
+        if not math.isfinite(decay) or decay < 0:
+            raise InvalidParameterError(f"decay must be a finite number >= 0, got {decay}")
         self.decay = decay
         self.base_concepts: set[str] = set()
         self.hidden: dict[int, HiddenNode] = {}

@@ -1,7 +1,9 @@
 """Naive predecessors of optimised library paths, kept as test oracles.
 
 Each function here is the implementation an optimised path replaced, copied
-unchanged; a replaced method takes its object as the first argument.
+unchanged; a replaced method takes its object as the first argument.  The
+deque-window ``_SynapseStats`` keeps the old growth bookkeeping, and
+``_agreement`` unpacks today's int windows to the flag lists it compared.
 Differential tests check that the optimised path returns the same result on
 randomized inputs.
 """
@@ -9,19 +11,27 @@ randomized inputs.
 from __future__ import annotations
 
 import hashlib
+from collections import deque
 
 from renforge.concept_forest import (ConceptForest, ConceptNode, DynamicLink,
                                      SplitEvent)
-from renforge.core_net import Network
-from renforge.errors import InvalidParameterError
-from renforge.growth import TurbulenceState, _SynapseStats
+from renforge.core_net import (REFRACTORY_TICKS, FiringRecord, Network,
+                               fires)
+from renforge.errors import InvalidParameterError, NotFoundError
+from renforge.feedback import repulsion_at
+from renforge.growth import TurbulenceState
 from renforge.symbolic_cluster import (ClusterNet, EventReport, GlobalConcept,
                                        HiddenNode)
 
 
-def _agreement(a: _SynapseStats, b: _SynapseStats) -> float:
+def _flags(stats) -> list[bool]:
+    """The carry window of a synapse's stats as flags, oldest first."""
+    return [bool(stats.carried >> k & 1) for k in reversed(range(stats.length))]
+
+
+def _agreement(a, b) -> float:
     """Fraction of shared carrying activity over the common recent window."""
-    ca, cb = list(a.carried), list(b.carried)
+    ca, cb = _flags(a), _flags(b)
     span = min(len(ca), len(cb))
     if span == 0:
         return 0.0
@@ -64,6 +74,101 @@ def _greedy_groups(ids: list[int], state: TurbulenceState) -> list[list[int]]:
         chosen = set(best)
         remaining = [i for i in remaining if i not in chosen]
     return groups
+
+
+def step(network: Network, external_inputs=()) -> FiringRecord:
+    """Advance one synchronous tick.
+
+    Each neuron's input sum is the open-fraction-weighted signal over
+    incoming synapses whose source fired last tick or is externally
+    driven this tick.  Fired neurons enter the refractory period; the
+    per-input excess of every fired neuron is recorded as its rejection.
+    """
+    externals = frozenset(external_inputs)
+    for nid in externals:
+        if nid not in network.neurons:
+            raise NotFoundError(f"unknown neuron id {nid}")
+    sources = network._last_fired | externals
+
+    input_sums: dict[int, float] = {}
+    for nid in sorted(network.neurons):
+        total = 0.0
+        for sid in network._incoming.get(nid, ()):
+            syn = network.synapses[sid]
+            if syn.pre in sources:
+                total += syn.delivery
+        input_sums[nid] = total
+
+    refractory = network._refractory
+    fired = set()
+    for nid in sorted(network.neurons):
+        if nid not in refractory and fires(network.neurons[nid].threshold, input_sums[nid]):
+            fired.add(nid)
+
+    rejections: dict[int, float] = {}
+    for nid in sorted(fired):
+        open_inputs = network.open_input_count(nid)
+        if open_inputs >= 1:
+            rejections[nid] = (input_sums[nid] - network.neurons[nid].threshold) / open_inputs
+
+    # A refractory neuron cannot fire, so no id is both counted down and reset.
+    network._refractory = {nid: left - 1 for nid, left in refractory.items() if left > 1}
+    network._refractory.update(dict.fromkeys(fired, REFRACTORY_TICKS))
+    network._derived.clear()
+
+    record = FiringRecord(tick=network.tick, fired=frozenset(fired),
+                          input_sums=input_sums, rejections=rejections,
+                          sources=sources)
+    network.tick += 1
+    network._last_fired = record.fired
+    network.history.append(record)
+    return record
+
+
+class _SynapseStats:
+    __slots__ = ("accumulator", "carried", "rejected", "budded")
+
+    def __init__(self, window: int):
+        self.accumulator = 0.0
+        self.carried: deque[bool] = deque(maxlen=window)
+        self.rejected: deque[bool] = deque(maxlen=window)
+        self.budded = False
+
+
+class DequeTurbulenceState(TurbulenceState):
+    """A TurbulenceState whose ``stats_for`` makes the deque stats above."""
+
+    def stats_for(self, synapse_id: int) -> _SynapseStats:
+        stats = self.stats.get(synapse_id)
+        if stats is None:
+            stats = self.stats[synapse_id] = _SynapseStats(self.config.window)
+        return stats
+
+
+def accumulate_turbulence(network: Network, record: FiringRecord,
+                          state: DequeTurbulenceState) -> DequeTurbulenceState:
+    """Fold one tick's firing outcome into the turbulence bookkeeping.
+
+    Synapses that carried signal into a rejecting target gain the clamped
+    backward repulsion; synapses that carried signal when the target did
+    not reject decay instead, which keeps frequently useful paths open.
+    """
+    cfg = state.config
+    rejecting = {nid for nid, excess in record.rejections.items()
+                 if excess > cfg.eps_balance}
+    for sid in sorted(network.synapses):
+        syn = network.synapses[sid]
+        stats = state.stats_for(sid)
+        carried = syn.pre in record.sources and syn.open_fraction > 0.0
+        hit_rejection = carried and syn.post in rejecting
+        stats.carried.append(carried)
+        stats.rejected.append(hit_rejection)
+        if hit_rejection:
+            stats.accumulator += repulsion_at(record.rejections[syn.post],
+                                              syn.distance, cfg.force_per_segment)
+        elif carried:
+            stats.accumulator *= cfg.offpattern_decay
+    return state
 
 
 def network_fingerprint(network: Network) -> str:

@@ -165,10 +165,37 @@ class TestSerialization:
         '"links": [{"from_tree": 0, "from_path": [3], "to_tree": 0, "label": "M"}]}',
         '{"trees": 7, "links": []}',
         "[" * 5000,
+        '{"trees": [{"label": "a", "count": true, "children": []}], "links": []}',
+        '{"trees": [{"label": "a", "count": 0, "children": []}], "links": []}',
+        '{"trees": [{"label": "a", "count": 1.0, "children": []}], "links": []}',
+        '{"trees": [{"label": "a", "count": 1, "children": '
+        '[{"label": "b", "count": 2, "children": []}]}], "links": []}',
+        '{"trees": [{"label": "a", "count": 2, "children": '
+        '[{"label": "b", "count": 1, "children": []}]}, '
+        '{"label": "c", "count": 1, "children": []}], '
+        '"links": [{"from_tree": -1, "from_path": [], "to_tree": 1, "label": "M"}]}',
+        '{"trees": [{"label": "a", "count": 2, "children": '
+        '[{"label": "b", "count": 1, "children": []}]}, '
+        '{"label": "c", "count": 1, "children": []}], '
+        '"links": [{"from_tree": 0, "from_path": [-1], "to_tree": 1, "label": "M"}]}',
+        '{"trees": [{"label": "a", "count": 2, "children": '
+        '[{"label": "b", "count": 1, "children": []}]}, '
+        '{"label": "c", "count": 1, "children": []}], '
+        '"links": [{"from_tree": 0, "from_path": [0], "to_tree": -1, "label": "M"}]}',
     ])
     def test_malformed_document_rejected(self, text):
         with pytest.raises(InvalidParameterError, match="malformed forest document"):
             ConceptForest.from_json(text)
+
+    @pytest.mark.parametrize("lines, depth", [
+        ([f"t{i} t{i + 1}" for i in range(1500)], 1500),
+        ([" ".join(f"w{i}" for i in range(3000))], 3000),
+    ])
+    def test_too_deep_forest_names_its_depth(self, lines, depth):
+        forest = ConceptForest()
+        forest.ingest_lines(lines)
+        with pytest.raises(InvalidParameterError, match=f"forest is {depth} levels deep"):
+            forest.to_json()
 
     def test_links_survive_round_trip(self):
         forest = ConceptForest.from_json(build_fig4_forest().to_json())

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
 from oracles import _greedy_groups as oracle_greedy_groups
 from renforge import (GrowthConfig, GrowthEvent, InvalidParameterError,
                       Network, TurbulenceState, close_paths, growth_tick,
@@ -14,6 +15,20 @@ from renforge.growth import (BUD_SPAWNED, INTERMEDIARY_CREATED,
                              NEURONS_JOINED, PATH_CLOSED, PATH_REDUCED,
                              _greedy_groups)
 from renforge.harness import ALL_FIRING_GROWTH, build_direct_unit
+
+
+def pack(flags) -> int:
+    """A window of flags, oldest first, as an int with the newest in bit 0."""
+    mask = 0
+    for flag in flags:
+        mask = mask << 1 | flag
+    return mask
+
+
+def seed_window(stats, carried, rejected=()):
+    """Give a synapse's stats the window that pushing these flags, oldest
+    first, leaves; ``rejected`` defaults to no rejection."""
+    stats.carried, stats.rejected, stats.length = pack(carried), pack(rejected), len(carried)
 
 
 class TestGrowthConfig:
@@ -159,7 +174,7 @@ class TestSpawnAndJoin:
                     2: [False, False, True, True]}
         for sid, flags in patterns.items():
             stats = state.stats_for(sid)
-            stats.carried.extend(flags)
+            seed_window(stats, flags)
             stats.budded = True
         groups = _greedy_groups([0, 1, 2], state)
         # 0~1 and 1~2 agree, 0~2 do not: no group may contain both 0 and 2.
@@ -181,7 +196,7 @@ class TestSpawnAndJoin:
             for flip in data.draw(st.lists(st.integers(0, window - 1), max_size=2)):
                 flags[flip] = not flags[flip]
             length = data.draw(st.just(window) | st.integers(0, window))
-            state.stats_for(sid).carried.extend(flags[:length])
+            seed_window(state.stats_for(sid), flags[:length])
         assert _greedy_groups(ids, state) == oracle_greedy_groups(ids, state)
 
     def test_duplicate_group_creates_no_second_intermediary(self):
@@ -193,6 +208,67 @@ class TestSpawnAndJoin:
         assert len(created) == 1    # but only one intermediary ever exists
 
 
+def mirror(net, twin):
+    """Repeat on ``twin`` the neurons, synapses and closures growth made in ``net``."""
+    for nid in range(len(twin.neurons), len(net.neurons)):
+        twin.add_neuron(net.neurons[nid].threshold)
+    for sid, syn in net.synapses.items():
+        if sid not in twin.synapses:
+            twin.add_synapse(syn.pre, syn.post, syn.open_fraction, syn.distance,
+                             syn.multiplicity)
+        elif twin.synapses[sid].open_fraction != syn.open_fraction:
+            twin.set_open_fraction(sid, syn.open_fraction)
+
+
+class TestTickMatchesOracle:
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_random_graphs_and_drives(self, data):
+        # Neuron 0 takes a fan-in from 1..k, and low bud thresholds make its
+        # buds join mid-run, so intermediaries and their synapses appear
+        # between ticks and joined paths close.
+        cfg = GrowthConfig(
+            bud_threshold=data.draw(st.sampled_from([0.05, 0.3, 1.0])),
+            window=data.draw(st.integers(1, 10)),
+            cofire_agreement=data.draw(st.sampled_from([0.3, 0.6, 0.9, 1.0])),
+            offpattern_decay=data.draw(st.sampled_from([0.0, 0.5, 0.9])),
+            eps_balance=data.draw(st.sampled_from([0.0, 0.2])))
+        n = data.draw(st.integers(2, 10))
+        net = Network()
+        for _ in range(n):
+            net.add_neuron(data.draw(st.sampled_from([0.5, 1.0, 1.5, 2.0])))
+        fan_in = [(pre, 0) for pre in range(1, data.draw(st.integers(1, n - 1)) + 1)]
+        pair = st.tuples(st.integers(0, n - 1), st.integers(1, n - 1))
+        for pre, post in fan_in + data.draw(st.lists(
+                pair.filter(lambda p: p[0] != p[1]), max_size=2 * n, unique=True)):
+            net.add_synapse(pre, post, data.draw(st.sampled_from([0.0, 0.3, 0.5, 1.0])),
+                            data.draw(st.integers(1, 3)), data.draw(st.integers(1, 3)))
+        twin = Network.from_json(net.to_json())
+        state = TurbulenceState(cfg)
+        oracle_state = oracles.DequeTurbulenceState(cfg)
+        drive = st.just(range(n)) | st.sets(st.integers(0, n - 1))
+        for external in data.draw(st.lists(drive, min_size=4, max_size=30)):
+            record, events = growth_tick(net, state, external)
+            expected = oracles.step(twin, external)
+            oracles.accumulate_turbulence(twin, expected, oracle_state)
+            assert record == expected
+            assert list(record.input_sums) == list(expected.input_sums)
+            assert list(record.rejections) == list(expected.rejections)
+            # growth_tick reset the joined buds' accumulators; so does the twin.
+            for event in events:
+                if event.kind == NEURONS_JOINED:
+                    for sid in event.affected:
+                        oracle_state.stats_for(sid).accumulator = 0.0
+            mirror(net, twin)
+            assert list(state.stats) == list(oracle_state.stats)
+            for sid, stats in state.stats.items():
+                old = oracle_state.stats[sid]
+                assert (stats.carried, stats.rejected, stats.length) == (
+                    pack(old.carried), pack(old.rejected), len(old.carried))
+                assert stats.accumulator == old.accumulator
+        assert net.to_json() == twin.to_json()
+
+
 class TestClosePaths:
     def make_single_edge(self):
         net = Network()
@@ -202,9 +278,7 @@ class TestClosePaths:
 
     def seeded_state(self, sid, carried, rejected):
         state = TurbulenceState(GrowthConfig())
-        stats = state.stats_for(sid)
-        stats.carried.extend(carried)
-        stats.rejected.extend(rejected)
+        seed_window(state.stats_for(sid), carried, rejected)
         return state
 
     def test_full_rejection_closes_completely(self):

@@ -268,6 +268,17 @@ class TestCli:
         ("config.json", "[" * 5000, ["run", "--config", "{path}"]),
         ("forest.json", "[" * 5000,
          ["trees", "query", "--forest", "{path}", "--terms", "a"]),
+        ("forest.json", '{"trees": [{"label": "a", "count": 1, "children": []}], '
+         '"links": [{"from_tree": -1, "from_path": [], "to_tree": 0, "label": "M"}]}',
+         ["trees", "query", "--forest", "{path}", "--terms", "a"]),
+        ("corpus.txt", "".join(f"t{i} t{i + 1}\n" for i in range(1500)),
+         ["trees", "ingest", "--corpus", "{path}", "--out", "{out}"]),
+        ("corpus.txt", " ".join(f"w{i}" for i in range(3000)) + "\n",
+         ["trees", "ingest", "--corpus", "{path}", "--out", "{out}"]),
+        ("events.tsv", "1.0\ta,b\n",
+         ["cluster", "--events", "{path}", "--decay", "nan", "--out", "{out}"]),
+        ("events.tsv", "1.0\ta,b\n",
+         ["cluster", "--events", "{path}", "--decay", "inf", "--out", "{out}"]),
     ])
     def test_malformed_input_exits_2(self, tmp_path, capsys, name, text, command):
         path = tmp_path / name

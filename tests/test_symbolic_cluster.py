@@ -1,6 +1,7 @@
 """Event clustering, fuzzy reinforcement, global concepts, and retrieval."""
 
 import json
+import math
 import random
 
 import pytest
@@ -66,6 +67,14 @@ class TestPresentEvent:
     def test_empty_event_rejected(self):
         with pytest.raises(InvalidParameterError):
             ClusterNet().present_event(set())
+
+    @pytest.mark.parametrize("decay", [-0.1, math.nan, math.inf])
+    def test_bad_decay_rejected(self, decay):
+        with pytest.raises(InvalidParameterError, match="decay must be a finite number"):
+            ClusterNet(decay=decay)
+        text = ClusterNet().to_json().replace('"decay": 0.0', f'"decay": {json.dumps(decay)}')
+        with pytest.raises(InvalidParameterError, match="decay must be a finite number"):
+            ClusterNet.from_json(text)
 
     def test_decay_lowers_untouched_nodes(self):
         net = ClusterNet(decay=0.25)
