@@ -81,6 +81,21 @@ def _preorder(root: ConceptNode):
         stack.extend(reversed(node.children))
 
 
+def _search_path(trail, matched: int, wanted: int) -> SearchPath:
+    """The match a search trail ends in (see ``ConceptForest.search``)."""
+    segments: list[tuple[int, list[str]]] = []
+    labels: list[str] = []
+    while trail is not None:
+        tree_index, label, trail = trail
+        labels.append(label)
+        if tree_index is not None:
+            segments.append((tree_index, labels[::-1]))
+            labels = []
+    return SearchPath(segments=tuple((ti, tuple(ls)) for ti, ls in reversed(segments)),
+                      links_crossed=len(segments) - 1, tokens_matched=matched,
+                      complete=matched == wanted)
+
+
 class ConceptForest:
     """Ordered collection of counted trees plus their dynamic links."""
 
@@ -90,21 +105,27 @@ class ConceptForest:
 
     # -- mutation ----------------------------------------------------------
 
-    def insert_sequence(self, tokens) -> "ConceptForest":
+    def insert_sequence(self, tokens) -> list[SplitEvent]:
         """Insert one token sequence, then restore the count rule.
 
         The attachment point is the first root matching the head token; if
         none, the first non-root node matching it (scanned tree by tree,
         root-down); otherwise a new root.  Counts along the matched path
         increase by one and missing suffix nodes are created with count 1.
+
+        The whole path below the attachment point rises together, so in a
+        forest that obeys the count rule only the attachment point can
+        outcount its parent; it is then split off.  Returns the split
+        events, at most one.
         """
         toks = list(tokens)
         if not toks:
             raise InvalidParameterError("token sequence is empty")
-        node = self._attachment_point(toks[0])
-        if node is None:
-            node = ConceptNode(toks[0])
-            self.trees.append(node)
+        tree_index, attached = self._attachment_point(toks[0])
+        if attached is None:
+            attached = ConceptNode(toks[0])
+            self.trees.append(attached)
+        node = attached
         node.count += 1
         for tok in toks[1:]:
             child = next((c for c in node.children if c.label == tok), None)
@@ -113,18 +134,31 @@ class ConceptForest:
                 node.children.append(child)
             child.count += 1
             node = child
-        self.split_if_violates()
-        return self
+        parent = attached.parent
+        if parent is None or attached.count <= parent.count:
+            return []
+        return [self._detach(attached, tree_index)]
 
-    def _attachment_point(self, label: str) -> ConceptNode | None:
-        for root in self.trees:
+    def _attachment_point(self, label: str) -> tuple[int, ConceptNode | None]:
+        """(tree index, node) of the attachment point; (-1, None) if none."""
+        for index, root in enumerate(self.trees):
             if root.label == label:
-                return root
-        for root in self.trees:
+                return index, root
+        for index, root in enumerate(self.trees):
             for node in _level_order(root):
                 if node is not root and node.label == label:
-                    return node
-        return None
+                    return index, node
+        return -1, None
+
+    def _detach(self, node: ConceptNode, tree_index: int) -> SplitEvent:
+        """Make ``node``, held by tree ``tree_index``, the base of a new tree
+        linked from its old parent."""
+        parent = node.parent
+        parent.children.remove(node)
+        node.parent = None
+        self.trees.append(node)
+        self.links.append(DynamicLink(parent, node))
+        return SplitEvent(node.label, tree_index, len(self.trees) - 1)
 
     def split_if_violates(self) -> list[SplitEvent]:
         """Detach every over-counted branch into a new linked base tree.
@@ -132,7 +166,9 @@ class ConceptForest:
         Walks each tree root-down, lowest tree index first.  A detached
         branch is appended as a new tree and walked when the loop reaches
         it; a split changes no count, so one walk restores the count rule
-        forest-wide.  Applying it twice equals once.
+        forest-wide.  Applying it twice equals once.  Inserts keep the rule
+        by themselves; a forest whose trees were built by hand must call
+        this before its next insert.
         """
         events: list[SplitEvent] = []
         for tree_index, root in enumerate(self.trees):
@@ -142,12 +178,8 @@ class ConceptForest:
                 parent = node.parent
                 if parent is None or node.count <= parent.count:
                     queue.extend(node.children)
-                    continue
-                parent.children.remove(node)
-                node.parent = None
-                self.trees.append(node)
-                self.links.append(DynamicLink(parent, node))
-                events.append(SplitEvent(node.label, tree_index, len(self.trees) - 1))
+                else:
+                    events.append(self._detach(node, tree_index))
         return events
 
     def ingest_corpus(self, path) -> int:
@@ -176,34 +208,29 @@ class ConceptForest:
         q = list(query)
         if not q:
             raise InvalidParameterError("query is empty")
+        # Depth-first over an explicit stack, so a long query cannot reach
+        # the recursion limit.  An entry is (node, tokens matched, trail); a
+        # trail is (tree index or None, label, previous trail), where a tree
+        # index opens a new segment.  Extensions are pushed in reverse, so
+        # they are explored children first, then links, each in list order.
+        stack = [(root, 1, (tree_index, root.label, None))
+                 for tree_index, root in enumerate(self.trees) if root.label == q[0]]
+        stack.reverse()
         results: list[SearchPath] = []
-        for tree_index, root in enumerate(self.trees):
-            if root.label == q[0]:
-                self._explore(root, q, 1, [(tree_index, [root.label])], results)
+        while stack:
+            node, qi, trail = stack.pop()
+            grown = []
+            if qi < len(q):
+                grown = [(child, qi + 1, (None, child.label, trail))
+                         for child in node.children if child.label == q[qi]]
+                grown += [(link.to_root, qi + 1,
+                           (self.tree_index_of(link.to_root), link.to_root.label, trail))
+                          for link in self.links_from(node) if link.to_root.label == q[qi]]
+            if grown:
+                stack.extend(reversed(grown))
+            else:
+                results.append(_search_path(trail, qi, len(q)))
         return results
-
-    def _explore(self, node, q, qi, segments, results):
-        extended = False
-        if qi < len(q):
-            for child in node.children:
-                if child.label == q[qi]:
-                    extended = True
-                    grown = [(ti, list(labels)) for ti, labels in segments]
-                    grown[-1][1].append(child.label)
-                    self._explore(child, q, qi + 1, grown, results)
-            for link in self.links_from(node):
-                if link.to_root.label == q[qi]:
-                    extended = True
-                    grown = [(ti, list(labels)) for ti, labels in segments]
-                    grown.append((self.tree_index_of(link.to_root), [link.to_root.label]))
-                    self._explore(link.to_root, q, qi + 1, grown, results)
-        if not extended:
-            results.append(SearchPath(
-                segments=tuple((ti, tuple(labels)) for ti, labels in segments),
-                links_crossed=len(segments) - 1,
-                tokens_matched=qi,
-                complete=qi == len(q),
-            ))
 
     def terminal_nodes(self, tree_index: int) -> list[ConceptNode]:
         """Leaves of one tree: no children and no outgoing links."""
@@ -278,8 +305,8 @@ class ConceptForest:
             count = entry["count"]
             limit = count if parent is None else parent.count
             if type(count) is not int or not 1 <= count <= limit:
-                raise InvalidParameterError(
-                    f"malformed forest document: count {count!r} of {entry['label']!r} "
+                raise ValueError(
+                    f"count {count!r} of {entry['label']!r} "
                     "is not an integer >= 1 and at most its parent's count")
             node = ConceptNode(entry["label"], count, parent)
             node.children = [build(c, node) for c in entry["children"]]

@@ -10,6 +10,7 @@ outputs, so "firing at the same time" is well defined.
 from __future__ import annotations
 
 import json
+import math
 from collections import deque
 from dataclasses import dataclass
 
@@ -113,8 +114,9 @@ class Network:
 
     def add_neuron(self, threshold: float) -> int:
         """Add a neuron; ids are dense integers assigned in creation order."""
-        if threshold <= 0:
-            raise InvalidParameterError(f"threshold must be positive, got {threshold}")
+        if not 0 < threshold < math.inf:
+            raise InvalidParameterError(
+                f"threshold must be a finite number > 0, got {threshold}")
         nid = len(self.neurons)
         self.neurons[nid] = Neuron(id=nid, threshold=float(threshold))
         self._derived.clear()

@@ -1,6 +1,5 @@
 """Exception types shared across the package."""
 
-import json
 from contextlib import contextmanager
 
 
@@ -35,12 +34,13 @@ class ConfigurationError(RenforgeError):
 
 @contextmanager
 def reading_document(kind: str):
-    """Turn a non-JSON or too deeply nested text or a missing or mistyped key
-    or index met while loading a ``kind`` document into InvalidParameterError."""
+    """Turn a non-JSON or too deeply nested text, a missing or mistyped key
+    or index, or an out-of-range value (any ``ValueError``, so also an
+    ``InvalidParameterError`` from a constructor) met while loading a
+    ``kind`` document into InvalidParameterError."""
     try:
         yield
-    except (json.JSONDecodeError, RecursionError, KeyError, IndexError,
-            TypeError) as exc:
+    except (ValueError, RecursionError, KeyError, IndexError, TypeError) as exc:
         raise InvalidParameterError(
             f"malformed {kind} document: {type(exc).__name__}: {exc}") from exc
 

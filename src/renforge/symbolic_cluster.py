@@ -52,9 +52,9 @@ class ClusterNet:
         self.decay = decay
         self.base_concepts: set[str] = set()
         self.hidden: dict[int, HiddenNode] = {}
-        self.global_concepts: list[GlobalConcept] = []
         self.event_count = 0
         self._next_hidden_id = 0
+        self._recompute_globals()
 
     # -- training ------------------------------------------------------------
 
@@ -90,9 +90,9 @@ class ClusterNet:
             self._next_hidden_id += 1
             self.hidden[created] = HiddenNode(created, concept_set, 1.0,
                                               self.event_count)
+            self._join(created)
 
         self.event_count += 1
-        self._recompute_globals()
         return EventReport(self.event_count - 1, created,
                            tuple(sorted(reinforced)), tuple(sorted(decayed)),
                            new_bases)
@@ -155,30 +155,49 @@ class ClusterNet:
         self._recompute_globals()
         return removed
 
+    # Union-find (Tarjan 1975) over hidden ids: each node joins the first
+    # node that carried each of its labels, and the smaller root wins.
+    # Between two full rebuilds nodes are only added, with ids above every
+    # id present, so components only merge and each new node is one join.
+
     def _recompute_globals(self):
-        # Union-find (Tarjan 1975): each node joins the first node that
-        # carried each of its labels, and the smaller root wins.  Walking ids
-        # in ascending order lists each component by its smallest member.
-        root_of: dict[int, int] = {}
-        first_with: dict[str, int] = {}
+        """Rebuild the union-find from every hidden node, ids ascending."""
+        self._root_of: dict[int, int] = {}
+        self._first_with: dict[str, int] = {}
+        for hid in sorted(self.hidden):
+            self._join(hid)
+        self._globals = None
 
-        def find(hid: int) -> int:
-            while root_of[hid] != hid:
-                root_of[hid] = root_of[root_of[hid]]
-                hid = root_of[hid]
-            return hid
+    def _join(self, hid: int):
+        """Add hidden node ``hid`` to the union-find; drops the cached globals."""
+        root_of, first_with = self._root_of, self._first_with
+        root_of[hid] = hid
+        for label in self.hidden[hid].inputs:
+            a, b = self._find(hid), self._find(first_with.setdefault(label, hid))
+            root_of[max(a, b)] = min(a, b)
+        self._globals = None
 
-        ids = sorted(self.hidden)
-        for hid in ids:
-            root_of[hid] = hid
-            for label in self.hidden[hid].inputs:
-                a, b = find(hid), find(first_with.setdefault(label, hid))
-                root_of[max(a, b)] = min(a, b)
-        components: dict[int, list[int]] = {}
-        for hid in ids:
-            components.setdefault(find(hid), []).append(hid)
-        self.global_concepts = [GlobalConcept(i, tuple(members))
-                                for i, members in enumerate(components.values())]
+    def _find(self, hid: int) -> int:
+        root_of = self._root_of
+        while root_of[hid] != hid:
+            root_of[hid] = root_of[root_of[hid]]
+            hid = root_of[hid]
+        return hid
+
+    @property
+    def global_concepts(self) -> list[GlobalConcept]:
+        """Overlap-closure components, each listed by its smallest member.
+
+        Built on first read after a change and shared until the next one;
+        the caller must not mutate the returned list.
+        """
+        if self._globals is None:
+            components: dict[int, list[int]] = {}
+            for hid in sorted(self.hidden):
+                components.setdefault(self._find(hid), []).append(hid)
+            self._globals = [GlobalConcept(i, tuple(members))
+                             for i, members in enumerate(components.values())]
+        return self._globals
 
     # -- serialization -----------------------------------------------------------
 
@@ -203,10 +222,17 @@ class ClusterNet:
             net.event_count = doc["event_count"]
             net.base_concepts = set(doc["base_concepts"])
             for entry in doc["hidden_nodes"]:
-                net.hidden[entry["id"]] = HiddenNode(entry["id"],
-                                                     frozenset(entry["inputs"]),
-                                                     entry["weight"],
-                                                     entry["created_at"])
+                hid, weight, created_at = entry["id"], entry["weight"], entry["created_at"]
+                if not all(type(v) is int and v >= 0 for v in (hid, created_at)):
+                    raise ValueError(f"hidden node id {hid!r} and created_at "
+                                     f"{created_at!r} must be integers >= 0")
+                if hid in net.hidden:
+                    raise ValueError(f"hidden node id {hid} is repeated")
+                if type(weight) not in (int, float) or not 0 <= weight < math.inf:
+                    raise ValueError(f"hidden node {hid} weight {weight!r} "
+                                     "is not a finite number >= 0")
+                net.hidden[hid] = HiddenNode(hid, frozenset(entry["inputs"]),
+                                             weight, created_at)
         net._next_hidden_id = max(net.hidden, default=-1) + 1
         net._recompute_globals()
         return net

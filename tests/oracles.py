@@ -1,7 +1,8 @@
 """Naive predecessors of optimised library paths, kept as test oracles.
 
 Each function here is the implementation an optimised path replaced, copied
-unchanged; a replaced method takes its object as the first argument.  The
+unchanged; a replaced method takes its object as the first argument, and
+one that called another replaced method calls its oracle here.  The
 deque-window ``_SynapseStats`` keeps the old growth bookkeeping, and
 ``_agreement`` unpacks today's int windows to the flag lists it compared.
 Differential tests check that the optimised path returns the same result on
@@ -14,7 +15,7 @@ import hashlib
 from collections import deque
 
 from renforge.concept_forest import (ConceptForest, ConceptNode, DynamicLink,
-                                     SplitEvent)
+                                     SearchPath, SplitEvent)
 from renforge.core_net import (REFRACTORY_TICKS, FiringRecord, Network,
                                fires)
 from renforge.errors import InvalidParameterError, NotFoundError
@@ -216,6 +217,85 @@ def split_if_violates(forest: ConceptForest) -> list[SplitEvent]:
         forest.links.append(DynamicLink(parent, node))
         events.append(SplitEvent(node.label, tree_index, len(forest.trees) - 1))
     return events
+
+
+def insert_sequence(forest: ConceptForest, tokens) -> list[SplitEvent]:
+    """Insert one token sequence, then restore the count rule.
+
+    The attachment point is the first root matching the head token; if
+    none, the first non-root node matching it (scanned tree by tree,
+    root-down); otherwise a new root.  Counts along the matched path
+    increase by one and missing suffix nodes are created with count 1.
+    Returns the events of the forest-wide repair.
+    """
+    toks = list(tokens)
+    if not toks:
+        raise InvalidParameterError("token sequence is empty")
+    node = _attachment_point(forest, toks[0])
+    if node is None:
+        node = ConceptNode(toks[0])
+        forest.trees.append(node)
+    node.count += 1
+    for tok in toks[1:]:
+        child = next((c for c in node.children if c.label == tok), None)
+        if child is None:
+            child = ConceptNode(tok, parent=node)
+            node.children.append(child)
+        child.count += 1
+        node = child
+    return split_if_violates(forest)
+
+
+def _attachment_point(forest: ConceptForest, label: str) -> ConceptNode | None:
+    for root in forest.trees:
+        if root.label == label:
+            return root
+    for root in forest.trees:
+        for node in _level_order(root):
+            if node is not root and node.label == label:
+                return node
+    return None
+
+
+def search(forest: ConceptForest, query) -> list[SearchPath]:
+    """All maximal matches for the query, entered through matching roots.
+
+    Descent follows child labels; at any node a dynamic link may be
+    crossed when the linked root matches the next token.  A path that
+    consumes every token is complete.
+    """
+    q = list(query)
+    if not q:
+        raise InvalidParameterError("query is empty")
+    results: list[SearchPath] = []
+    for tree_index, root in enumerate(forest.trees):
+        if root.label == q[0]:
+            _explore(forest, root, q, 1, [(tree_index, [root.label])], results)
+    return results
+
+
+def _explore(forest, node, q, qi, segments, results):
+    extended = False
+    if qi < len(q):
+        for child in node.children:
+            if child.label == q[qi]:
+                extended = True
+                grown = [(ti, list(labels)) for ti, labels in segments]
+                grown[-1][1].append(child.label)
+                _explore(forest, child, q, qi + 1, grown, results)
+        for link in forest.links_from(node):
+            if link.to_root.label == q[qi]:
+                extended = True
+                grown = [(ti, list(labels)) for ti, labels in segments]
+                grown.append((forest.tree_index_of(link.to_root), [link.to_root.label]))
+                _explore(forest, link.to_root, q, qi + 1, grown, results)
+    if not extended:
+        results.append(SearchPath(
+            segments=tuple((ti, tuple(labels)) for ti, labels in segments),
+            links_crossed=len(segments) - 1,
+            tokens_matched=qi,
+            complete=qi == len(q),
+        ))
 
 
 def present_event(net: ClusterNet, concepts, fuzzy: bool = False) -> EventReport:

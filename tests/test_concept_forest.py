@@ -6,9 +6,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import insert_sequence as oracle_insert_sequence
+from oracles import search as oracle_search
 from oracles import split_if_violates as oracle_split_if_violates
 from renforge import ConceptForest, InvalidParameterError, NotFoundError, tokenize
-from renforge.concept_forest import ConceptNode
+from renforge.concept_forest import ConceptNode, SearchPath
 
 
 def snapshot(node):
@@ -257,21 +259,6 @@ class TestProperties:
             found_ever = findable
 
 
-class RecordingForest(ConceptForest):
-    """A forest whose count-rule repair is ``split`` and whose split events
-    are kept, one list per call."""
-
-    def __init__(self, split):
-        super().__init__()
-        self.split = split
-        self.events = []
-
-    def split_if_violates(self):
-        events = self.split(self)
-        self.events.append(events)
-        return events
-
-
 def _build_tree(shape, parent=None):
     label, count, children = shape
     node = ConceptNode(label, count, parent)
@@ -302,16 +289,37 @@ class TestSplitMatchesOracle:
         assert forest.split_if_violates() == []
 
     @settings(max_examples=300, deadline=None)
-    @given(st.lists(st.lists(st.sampled_from("abcde"), min_size=1, max_size=5),
+    @given(st.lists(st.tuples(st.lists(st.sampled_from("abcde"), min_size=1, max_size=5),
+                              st.booleans()),
                     min_size=1, max_size=30))
-    def test_insert_streams(self, corpus):
-        forest = RecordingForest(ConceptForest.split_if_violates)
-        oracle = RecordingForest(oracle_split_if_violates)
-        for sentence in corpus:
-            forest.insert_sequence(sentence)
-            oracle.insert_sequence(sentence)
-            assert forest.events == oracle.events
+    def test_insert_streams(self, stream):
+        forest, oracle = ConceptForest(), ConceptForest()
+        for sentence, reload in stream:
+            assert forest.insert_sequence(sentence) == oracle_insert_sequence(oracle, sentence)
             assert forest.to_json() == oracle.to_json()
+            if reload:
+                forest = ConceptForest.from_json(forest.to_json())
+
+
+class TestSearchMatchesOracle:
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.lists(st.sampled_from("abcd"), min_size=1, max_size=5),
+                    min_size=1, max_size=30),
+           st.lists(st.lists(st.sampled_from("abcd"), min_size=1, max_size=7),
+                    min_size=1, max_size=5))
+    def test_random_forests(self, corpus, queries):
+        forest = ConceptForest()
+        forest.ingest_lines(" ".join(sentence) for sentence in corpus)
+        for query in queries:
+            assert forest.search(query) == oracle_search(forest, query)
+
+    def test_long_query_does_not_recurse(self):
+        tokens = [f"w{i}" for i in range(1200)]
+        forest = ConceptForest()
+        forest.ingest_lines([" ".join(tokens)])
+        assert forest.search(tokens) == [SearchPath(
+            segments=((0, tuple(tokens)),), links_crossed=0,
+            tokens_matched=1200, complete=True)]
 
 
 def _all_nodes(root):

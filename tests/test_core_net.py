@@ -1,5 +1,6 @@
 """Firing engine: activation, stepping, refractory, mutation, serialization."""
 
+import math
 import random
 
 import pytest
@@ -116,6 +117,11 @@ class TestMutations:
         with pytest.raises(InvalidParameterError):
             net.add_synapse(0, 0)
 
+    @pytest.mark.parametrize("threshold", [0, -1.0, math.nan, math.inf, -math.inf])
+    def test_bad_threshold_rejected(self, threshold):
+        with pytest.raises(InvalidParameterError, match="threshold must be a finite number > 0"):
+            Network().add_neuron(threshold)
+
     @pytest.mark.parametrize("kwargs", [
         {"open_fraction": 1.5}, {"open_fraction": -0.1},
         {"distance": 0}, {"distance": -2}, {"multiplicity": 0},
@@ -184,6 +190,10 @@ class TestSerialization:
         '{"neurons": [{"id": 0, "threshold": 1.0, "refractory": 2.5}], "synapses": []}',
         '{"neurons": [{"id": 0, "threshold": 1.0, "refractory": "x"}], "synapses": []}',
         '{"neurons": [{"id": 0, "threshold": 1.0, "refractory": true}], "synapses": []}',
+        '{"neurons": [{"id": 0, "threshold": NaN, "refractory": 0}], "synapses": []}',
+        '{"neurons": [{"id": 0, "threshold": Infinity, "refractory": 0}], "synapses": []}',
+        '{"neurons": [{"id": 0, "threshold": -Infinity, "refractory": 0}], "synapses": []}',
+        '{"neurons": [{"id": 0, "threshold": 0.0, "refractory": 0}], "synapses": []}',
         "[" * 5000,
     ])
     def test_malformed_document_rejected(self, text):

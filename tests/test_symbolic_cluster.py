@@ -255,6 +255,16 @@ class TestIngestEvents:
         assert len(net.hidden) == 2
 
 
+def _cluster_doc(changes, *more):
+    """A one-node cluster document with ``changes`` applied to the node,
+    followed by the ``more`` nodes; string values are written unquoted."""
+    nodes = [dict({"id": 0, "inputs": ["a"], "weight": 1.0, "created_at": 0}, **changes)]
+    nodes += [dict(nodes[0], **extra) for extra in more]
+    text = json.dumps({"decay": 0.0, "event_count": 1, "base_concepts": ["a", "b"],
+                       "hidden_nodes": nodes, "global_concepts": []})
+    return text.replace('"NaN"', "NaN").replace('"Infinity"', "Infinity")
+
+
 class TestSerialization:
     def test_round_trip_is_stable(self):
         net = ClusterNet(decay=0.1)
@@ -271,6 +281,17 @@ class TestSerialization:
         '{"decay": 0.0, "event_count": 1, "base_concepts": ["a"], "hidden_nodes": [{"id": 0}]}',
         '{"decay": 0.0, "event_count": 0, "base_concepts": [], "hidden_nodes": [[0]]}',
         "[" * 5000,
+        _cluster_doc({"id": -1}),
+        _cluster_doc({"id": 1.0}),
+        _cluster_doc({"id": True}),
+        _cluster_doc({"created_at": -1}),
+        _cluster_doc({"created_at": "0"}),
+        _cluster_doc({"created_at": True}),
+        _cluster_doc({}, {"id": 0, "inputs": ["b"]}),
+        _cluster_doc({"weight": -0.5}),
+        _cluster_doc({"weight": "NaN"}),
+        _cluster_doc({"weight": "Infinity"}),
+        _cluster_doc({"weight": True}),
     ])
     def test_malformed_document_rejected(self, text):
         with pytest.raises(InvalidParameterError, match="malformed cluster document"):
@@ -285,6 +306,9 @@ class TestSerialization:
 
 
 class OracleClusterNet(ClusterNet):
+    # A plain attribute shadows the cached property; the oracle's full
+    # recompute assigns it after every event, prune and load.
+    global_concepts = None
     present_event = oracles.present_event
     _recompute_globals = oracles.recompute_globals
 
@@ -325,4 +349,6 @@ class TestPresentEventMatchesOracle:
                 assert net.prune(op[1]) == oracle.prune(op[1])
             else:
                 net, oracle = (_with_duplicate(n, *op[1:]) for n in (net, oracle))
+            assert ([g.members for g in net.global_concepts]
+                    == [g.members for g in oracle.global_concepts])
             assert net.to_json() == oracle.to_json()
