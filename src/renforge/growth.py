@@ -23,9 +23,6 @@ INTERMEDIARY_CREATED = "intermediary_created"
 PATH_CLOSED = "path_closed"
 PATH_REDUCED = "path_reduced"
 
-EVENT_KINDS = (BUD_SPAWNED, NEURONS_JOINED, INTERMEDIARY_CREATED,
-               PATH_CLOSED, PATH_REDUCED)
-
 
 @dataclass(frozen=True)
 class GrowthConfig:
@@ -44,21 +41,24 @@ class GrowthConfig:
     threshold_policy: str = "all"     # "all" or "fraction:<f>" of the group size
 
     def __post_init__(self):
-        if self.bud_threshold <= 0:
-            raise InvalidParameterError("bud_threshold must be positive")
-        if not 1 <= self.window <= HISTORY_LIMIT:
+        if not 0 < self.bud_threshold < math.inf:
+            raise InvalidParameterError("bud_threshold must be a finite number > 0")
+        if type(self.window) is not int or not 1 <= self.window <= HISTORY_LIMIT:
             # is_balanced can look back no further than the kept history.
-            raise InvalidParameterError(f"window must lie in [1, {HISTORY_LIMIT}]")
+            raise InvalidParameterError(
+                f"window must be an integer in [1, {HISTORY_LIMIT}]")
         if not 0 < self.cofire_agreement <= 1:
             raise InvalidParameterError("cofire_agreement must lie in (0, 1]")
         if not 0 <= self.offpattern_decay < 1:
             raise InvalidParameterError("offpattern_decay must lie in [0, 1)")
-        if self.force_per_segment < 0:
-            raise InvalidParameterError("force_per_segment must be non-negative")
+        if not 0 <= self.force_per_segment < math.inf:
+            raise InvalidParameterError("force_per_segment must be a finite number >= 0")
         if not self.eps_balance >= 0:
             raise InvalidParameterError("eps_balance must be non-negative")
         if not 0 <= self.close_cutoff <= 1:
             raise InvalidParameterError("close_cutoff must lie in [0, 1]")
+        if not isinstance(self.threshold_policy, str):
+            raise InvalidParameterError("threshold_policy must be a string")
         if self.threshold_policy != "all":
             self._policy_fraction()
 

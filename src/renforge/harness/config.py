@@ -31,13 +31,17 @@ class ExperimentConfig:
     sweep_thresholds: list[float] = field(default_factory=lambda: [5.0])
 
     def __post_init__(self):
+        if type(self.seed) is not int:
+            raise ConfigurationError(f"seed must be an integer, got {self.seed!r}")
         if self.schedule not in KNOWN_SCHEDULES:
             raise ConfigurationError(
                 f"unknown schedule {self.schedule!r}; expected one of {KNOWN_SCHEDULES}")
         if not 0 <= self.schedule_probability <= 1:
             raise ConfigurationError("schedule_probability must lie in [0, 1]")
-        if not isinstance(self.max_ticks, int) or self.max_ticks < 1:
+        if type(self.max_ticks) is not int or self.max_ticks < 1:
             raise ConfigurationError("max_ticks must be an integer >= 1")
+        if not isinstance(self.output_dir, str):
+            raise ConfigurationError(f"output_dir must be a string, got {self.output_dir!r}")
         if not self.sweep_inputs:
             raise ConfigurationError("sweep_inputs must be non-empty")
         for count in self.sweep_inputs:

@@ -23,13 +23,15 @@ def _fingerprint(network: Network) -> str:
     return hashlib.sha256(network.to_json().encode("utf-8")).hexdigest()
 
 
-def _open_successors(network: Network) -> dict[int, tuple[int, ...]]:
-    """Per source with an open outgoing synapse, its targets in synapse-id order."""
+def _open_successors(network: Network) -> dict[int, tuple]:
+    """Per source with an open outgoing synapse, its ``((pre, post), post)``
+    pairs in synapse-id order."""
     successors = {}
     for nid in network.neurons:
-        posts = tuple(s.post for s in network.outgoing(nid) if s.open_fraction > 0.0)
-        if posts:
-            successors[nid] = posts
+        pairs = tuple(((nid, s.post), s.post) for s in network.outgoing(nid)
+                      if s.open_fraction > 0.0)
+        if pairs:
+            successors[nid] = pairs
     return successors
 
 
@@ -87,63 +89,61 @@ def resonate(network: Network, seeds, max_depth: int = DEFAULT_MAX_DEPTH,
     if reflect_refractory:
         reflectors |= {nid for nid in network.neurons
                        if network.refractory_remaining(nid) > 0}
-    successors = network.derived(_open_successors)
-
-    forward: dict[tuple[int, int], int] = {}
-    arrivals: dict[int, int] = {}
-    activation = {nid: 1 for nid in sorted(seed_set)}
-    for nid in sorted(seed_set & reflectors):
-        arrivals[nid] = arrivals.get(nid, 0) + 1
-    activation = {nid: flow for nid, flow in activation.items()
-                  if nid not in reflectors}
-    for _ in range(max_depth):
-        if not activation:
-            break
-        next_activation: dict[int, int] = {}
-        for nid in sorted(activation):
-            flow = activation[nid]
-            for post in successors.get(nid, ()):
-                edge = (nid, post)
-                forward[edge] = forward.get(edge, 0) + flow
-                next_activation[post] = next_activation.get(post, 0) + flow
-        for nid in sorted(next_activation):
-            if nid in reflectors:
-                arrivals[nid] = arrivals.get(nid, 0) + next_activation[nid]
-        activation = {nid: flow for nid, flow in next_activation.items()
-                      if nid not in reflectors}
-
-    reverse_index: dict[int, list[tuple[int, int]]] = {}
-    for (pre, post) in forward:
-        reverse_index.setdefault(post, []).append((pre, post))
-    for edges in reverse_index.values():
-        edges.sort()
-
-    backward: dict[tuple[int, int], int] = {}
-    reflection = {nid: arrivals[nid] for nid in sorted(arrivals)}
-    for _ in range(max_depth):
-        if not reflection:
-            break
-        next_reflection: dict[int, int] = {}
-        for nid in sorted(reflection):
-            flow = reflection[nid]
-            for edge in reverse_index.get(nid, ()):
-                backward[edge] = backward.get(edge, 0) + flow
-                pre = edge[0]
-                next_reflection[pre] = next_reflection.get(pre, 0) + flow
-        reflection = next_reflection
-
+    forward, arrivals = _wave({nid: 1 for nid in sorted(seed_set)},
+                              network.derived(_open_successors), reflectors, max_depth)
+    reverse_index: dict[int, list] = {}
+    for edge in forward:
+        reverse_index.setdefault(edge[1], []).append((edge, edge[0]))
+    backward, _ = _wave(arrivals, reverse_index, (), max_depth)
     return _finish(forward, backward, frozenset(arrivals), seed_set, max_depth,
                    network_fingerprint(network))
 
 
+def _wave(start, edges_from, stop, max_depth):
+    """Spread integer flows from ``start`` for up to ``max_depth`` layers.
+
+    Each node of a layer either ends the wave (it is in ``stop``) or copies
+    its flow down every ``(edge, next node)`` pair of ``edges_from``; flows
+    that meet at a node add up.  Sums do not depend on order, so no layer
+    is sorted.  Returns the flow over each edge and the flow that ended at
+    each stop node.
+    """
+    flows: dict = {}
+    ended: dict = {}
+    layer = start
+    for layers_left in range(max_depth, -1, -1):
+        if not layer:
+            break
+        next_layer: dict = {}
+        for nid, flow in layer.items():
+            if nid in stop:
+                ended[nid] = ended.get(nid, 0) + flow
+            elif layers_left:
+                for edge, post in edges_from.get(nid, ()):
+                    flows[edge] = flows.get(edge, 0) + flow
+                    next_layer[post] = next_layer.get(post, 0) + flow
+        layer = next_layer
+    return flows, ended
+
+
 def _finish(forward, backward, terminals_hit, seeds, max_depth,
             network_hash) -> ResonanceReport:
-    """Report over the wave counts; an edge resonates with min(forward, backward)."""
+    """Report over the wave counts; an edge resonates with min(forward, backward).
+
+    The backward wave crosses only forward edges and carries at least 1
+    wherever it goes, so its edges are exactly those that resonate.
+    """
     resonance = {edge: min(count, backward.get(edge, 0))
                  for edge, count in forward.items()}
-    recognized = frozenset(edge for edge, value in resonance.items() if value >= 1)
-    return ResonanceReport(forward, backward, resonance, recognized, terminals_hit,
-                           seeds, max_depth, network_hash)
+    return ResonanceReport(forward, backward, resonance, frozenset(backward),
+                           terminals_hit, seeds, max_depth, network_hash)
+
+
+def _edgewise_sum(a: dict, b: dict) -> dict:
+    total = dict(a)
+    for edge, count in b.items():
+        total[edge] = total.get(edge, 0) + count
+    return total
 
 
 def combine_searches(report_a: ResonanceReport,
@@ -152,13 +152,8 @@ def combine_searches(report_a: ResonanceReport,
     if report_a.network_hash != report_b.network_hash:
         raise InvalidCombinationError(
             "reports were computed over different network snapshots")
-    forward: dict[tuple[int, int], int] = dict(report_a.forward_visits)
-    for edge, count in report_b.forward_visits.items():
-        forward[edge] = forward.get(edge, 0) + count
-    backward: dict[tuple[int, int], int] = dict(report_a.backward_visits)
-    for edge, count in report_b.backward_visits.items():
-        backward[edge] = backward.get(edge, 0) + count
-    return _finish(forward, backward,
+    return _finish(_edgewise_sum(report_a.forward_visits, report_b.forward_visits),
+                   _edgewise_sum(report_a.backward_visits, report_b.backward_visits),
                    report_a.terminals_hit | report_b.terminals_hit,
                    report_a.seeds | report_b.seeds,
                    max(report_a.max_depth, report_b.max_depth),

@@ -18,9 +18,11 @@ from renforge.concept_forest import (ConceptForest, ConceptNode, DynamicLink,
                                      SearchPath, SplitEvent)
 from renforge.core_net import (REFRACTORY_TICKS, FiringRecord, Network,
                                fires)
-from renforge.errors import InvalidParameterError, NotFoundError
+from renforge.errors import (InvalidCombinationError, InvalidParameterError,
+                             NotFoundError)
 from renforge.feedback import repulsion_at
 from renforge.growth import TurbulenceState
+from renforge.resonance import DEFAULT_MAX_DEPTH, ResonanceReport
 from renforge.symbolic_cluster import (ClusterNet, EventReport, GlobalConcept,
                                        HiddenNode)
 
@@ -181,6 +183,118 @@ def find_terminals(network: Network) -> frozenset[int]:
     """Nodes with zero open outgoing synapses; cycles have none."""
     return frozenset(nid for nid in network.neurons
                      if not any(s.open_fraction > 0.0 for s in network.outgoing(nid)))
+
+
+def _open_successors(network: Network) -> dict[int, tuple[int, ...]]:
+    """Per source with an open outgoing synapse, its targets in synapse-id order."""
+    successors = {}
+    for nid in network.neurons:
+        posts = tuple(s.post for s in network.outgoing(nid) if s.open_fraction > 0.0)
+        if posts:
+            successors[nid] = posts
+    return successors
+
+
+def resonate(network: Network, seeds, max_depth: int = DEFAULT_MAX_DEPTH,
+             reflect_refractory: bool = False) -> ResonanceReport:
+    """Run one forward/backward search wave from ``seeds``.
+
+    Visit counts are additive wave flows: each seed injects one unit, which
+    copies down every open outgoing edge per depth layer, so two flows
+    through a shared channel count twice.  The backward pass starts from
+    each reflector with the total forward signal that arrived there and
+    travels only over forward-visited edges.  With ``reflect_refractory``
+    currently refractory neurons also act as reflectors (blocking nodes).
+    """
+    seed_set = frozenset(seeds)
+    if not seed_set:
+        raise InvalidParameterError("seeds must be non-empty")
+    for nid in seed_set:
+        if nid not in network.neurons:
+            raise NotFoundError(f"unknown neuron id {nid}")
+    if max_depth < 1:
+        raise InvalidParameterError(f"max_depth must be >= 1, got {max_depth}")
+
+    reflectors = find_terminals(network)
+    if reflect_refractory:
+        reflectors |= {nid for nid in network.neurons
+                       if network.refractory_remaining(nid) > 0}
+    successors = network.derived(_open_successors)
+
+    forward: dict[tuple[int, int], int] = {}
+    arrivals: dict[int, int] = {}
+    activation = {nid: 1 for nid in sorted(seed_set)}
+    for nid in sorted(seed_set & reflectors):
+        arrivals[nid] = arrivals.get(nid, 0) + 1
+    activation = {nid: flow for nid, flow in activation.items()
+                  if nid not in reflectors}
+    for _ in range(max_depth):
+        if not activation:
+            break
+        next_activation: dict[int, int] = {}
+        for nid in sorted(activation):
+            flow = activation[nid]
+            for post in successors.get(nid, ()):
+                edge = (nid, post)
+                forward[edge] = forward.get(edge, 0) + flow
+                next_activation[post] = next_activation.get(post, 0) + flow
+        for nid in sorted(next_activation):
+            if nid in reflectors:
+                arrivals[nid] = arrivals.get(nid, 0) + next_activation[nid]
+        activation = {nid: flow for nid, flow in next_activation.items()
+                      if nid not in reflectors}
+
+    reverse_index: dict[int, list[tuple[int, int]]] = {}
+    for (pre, post) in forward:
+        reverse_index.setdefault(post, []).append((pre, post))
+    for edges in reverse_index.values():
+        edges.sort()
+
+    backward: dict[tuple[int, int], int] = {}
+    reflection = {nid: arrivals[nid] for nid in sorted(arrivals)}
+    for _ in range(max_depth):
+        if not reflection:
+            break
+        next_reflection: dict[int, int] = {}
+        for nid in sorted(reflection):
+            flow = reflection[nid]
+            for edge in reverse_index.get(nid, ()):
+                backward[edge] = backward.get(edge, 0) + flow
+                pre = edge[0]
+                next_reflection[pre] = next_reflection.get(pre, 0) + flow
+        reflection = next_reflection
+
+    return _finish(forward, backward, frozenset(arrivals), seed_set, max_depth,
+                   network_fingerprint(network))
+
+
+def _finish(forward, backward, terminals_hit, seeds, max_depth,
+            network_hash) -> ResonanceReport:
+    """Report over the wave counts; an edge resonates with min(forward, backward)."""
+    resonance = {edge: min(count, backward.get(edge, 0))
+                 for edge, count in forward.items()}
+    recognized = frozenset(edge for edge, value in resonance.items() if value >= 1)
+    return ResonanceReport(forward, backward, resonance, recognized, terminals_hit,
+                           seeds, max_depth, network_hash)
+
+
+def combine_searches(report_a: ResonanceReport,
+                     report_b: ResonanceReport) -> ResonanceReport:
+    """Edgewise sum of two searches over the same network snapshot."""
+    if report_a.network_hash != report_b.network_hash:
+        raise InvalidCombinationError(
+            "reports were computed over different network snapshots")
+    forward: dict[tuple[int, int], int] = dict(report_a.forward_visits)
+    for edge, count in report_b.forward_visits.items():
+        forward[edge] = forward.get(edge, 0) + count
+    backward: dict[tuple[int, int], int] = dict(report_a.backward_visits)
+    for edge, count in report_b.backward_visits.items():
+        backward[edge] = backward.get(edge, 0) + count
+    return _finish(forward, backward,
+                   report_a.terminals_hit | report_b.terminals_hit,
+                   report_a.seeds | report_b.seeds,
+                   max(report_a.max_depth, report_b.max_depth),
+                   report_a.network_hash)
 
 
 def _level_order(root: ConceptNode):

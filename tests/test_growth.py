@@ -52,7 +52,11 @@ class TestGrowthConfig:
         {"threshold_policy": "bogus"}, {"threshold_policy": "fraction:abc"},
         {"threshold_policy": "fraction:0"}, {"threshold_policy": "fraction:1.5"},
         {"eps_balance": -0.1}, {"close_cutoff": -0.01}, {"close_cutoff": 1.5},
-        {"window": 257},
+        {"window": 257}, {"window": 8.5}, {"window": True},
+        {"threshold_policy": 5}, {"threshold_policy": None},
+        {"bud_threshold": float("nan")}, {"bud_threshold": float("inf")},
+        {"force_per_segment": float("inf")}, {"force_per_segment": float("nan")},
+        {"force_per_segment": -0.1},
     ])
     def test_validation(self, kwargs):
         with pytest.raises(InvalidParameterError):

@@ -1,5 +1,6 @@
 """Configuration, scenario artifacts, sweeps, and the command line."""
 
+import hashlib
 import json
 
 import pytest
@@ -60,6 +61,14 @@ class TestConfig:
         {"sweep_thresholds": [float("nan")]},
         {"sweep_thresholds": ["5"]},
         {"sweep_thresholds": [True]},
+        {"seed": None},
+        {"seed": float("nan")},
+        {"seed": [1]},
+        {"seed": True},
+        {"seed": 1.0},
+        {"max_ticks": True},
+        {"output_dir": 5},
+        {"output_dir": None},
     ])
     def test_invalid_values_rejected_when_built(self, kwargs):
         with pytest.raises(ConfigurationError):
@@ -186,8 +195,12 @@ class TestSweep:
 
 class TestCli:
     def test_config_print_defaults(self, capsys):
+        # Pinned by digest, not compared with default_config_json(), so a
+        # changed default fails here.
         assert main(["config", "--print-defaults"]) == 0
-        assert capsys.readouterr().out == default_config_json()
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode("utf-8")).hexdigest() == (
+            "043b8d043559df1e2ecbf5439ac9680df5e2ca39d97081149ffe7c4d16d3f6db")
 
     def test_config_without_flag_errors(self, capsys):
         assert main(["config"]) == 2
@@ -279,6 +292,12 @@ class TestCli:
          ["cluster", "--events", "{path}", "--decay", "nan", "--out", "{out}"]),
         ("events.tsv", "1.0\ta,b\n",
          ["cluster", "--events", "{path}", "--decay", "inf", "--out", "{out}"]),
+        ("config.json", '{"seed": [1]}', ["run", "--config", "{path}"]),
+        ("config.json", '{"growth": {"window": 8.5}}',
+         ["sweep", "--config", "{path}", "--samples", "1"]),
+        ("config.json", '{"growth": {"threshold_policy": 5}}',
+         ["run", "--config", "{path}"]),
+        ("config.json", '{"output_dir": 5}', ["run", "--config", "{path}"]),
     ])
     def test_malformed_input_exits_2(self, tmp_path, capsys, name, text, command):
         path = tmp_path / name

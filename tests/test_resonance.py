@@ -1,11 +1,13 @@
 """Forward/backward wave search: terminals, resonance, and combination."""
 
+import dataclasses
 import json
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
 from oracles import find_terminals as oracle_find_terminals
 from oracles import network_fingerprint as oracle_network_fingerprint
 from renforge import (InvalidCombinationError, InvalidParameterError, Network,
@@ -154,6 +156,46 @@ class TestResonate:
             resonate(net, {99})
         with pytest.raises(InvalidParameterError):
             resonate(net, {ids[0]}, max_depth=0)
+
+
+def assert_same_report(report, expected):
+    for field in dataclasses.fields(report):
+        assert getattr(report, field.name) == getattr(expected, field.name), field.name
+    assert report_to_json(report) == report_to_json(expected)
+    assert report_csv_rows(report) == report_csv_rows(expected)
+
+
+class TestResonateMatchesOracle:
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_random_graphs(self, data):
+        # Random digraphs with closed synapses and cycles; steps leave
+        # neurons refractory, which reflect_refractory turns into reflectors.
+        size = data.draw(st.integers(2, 12))
+        net = Network()
+        for _ in range(size):
+            net.add_neuron(data.draw(st.sampled_from([1.0, 2.0])))
+        ids = st.integers(0, size - 1)
+        pairs = data.draw(st.lists(st.tuples(ids, ids).filter(lambda e: e[0] != e[1]),
+                                   max_size=30, unique=True))
+        for pre, post in pairs:
+            net.add_synapse(pre, post, data.draw(st.sampled_from([0.0, 0.5, 1.0])))
+        for _ in range(data.draw(st.integers(0, 3))):
+            net.step(data.draw(st.sets(ids)))
+        reports = []
+        for _ in range(data.draw(st.integers(1, 3))):
+            seeds = data.draw(st.sets(ids, min_size=1, max_size=4))
+            depth = data.draw(st.integers(1, 12))
+            flag = data.draw(st.booleans())
+            report = resonate(net, seeds, depth, reflect_refractory=flag)
+            expected = oracles.resonate(net, seeds, depth, reflect_refractory=flag)
+            assert_same_report(report, expected)
+            reports.append((report, expected))
+        combined, expected = reports[0]
+        for report, oracle_report in reports[1:]:
+            combined = combine_searches(combined, report)
+            expected = oracles.combine_searches(expected, oracle_report)
+            assert_same_report(combined, expected)
 
 
 class TestCombineSearches:
