@@ -65,14 +65,6 @@ class SearchPath:
     complete: bool
 
 
-def _level_order(root: ConceptNode):
-    queue = deque([root])
-    while queue:
-        node = queue.popleft()
-        yield node
-        queue.extend(node.children)
-
-
 def _preorder(root: ConceptNode):
     stack = [root]
     while stack:
@@ -102,6 +94,29 @@ class ConceptForest:
     def __init__(self):
         self.trees: list[ConceptNode] = []
         self.links: list[DynamicLink] = []
+        self._reindex()
+
+    # -- label index ---------------------------------------------------------
+    # Every node by label, the first tree whose root carries each label, and
+    # each root's tree index, like the header table of an FP-tree (Han, Pei
+    # & Yin 2000).  Trees are only appended and a root never gains a parent,
+    # so inserts and splits keep the index by appending.  A forest whose
+    # ``trees`` list was replaced is reindexed before its next insert, and
+    # ``split_if_violates`` reindexes, which covers trees edited in place.
+
+    def _reindex(self):
+        self._indexed = self.trees
+        self._nodes_with: dict[str, list[ConceptNode]] = {}
+        self._first_root: dict[str, int] = {}
+        self._root_index: dict[ConceptNode, int] = {}
+        for index, root in enumerate(self.trees):
+            self._add_root(root, index)
+            for node in _preorder(root):
+                self._nodes_with.setdefault(node.label, []).append(node)
+
+    def _add_root(self, root: ConceptNode, index: int):
+        self._first_root.setdefault(root.label, index)
+        self._root_index[root] = index
 
     # -- mutation ----------------------------------------------------------
 
@@ -109,8 +124,8 @@ class ConceptForest:
         """Insert one token sequence, then restore the count rule.
 
         The attachment point is the first root matching the head token; if
-        none, the first non-root node matching it (scanned tree by tree,
-        root-down); otherwise a new root.  Counts along the matched path
+        none, the first non-root node matching it, tree by tree in level
+        order; otherwise a new root.  Counts along the matched path
         increase by one and missing suffix nodes are created with count 1.
 
         The whole path below the attachment point rises together, so in a
@@ -121,10 +136,15 @@ class ConceptForest:
         toks = list(tokens)
         if not toks:
             raise InvalidParameterError("token sequence is empty")
+        if self.trees is not self._indexed:
+            self._reindex()
+        nodes_with = self._nodes_with
         tree_index, attached = self._attachment_point(toks[0])
         if attached is None:
             attached = ConceptNode(toks[0])
             self.trees.append(attached)
+            self._add_root(attached, len(self.trees) - 1)
+            nodes_with.setdefault(attached.label, []).append(attached)
         node = attached
         node.count += 1
         for tok in toks[1:]:
@@ -132,6 +152,7 @@ class ConceptForest:
             if child is None:
                 child = ConceptNode(tok, parent=node)
                 node.children.append(child)
+                nodes_with.setdefault(tok, []).append(child)
             child.count += 1
             node = child
         parent = attached.parent
@@ -140,15 +161,28 @@ class ConceptForest:
         return [self._detach(attached, tree_index)]
 
     def _attachment_point(self, label: str) -> tuple[int, ConceptNode | None]:
-        """(tree index, node) of the attachment point; (-1, None) if none."""
-        for index, root in enumerate(self.trees):
-            if root.label == label:
-                return index, root
-        for index, root in enumerate(self.trees):
-            for node in _level_order(root):
-                if node is not root and node.label == label:
-                    return index, node
-        return -1, None
+        """(tree index, node) of the attachment point; (-1, None) if none.
+
+        With no root labelled ``label``, every indexed node with that label
+        is a non-root, and the first one tree by tree in level order has the
+        smallest (tree index, depth, child-index path).
+        """
+        index = self._first_root.get(label)
+        if index is not None:
+            return index, self.trees[index]
+        best_key, best = None, []
+        for node in self._nodes_with.get(label, ()):
+            depth, top = 0, node
+            while top.parent is not None:
+                depth, top = depth + 1, top.parent
+            key = (self._root_index[top], depth)
+            if best_key is None or key < best_key:
+                best_key, best = key, [node]
+            elif key == best_key:
+                best.append(node)
+        if not best:
+            return -1, None
+        return best_key[0], min(best, key=self._node_path)
 
     def _detach(self, node: ConceptNode, tree_index: int) -> SplitEvent:
         """Make ``node``, held by tree ``tree_index``, the base of a new tree
@@ -157,6 +191,7 @@ class ConceptForest:
         parent.children.remove(node)
         node.parent = None
         self.trees.append(node)
+        self._add_root(node, len(self.trees) - 1)
         self.links.append(DynamicLink(parent, node))
         return SplitEvent(node.label, tree_index, len(self.trees) - 1)
 
@@ -180,6 +215,7 @@ class ConceptForest:
                     queue.extend(node.children)
                 else:
                     events.append(self._detach(node, tree_index))
+        self._reindex()
         return events
 
     def ingest_corpus(self, path) -> int:
@@ -326,4 +362,5 @@ class ConceptForest:
                     node = at(node.children, index)
                 forest.links.append(DynamicLink(node, at(forest.trees, link_doc["to_tree"]),
                                                 link_doc["label"]))
+        forest._reindex()
         return forest

@@ -179,6 +179,10 @@ class Network:
             raise NotFoundError(f"unknown neuron id {neuron_id}")
         return self._refractory.get(neuron_id, 0)
 
+    def refractory_ids(self):
+        """Ids of the neurons that cannot fire now, as a read-only view."""
+        return self._refractory.keys()
+
     def derived(self, build):
         """``build(self)``, built at most once between two changes to the network.
 

@@ -87,8 +87,7 @@ def resonate(network: Network, seeds, max_depth: int = DEFAULT_MAX_DEPTH,
 
     reflectors = find_terminals(network)
     if reflect_refractory:
-        reflectors |= {nid for nid in network.neurons
-                       if network.refractory_remaining(nid) > 0}
+        reflectors = reflectors.union(network.refractory_ids())
     forward, arrivals = _wave({nid: 1 for nid in sorted(seed_set)},
                               network.derived(_open_successors), reflectors, max_depth)
     reverse_index: dict[int, list] = {}

@@ -72,18 +72,29 @@ class ClusterNet:
         new_bases = tuple(sorted(concept_set - self.base_concepts))
         self.base_concepts |= concept_set
 
-        reinforced: list[int] = []
+        hidden = self.hidden
+        exact = self._exact.get(concept_set)
+        reinforced = [] if exact is None else [exact]
+        if fuzzy:
+            # A node is a strict subset when each of its labels is a hit
+            # and the event has more labels than the node.
+            size = len(concept_set)
+            hits: dict[int, int] = {}
+            for label in concept_set:
+                for hid in self._with_label.get(label, ()):
+                    hits[hid] = hits.get(hid, 0) + 1
+            reinforced += [hid for hid, count in hits.items()
+                           if count < size and count == len(hidden[hid].inputs)]
+        for hid in reinforced:
+            hidden[hid].weight += 1.0
         decayed: list[int] = []
-        exact = None
-        for node in self.hidden.values():
-            if exact is None and node.inputs == concept_set:
-                exact = node
-            if node is exact or (fuzzy and node.inputs < concept_set):
-                node.weight += 1.0
-                reinforced.append(node.id)
-            elif self.decay > 0:
-                node.weight = max(0.0, node.weight - self.decay)
-                decayed.append(node.id)
+        if self.decay > 0:
+            d, touched = self.decay, set(reinforced)
+            for hid, node in hidden.items():
+                if hid not in touched:
+                    w = node.weight - d
+                    node.weight = w if w > 0.0 else 0.0
+                    decayed.append(hid)
         created = None
         if exact is None:
             created = self._next_hidden_id
@@ -155,25 +166,34 @@ class ClusterNet:
         self._recompute_globals()
         return removed
 
-    # Union-find (Tarjan 1975) over hidden ids: each node joins the first
-    # node that carried each of its labels, and the smaller root wins.
-    # Between two full rebuilds nodes are only added, with ids above every
-    # id present, so components only merge and each new node is one join.
+    # Lookups and union-find (Tarjan 1975) over hidden ids.  ``_exact`` maps
+    # an input set to the first node in ``hidden`` order that has it (a
+    # loaded document may repeat a set), and ``_with_label`` lists the
+    # nodes carrying each label.  Each node joins the first node on each of
+    # its labels' lists, and the smaller root wins.  Between two full
+    # rebuilds nodes are only added, with ids above every id present, so
+    # components only merge and each new node is one join.
 
     def _recompute_globals(self):
-        """Rebuild the union-find from every hidden node, ids ascending."""
+        """Rebuild the lookups and the union-find, in ``hidden`` order."""
+        self._exact: dict[frozenset[str], int] = {}
+        self._with_label: dict[str, list[int]] = {}
         self._root_of: dict[int, int] = {}
-        self._first_with: dict[str, int] = {}
-        for hid in sorted(self.hidden):
+        for hid in self.hidden:
             self._join(hid)
         self._globals = None
 
     def _join(self, hid: int):
-        """Add hidden node ``hid`` to the union-find; drops the cached globals."""
-        root_of, first_with = self._root_of, self._first_with
+        """Add hidden node ``hid`` to the lookups and the union-find; drops
+        the cached globals."""
+        root_of, with_label = self._root_of, self._with_label
+        inputs = self.hidden[hid].inputs
+        self._exact.setdefault(inputs, hid)
         root_of[hid] = hid
-        for label in self.hidden[hid].inputs:
-            a, b = self._find(hid), self._find(first_with.setdefault(label, hid))
+        for label in inputs:
+            ids = with_label.setdefault(label, [])
+            ids.append(hid)
+            a, b = self._find(hid), self._find(ids[0])
             root_of[max(a, b)] = min(a, b)
         self._globals = None
 

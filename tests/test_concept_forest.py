@@ -301,6 +301,50 @@ class TestSplitMatchesOracle:
                 forest = ConceptForest.from_json(forest.to_json())
 
 
+def _capped(shape, limit):
+    """``shape`` with every count cut to at most its parent's."""
+    label, count, children = shape
+    count = min(count, limit)
+    return (label, count, [_capped(child, count) for child in children])
+
+
+wide_tree_shapes = st.recursive(
+    st.tuples(st.sampled_from("abcdefgh"), st.integers(1, 6), st.just(())),
+    lambda children: st.tuples(st.sampled_from("abcdefgh"), st.integers(1, 6),
+                               st.lists(children, max_size=3)),
+    max_leaves=40)
+
+
+class TestAttachmentMatchesOracle:
+    """Inserts whose head token is no root's label attach through the label
+    index; the oracle scans every tree in level order.  Long streams over a
+    larger alphabet grow many trees, and deep ones."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(wide_tree_shapes, max_size=5), st.booleans(),
+           st.lists(st.tuples(st.lists(st.sampled_from("abcdefghijkl"),
+                                       min_size=1, max_size=8),
+                              st.booleans()),
+                    min_size=5, max_size=60))
+    def test_streams_over_hand_built_trees(self, shapes, split, stream):
+        # Trees edited in place are reindexed by the split; a replaced list
+        # is reindexed by the next insert, so its trees must obey the count
+        # rule already.
+        forest, oracle = ConceptForest(), ConceptForest()
+        if split:
+            forest.trees.extend(_build_tree(shape) for shape in shapes)
+            oracle.trees.extend(_build_tree(shape) for shape in shapes)
+            assert forest.split_if_violates() == oracle_split_if_violates(oracle)
+        else:
+            forest.trees = [_build_tree(_capped(shape, shape[1])) for shape in shapes]
+            oracle.trees = [_build_tree(_capped(shape, shape[1])) for shape in shapes]
+        for sentence, reload in stream:
+            assert forest.insert_sequence(sentence) == oracle_insert_sequence(oracle, sentence)
+            assert forest.to_json() == oracle.to_json()
+            if reload:
+                forest = ConceptForest.from_json(forest.to_json())
+
+
 class TestSearchMatchesOracle:
     @settings(max_examples=300, deadline=None)
     @given(st.lists(st.lists(st.sampled_from("abcd"), min_size=1, max_size=5),

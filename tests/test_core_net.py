@@ -83,6 +83,13 @@ class TestStep:
         record = net.step(inputs)
         assert record.rejections[main] == pytest.approx(0.8)
 
+    def test_threshold_within_tolerance_fires_on_no_input(self):
+        # A threshold at or below FIRING_TOLERANCE is reached by a 0.0 sum,
+        # so a neuron nothing drives fires whenever it is not refractory.
+        net = Network()
+        net.add_neuron(1e-10)
+        assert [sorted(net.step().fired) for _ in range(4)] == [[0], [], [0], []]
+
     def test_unknown_external_input(self):
         with pytest.raises(NotFoundError):
             Network().step([7])

@@ -318,8 +318,9 @@ cluster_ops = st.lists(st.one_of(
               st.lists(st.sampled_from("abcdef"), min_size=1, max_size=4),
               st.booleans()),
     st.tuples(st.just("prune"), st.sampled_from([0.0, 0.5, 1.0, 2.0])),
+    # Weights 0 and 2 are written as JSON integers and load as ints.
     st.tuples(st.just("duplicate"), st.integers(0, 50), st.integers(0, 50),
-              st.sampled_from([0.0, 1.0, 3.5]))),
+              st.sampled_from([0.0, 1.0, 3.5, 0, 2]))),
     min_size=1, max_size=40)
 
 
