@@ -338,13 +338,15 @@ class ConceptForest:
         forest = cls()
 
         def build(entry, parent):
-            count = entry["count"]
+            label, count = entry["label"], entry["count"]
+            if type(label) is not str:
+                raise ValueError(f"label {label!r} is not a string")
             limit = count if parent is None else parent.count
             if type(count) is not int or not 1 <= count <= limit:
                 raise ValueError(
-                    f"count {count!r} of {entry['label']!r} "
+                    f"count {count!r} of {label!r} "
                     "is not an integer >= 1 and at most its parent's count")
-            node = ConceptNode(entry["label"], count, parent)
+            node = ConceptNode(label, count, parent)
             node.children = [build(c, node) for c in entry["children"]]
             return node
 

@@ -21,7 +21,6 @@ from .errors import (DuplicateEdgeError, InvalidParameterError, NotFoundError,
 # absorb fraction arithmetic.
 FIRING_TOLERANCE = 1e-9
 
-REFRACTORY_TICKS = 1
 HISTORY_LIMIT = 256
 
 
@@ -84,14 +83,14 @@ class FiringRecord:
 class Network:
     """Directed threshold-unit graph with synchronous tick semantics.
 
-    Externally driven ids act as firing sources for the current tick only;
-    neurons that fire enter a refractory period of ``REFRACTORY_TICKS``
-    during which they cannot fire and their blocked input is discarded.
+    Externally driven ids act as firing sources for the current tick only.
+    The neurons that fired last tick are this tick's other sources and are
+    refractory: they cannot fire, and their blocked input is discarded.
     An instance is single-threaded during simulation and shares no state
     with other instances.
 
-    Every change to the topology, the open fractions or the refractory
-    state goes through a method of this class, and each such method drops
+    Every change to the topology, the open fractions or the firing state
+    goes through a method of this class, and each such method drops
     the views ``derived`` built, so a view is built at most once between
     two changes.
     """
@@ -106,8 +105,6 @@ class Network:
         self._incoming: dict[int, list[int]] = {}
         self._outgoing: dict[int, list[int]] = {}
         self._last_fired: frozenset[int] = frozenset()
-        # Ticks left for each refractory neuron; every value is >= 1.
-        self._refractory: dict[int, int] = {}
         self._derived: dict = {}
 
     # -- construction -----------------------------------------------------
@@ -174,14 +171,14 @@ class Network:
         return None if sid is None else self.synapses[sid]
 
     def refractory_remaining(self, neuron_id: int) -> int:
-        """Ticks for which the neuron still cannot fire; 0 when it can."""
+        """1 when the neuron fired last tick and so cannot fire now, else 0."""
         if neuron_id not in self.neurons:
             raise NotFoundError(f"unknown neuron id {neuron_id}")
-        return self._refractory.get(neuron_id, 0)
+        return int(neuron_id in self._last_fired)
 
-    def refractory_ids(self):
-        """Ids of the neurons that cannot fire now, as a read-only view."""
-        return self._refractory.keys()
+    def refractory_ids(self) -> frozenset[int]:
+        """Ids of the neurons that cannot fire now: those that fired last tick."""
+        return self._last_fired
 
     def derived(self, build):
         """``build(self)``, built at most once between two changes to the network.
@@ -206,16 +203,17 @@ class Network:
 
         Each neuron's input sum is the open-fraction-weighted signal over
         incoming synapses whose source fired last tick or is externally
-        driven this tick.  Fired neurons enter the refractory period; the
+        driven this tick.  A neuron that fired last tick cannot fire; the
         per-input excess of every fired neuron is recorded as its rejection.
         """
         externals = frozenset(external_inputs)
         for nid in externals:
             if nid not in self.neurons:
                 raise NotFoundError(f"unknown neuron id {nid}")
-        sources = self._last_fired | externals
+        refractory = self._last_fired
+        sources = refractory | externals
 
-        synapses, incoming, refractory = self.synapses, self._incoming, self._refractory
+        synapses, incoming = self.synapses, self._incoming
         input_sums: dict[int, float] = {}
         rejections: dict[int, float] = {}
         fired = []
@@ -233,16 +231,12 @@ class Network:
                 if open_inputs >= 1:
                     rejections[nid] = (total - neuron.threshold) / open_inputs
 
-        # A refractory neuron cannot fire, so no id is both counted down and reset.
-        self._refractory = {nid: left - 1 for nid, left in refractory.items() if left > 1}
-        self._refractory.update(dict.fromkeys(fired, REFRACTORY_TICKS))
-        self._derived.clear()
-
         record = FiringRecord(tick=self.tick, fired=frozenset(fired),
                               input_sums=input_sums, rejections=rejections,
                               sources=sources)
         self.tick += 1
         self._last_fired = record.fired
+        self._derived.clear()
         self.history.append(record)
         return record
 
@@ -251,7 +245,6 @@ class Network:
         self.tick = 0
         self.history.clear()
         self._last_fired = frozenset()
-        self._refractory = {}
         self._derived.clear()
 
     # -- serialization ----------------------------------------------------
@@ -259,7 +252,7 @@ class Network:
     def to_json(self) -> str:
         """Canonical JSON form; re-serialization round-trips bit-exactly."""
         neurons = [{"id": n.id, "threshold": n.threshold,
-                    "refractory": self._refractory.get(n.id, 0)}
+                    "refractory": int(n.id in self._last_fired)}
                    for n in self.neurons.values()]
         synapses = [{"pre": s.pre, "post": s.post,
                      "open_fraction": s.open_fraction, "distance": s.distance,
@@ -272,16 +265,18 @@ class Network:
         net = cls()
         with reading_document("network"):
             doc = json.loads(text)
+            fired = []
             for entry in doc["neurons"]:
                 nid = net.add_neuron(entry["threshold"])
                 if nid != entry["id"]:
                     raise InvalidParameterError(
                         f"neuron ids must be dense and ascending, got {entry['id']}")
-                left = entry["refractory"]
-                if type(left) is not int or left < 0:
-                    raise TypeError(f"refractory must be an integer >= 0, got {left!r}")
-                if left:
-                    net._refractory[nid] = left
+                refractory = entry["refractory"]
+                if type(refractory) is not int or refractory not in (0, 1):
+                    raise ValueError(f"refractory must be 0 or 1, got {refractory!r}")
+                if refractory:
+                    fired.append(nid)
+            net._last_fired = frozenset(fired)
             for entry in doc["synapses"]:
                 net.add_synapse(entry["pre"], entry["post"], entry["open_fraction"],
                                 entry["distance"], entry["multiplicity"])

@@ -41,6 +41,10 @@ class GrowthConfig:
     threshold_policy: str = "all"     # "all" or "fraction:<f>" of the group size
 
     def __post_init__(self):
+        for f in dataclasses.fields(self):
+            value = getattr(self, f.name)
+            if f.type == "float" and type(value) not in (int, float):
+                raise InvalidParameterError(f"{f.name} must be a number, got {value!r}")
         if not 0 < self.bud_threshold < math.inf:
             raise InvalidParameterError("bud_threshold must be a finite number > 0")
         if type(self.window) is not int or not 1 <= self.window <= HISTORY_LIMIT:
@@ -53,8 +57,8 @@ class GrowthConfig:
             raise InvalidParameterError("offpattern_decay must lie in [0, 1)")
         if not 0 <= self.force_per_segment < math.inf:
             raise InvalidParameterError("force_per_segment must be a finite number >= 0")
-        if not self.eps_balance >= 0:
-            raise InvalidParameterError("eps_balance must be non-negative")
+        if not 0 <= self.eps_balance < math.inf:
+            raise InvalidParameterError("eps_balance must be a finite number >= 0")
         if not 0 <= self.close_cutoff <= 1:
             raise InvalidParameterError("close_cutoff must lie in [0, 1]")
         if not isinstance(self.threshold_policy, str):

@@ -36,7 +36,8 @@ class ExperimentConfig:
         if self.schedule not in KNOWN_SCHEDULES:
             raise ConfigurationError(
                 f"unknown schedule {self.schedule!r}; expected one of {KNOWN_SCHEDULES}")
-        if not 0 <= self.schedule_probability <= 1:
+        if (type(self.schedule_probability) not in (int, float)
+                or not 0 <= self.schedule_probability <= 1):
             raise ConfigurationError("schedule_probability must lie in [0, 1]")
         if type(self.max_ticks) is not int or self.max_ticks < 1:
             raise ConfigurationError("max_ticks must be an integer >= 1")

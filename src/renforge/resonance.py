@@ -159,26 +159,26 @@ def combine_searches(report_a: ResonanceReport,
                    report_a.network_hash)
 
 
+def _edge_rows(report: ResonanceReport) -> list[list]:
+    """``[pre, post, forward, backward, resonance]`` per forward edge, by edge."""
+    forward, backward, resonance = (report.forward_visits, report.backward_visits,
+                                    report.resonance)
+    return [[edge[0], edge[1], forward[edge], backward.get(edge, 0), resonance[edge]]
+            for edge in sorted(forward)]
+
+
 def report_to_json(report: ResonanceReport) -> str:
-    edges = [{"pre": pre, "post": post,
-              "forward": report.forward_visits[(pre, post)],
-              "backward": report.backward_visits.get((pre, post), 0),
-              "resonance": report.resonance[(pre, post)],
-              "recognized": (pre, post) in report.recognized_path}
-             for pre, post in sorted(report.forward_visits)]
-    doc = {"seeds": sorted(report.seeds),
-           "terminals_hit": sorted(report.terminals_hit),
-           "max_depth": report.max_depth,
-           "network_hash": report.network_hash,
-           "edges": edges}
-    return json.dumps(doc)
+    recognized = report.recognized_path
+    edges = [{"pre": pre, "post": post, "forward": forward, "backward": backward,
+              "resonance": value, "recognized": (pre, post) in recognized}
+             for pre, post, forward, backward, value in _edge_rows(report)]
+    return json.dumps({"seeds": sorted(report.seeds),
+                       "terminals_hit": sorted(report.terminals_hit),
+                       "max_depth": report.max_depth,
+                       "network_hash": report.network_hash,
+                       "edges": edges}, check_circular=False)  # fresh, so acyclic
 
 
 def report_csv_rows(report: ResonanceReport) -> list[list]:
     """Header plus one row per forward-visited edge, sorted by edge."""
-    rows: list[list] = [["pre", "post", "forward", "backward", "resonance"]]
-    for pre, post in sorted(report.forward_visits):
-        rows.append([pre, post, report.forward_visits[(pre, post)],
-                     report.backward_visits.get((pre, post), 0),
-                     report.resonance[(pre, post)]])
-    return rows
+    return [["pre", "post", "forward", "backward", "resonance"], *_edge_rows(report)]

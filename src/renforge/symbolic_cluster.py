@@ -43,6 +43,20 @@ class EventReport:
     new_bases: tuple[str, ...]
 
 
+def _count(value, what: str) -> int:
+    """``value`` when it is an integer >= 0 (not a bool), else ValueError."""
+    if type(value) is not int or value < 0:
+        raise ValueError(f"{what} {value!r} is not an integer >= 0")
+    return value
+
+
+def _labels(value, what: str) -> list:
+    """``value`` when it is a list of strings, else ValueError."""
+    if type(value) is not list or not all(type(label) is str for label in value):
+        raise ValueError(f"{what} {value!r} is not a list of strings")
+    return value
+
+
 class ClusterNet:
     """Base concepts, hidden event nodes, and overlap-closure global concepts."""
 
@@ -239,20 +253,20 @@ class ClusterNet:
         with reading_document("cluster"):
             doc = json.loads(text)
             net = cls(decay=doc["decay"])
-            net.event_count = doc["event_count"]
-            net.base_concepts = set(doc["base_concepts"])
+            net.event_count = _count(doc["event_count"], "event_count")
+            net.base_concepts = set(_labels(doc["base_concepts"], "base_concepts"))
             for entry in doc["hidden_nodes"]:
-                hid, weight, created_at = entry["id"], entry["weight"], entry["created_at"]
-                if not all(type(v) is int and v >= 0 for v in (hid, created_at)):
-                    raise ValueError(f"hidden node id {hid!r} and created_at "
-                                     f"{created_at!r} must be integers >= 0")
+                hid = _count(entry["id"], "hidden node id")
+                created_at = _count(entry["created_at"], f"hidden node {hid} created_at")
+                weight, inputs = entry["weight"], entry["inputs"]
                 if hid in net.hidden:
                     raise ValueError(f"hidden node id {hid} is repeated")
                 if type(weight) not in (int, float) or not 0 <= weight < math.inf:
                     raise ValueError(f"hidden node {hid} weight {weight!r} "
                                      "is not a finite number >= 0")
-                net.hidden[hid] = HiddenNode(hid, frozenset(entry["inputs"]),
-                                             weight, created_at)
+                if not _labels(inputs, f"hidden node {hid} inputs"):
+                    raise ValueError(f"hidden node {hid} has no inputs")
+                net.hidden[hid] = HiddenNode(hid, frozenset(inputs), weight, created_at)
         net._next_hidden_id = max(net.hidden, default=-1) + 1
         net._recompute_globals()
         return net

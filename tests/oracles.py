@@ -5,6 +5,8 @@ unchanged; a replaced method takes its object as the first argument, and
 one that called another replaced method calls its oracle here.  The
 deque-window ``_SynapseStats`` keeps the old growth bookkeeping, and
 ``_agreement`` unpacks today's int windows to the flag lists it compared.
+``step`` counts refractory ticks down in a map its caller keeps, as a
+network once did, so the network's one last-fired set is checked against it.
 Differential tests check that the optimised path returns the same result on
 randomized inputs.
 """
@@ -12,12 +14,12 @@ randomized inputs.
 from __future__ import annotations
 
 import hashlib
+import json
 from collections import deque
 
 from renforge.concept_forest import (ConceptForest, ConceptNode, DynamicLink,
                                      SearchPath, SplitEvent)
-from renforge.core_net import (REFRACTORY_TICKS, FiringRecord, Network,
-                               fires)
+from renforge.core_net import FiringRecord, Network, fires
 from renforge.errors import (InvalidCombinationError, InvalidParameterError,
                              NotFoundError)
 from renforge.feedback import repulsion_at
@@ -79,13 +81,19 @@ def _greedy_groups(ids: list[int], state: TurbulenceState) -> list[list[int]]:
     return groups
 
 
-def step(network: Network, external_inputs=()) -> FiringRecord:
+REFRACTORY_TICKS = 1
+
+
+def step(network: Network, refractory: dict[int, int],
+         external_inputs=()) -> FiringRecord:
     """Advance one synchronous tick.
 
     Each neuron's input sum is the open-fraction-weighted signal over
     incoming synapses whose source fired last tick or is externally
     driven this tick.  Fired neurons enter the refractory period; the
     per-input excess of every fired neuron is recorded as its rejection.
+    ``refractory`` maps each refractory neuron to its ticks left (every
+    value >= 1); the caller keeps it across ticks and ``step`` updates it.
     """
     externals = frozenset(external_inputs)
     for nid in externals:
@@ -102,7 +110,6 @@ def step(network: Network, external_inputs=()) -> FiringRecord:
                 total += syn.delivery
         input_sums[nid] = total
 
-    refractory = network._refractory
     fired = set()
     for nid in sorted(network.neurons):
         if nid not in refractory and fires(network.neurons[nid].threshold, input_sums[nid]):
@@ -115,8 +122,10 @@ def step(network: Network, external_inputs=()) -> FiringRecord:
             rejections[nid] = (input_sums[nid] - network.neurons[nid].threshold) / open_inputs
 
     # A refractory neuron cannot fire, so no id is both counted down and reset.
-    network._refractory = {nid: left - 1 for nid, left in refractory.items() if left > 1}
-    network._refractory.update(dict.fromkeys(fired, REFRACTORY_TICKS))
+    countdown = {nid: left - 1 for nid, left in refractory.items() if left > 1}
+    refractory.clear()
+    refractory.update(countdown)
+    refractory.update(dict.fromkeys(fired, REFRACTORY_TICKS))
     network._derived.clear()
 
     record = FiringRecord(tick=network.tick, fired=frozenset(fired),
@@ -295,6 +304,31 @@ def combine_searches(report_a: ResonanceReport,
                    report_a.seeds | report_b.seeds,
                    max(report_a.max_depth, report_b.max_depth),
                    report_a.network_hash)
+
+
+def report_to_json(report: ResonanceReport) -> str:
+    edges = [{"pre": pre, "post": post,
+              "forward": report.forward_visits[(pre, post)],
+              "backward": report.backward_visits.get((pre, post), 0),
+              "resonance": report.resonance[(pre, post)],
+              "recognized": (pre, post) in report.recognized_path}
+             for pre, post in sorted(report.forward_visits)]
+    doc = {"seeds": sorted(report.seeds),
+           "terminals_hit": sorted(report.terminals_hit),
+           "max_depth": report.max_depth,
+           "network_hash": report.network_hash,
+           "edges": edges}
+    return json.dumps(doc)
+
+
+def report_csv_rows(report: ResonanceReport) -> list[list]:
+    """Header plus one row per forward-visited edge, sorted by edge."""
+    rows: list[list] = [["pre", "post", "forward", "backward", "resonance"]]
+    for pre, post in sorted(report.forward_visits):
+        rows.append([pre, post, report.forward_visits[(pre, post)],
+                     report.backward_visits.get((pre, post), 0),
+                     report.resonance[(pre, post)]])
+    return rows
 
 
 def _level_order(root: ConceptNode):

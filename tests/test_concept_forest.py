@@ -184,6 +184,9 @@ class TestSerialization:
         '[{"label": "b", "count": 1, "children": []}]}, '
         '{"label": "c", "count": 1, "children": []}], '
         '"links": [{"from_tree": 0, "from_path": [0], "to_tree": -1, "label": "M"}]}',
+        '{"trees": [{"label": 5, "count": 1, "children": []}], "links": []}',
+        '{"trees": [{"label": "a", "count": 1, "children": '
+        '[{"label": null, "count": 1, "children": []}]}], "links": []}',
     ])
     def test_malformed_document_rejected(self, text):
         with pytest.raises(InvalidParameterError, match="malformed forest document"):

@@ -188,12 +188,27 @@ class TestSerialization:
         restored = Network.from_json(net.to_json())
         assert restored.refractory_remaining(main) == 1
 
+    def test_saved_signal_resumes_after_loading(self):
+        # b fired on the saved tick, so the loaded copy both blocks b and
+        # carries its signal on to c, as the original does.
+        net = Network()
+        a, b, c = (net.add_neuron(1.0) for _ in range(3))
+        net.add_synapse(a, b)
+        net.add_synapse(b, c)
+        net.step([a])
+        restored = Network.from_json(net.to_json())
+        assert restored.refractory_ids() == {b}
+        resumed, original = restored.step([a]), net.step([a])
+        assert resumed.fired == original.fired == {c}
+        assert resumed.sources == original.sources == {a, b}
+
     @pytest.mark.parametrize("text", [
         "{not json",
         '{"neurons": [{"threshold": 1.0, "refractory": 0}], "synapses": []}',
         '{"neurons": [], "synapses": [{"pre": 0}]}',
         "[]",
         '{"neurons": [{"id": 0, "threshold": 1.0, "refractory": -3}], "synapses": []}',
+        '{"neurons": [{"id": 0, "threshold": 1.0, "refractory": 2}], "synapses": []}',
         '{"neurons": [{"id": 0, "threshold": 1.0, "refractory": 2.5}], "synapses": []}',
         '{"neurons": [{"id": 0, "threshold": 1.0, "refractory": "x"}], "synapses": []}',
         '{"neurons": [{"id": 0, "threshold": 1.0, "refractory": true}], "synapses": []}',

@@ -49,6 +49,8 @@ class TestConfig:
         {"schedule_probability": 7.5},
         {"schedule_probability": -0.1},
         {"schedule_probability": float("nan")},
+        {"schedule_probability": True},
+        {"schedule_probability": "0.5"},
         {"max_ticks": 0},
         {"sweep_inputs": ["a"]},
         {"sweep_inputs": [0]},
@@ -298,6 +300,9 @@ class TestCli:
         ("config.json", '{"growth": {"threshold_policy": 5}}',
          ["run", "--config", "{path}"]),
         ("config.json", '{"output_dir": 5}', ["run", "--config", "{path}"]),
+        ("config.json", '{"growth": {"eps_balance": Infinity}}',
+         ["sweep", "--config", "{path}", "--samples", "1"]),
+        ("config.json", '{"schedule_probability": true}', ["run", "--config", "{path}"]),
     ])
     def test_malformed_input_exits_2(self, tmp_path, capsys, name, text, command):
         path = tmp_path / name

@@ -161,8 +161,8 @@ class TestResonate:
 def assert_same_report(report, expected):
     for field in dataclasses.fields(report):
         assert getattr(report, field.name) == getattr(expected, field.name), field.name
-    assert report_to_json(report) == report_to_json(expected)
-    assert report_csv_rows(report) == report_csv_rows(expected)
+    assert report_to_json(report) == oracles.report_to_json(expected)
+    assert report_csv_rows(report) == oracles.report_csv_rows(expected)
 
 
 class TestResonateMatchesOracle:

@@ -292,6 +292,14 @@ class TestSerialization:
         _cluster_doc({"weight": "NaN"}),
         _cluster_doc({"weight": "Infinity"}),
         _cluster_doc({"weight": True}),
+        '{"decay": 0.0, "event_count": -5, "base_concepts": [], "hidden_nodes": []}',
+        '{"decay": 0.0, "event_count": true, "base_concepts": [], "hidden_nodes": []}',
+        '{"decay": 0.0, "event_count": "x", "base_concepts": [], "hidden_nodes": []}',
+        '{"decay": 0.0, "event_count": 0, "base_concepts": "ab", "hidden_nodes": []}',
+        '{"decay": 0.0, "event_count": 0, "base_concepts": [1], "hidden_nodes": []}',
+        _cluster_doc({"inputs": "ab"}),
+        _cluster_doc({"inputs": []}),
+        _cluster_doc({"inputs": [1, 2]}),
     ])
     def test_malformed_document_rejected(self, text):
         with pytest.raises(InvalidParameterError, match="malformed cluster document"):
