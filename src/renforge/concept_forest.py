@@ -362,7 +362,10 @@ class ConceptForest:
                 node = at(forest.trees, link_doc["from_tree"])
                 for index in link_doc["from_path"]:
                     node = at(node.children, index)
+                label = link_doc["label"]
+                if type(label) is not str:
+                    raise ValueError(f"link label {label!r} is not a string")
                 forest.links.append(DynamicLink(node, at(forest.trees, link_doc["to_tree"]),
-                                                link_doc["label"]))
+                                                label))
         forest._reindex()
         return forest

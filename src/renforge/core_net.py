@@ -92,7 +92,9 @@ class Network:
     Every change to the topology, the open fractions or the firing state
     goes through a method of this class, and each such method drops
     the views ``derived`` built, so a view is built at most once between
-    two changes.
+    two changes.  Each neuron's open input count is kept apart from those
+    views, across ticks, until its incoming synapses or their open
+    fractions change.
     """
 
     def __init__(self, rng_seed: int = 0):
@@ -106,12 +108,13 @@ class Network:
         self._outgoing: dict[int, list[int]] = {}
         self._last_fired: frozenset[int] = frozenset()
         self._derived: dict = {}
+        self._open_inputs: dict[int, int] = {}
 
     # -- construction -----------------------------------------------------
 
     def add_neuron(self, threshold: float) -> int:
         """Add a neuron; ids are dense integers assigned in creation order."""
-        if not 0 < threshold < math.inf:
+        if not 0 < threshold < math.inf or type(threshold) is bool:
             raise InvalidParameterError(
                 f"threshold must be a finite number > 0, got {threshold}")
         nid = len(self.neurons)
@@ -128,12 +131,12 @@ class Network:
             raise NotFoundError(f"unknown neuron id {post}")
         if pre == post:
             raise InvalidParameterError("self-loops are not allowed")
-        if not 0.0 <= open_fraction <= 1.0:
+        if not 0.0 <= open_fraction <= 1.0 or type(open_fraction) is bool:
             raise InvalidParameterError(
                 f"open_fraction must lie in [0, 1], got {open_fraction}")
-        if not isinstance(distance, int) or distance < 1:
+        if type(distance) is not int or distance < 1:
             raise InvalidParameterError(f"distance must be an integer >= 1, got {distance}")
-        if not isinstance(multiplicity, int) or multiplicity < 1:
+        if type(multiplicity) is not int or multiplicity < 1:
             raise InvalidParameterError(
                 f"multiplicity must be an integer >= 1, got {multiplicity}")
         if (pre, post) in self._edges:
@@ -145,6 +148,7 @@ class Network:
         self._edges[(pre, post)] = sid
         self._incoming.setdefault(post, []).append(sid)
         self._outgoing.setdefault(pre, []).append(sid)
+        self._open_inputs.pop(post, None)
         self._derived.clear()
         return sid
 
@@ -152,10 +156,12 @@ class Network:
         """Set a synapse's open fraction, which must lie in [0, 1]."""
         if synapse_id not in self.synapses:
             raise NotFoundError(f"unknown synapse id {synapse_id}")
-        if not 0.0 <= open_fraction <= 1.0:
+        if not 0.0 <= open_fraction <= 1.0 or type(open_fraction) is bool:
             raise InvalidParameterError(
                 f"open_fraction must lie in [0, 1], got {open_fraction}")
-        self.synapses[synapse_id].open_fraction = float(open_fraction)
+        syn = self.synapses[synapse_id]
+        syn.open_fraction = float(open_fraction)
+        self._open_inputs.pop(syn.post, None)
         self._derived.clear()
 
     # -- queries ----------------------------------------------------------
@@ -193,8 +199,11 @@ class Network:
 
     def open_input_count(self, neuron_id: int) -> int:
         """Number of open direct unit inputs (multiplicity counted)."""
-        return sum(s.multiplicity for s in self.incoming(neuron_id)
-                   if s.open_fraction > 0.0)
+        count = self._open_inputs.get(neuron_id)
+        if count is None:
+            count = self._open_inputs[neuron_id] = sum(
+                s.multiplicity for s in self.incoming(neuron_id) if s.open_fraction > 0.0)
+        return count
 
     # -- simulation -------------------------------------------------------
 

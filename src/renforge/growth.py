@@ -107,43 +107,56 @@ class GrowthEvent:
 
 class _SynapseStats:
     # carried and rejected hold one flag per recent tick, newest in bit 0; both
-    # take a flag every tick, so one length counts the ticks they hold.
-    __slots__ = ("accumulator", "carried", "rejected", "length", "budded")
+    # take a flag every tick, so one length counts the ticks they hold.  The
+    # flags are folded in up to accumulate call ``seen``; the ticks after it
+    # carried nothing, and catch_up shifts in their zero flags.
+    __slots__ = ("accumulator", "carried", "rejected", "length", "budded", "seen")
 
-    def __init__(self):
+    def __init__(self, seen: int):
         self.accumulator = 0.0
         self.carried = 0
         self.rejected = 0
         self.length = 0
         self.budded = False
+        self.seen = seen
+
+    def catch_up(self, calls: int, window: int) -> None:
+        """Fold in zero flags for the accumulate calls after ``seen`` up to ``calls``."""
+        missed = calls - self.seen
+        if missed:
+            keep = (1 << window) - 1
+            self.carried = self.carried << missed & keep
+            self.rejected = self.rejected << missed & keep
+            self.length = min(window, self.length + missed)
+            self.seen = calls
 
 
 class TurbulenceState:
-    """Per-synapse turbulence accumulators and sliding activity windows."""
+    """Per-synapse turbulence accumulators and sliding activity windows.
+
+    ``calls`` counts the ``accumulate_turbulence`` calls folded in.  A
+    synapse's stats change only on the calls where it carries signal, and
+    ``stats_for`` brings its window up to date when read, so read the stats
+    through it.
+    """
 
     def __init__(self, config: GrowthConfig | None = None):
         self.config = config or GrowthConfig()
         self.stats: dict[int, _SynapseStats] = {}
+        self.calls = 0
         # (target, frozenset of sources) pairs that already own an intermediary
         self.groups_created: set[tuple[int, frozenset[int]]] = set()
+        self._registered = 0          # synapse ids below this have stats
+        self._crossed: set[int] = set()   # may have reached bud_threshold since spawn
+        self._budded: set[int] = set()
 
     def stats_for(self, synapse_id: int) -> _SynapseStats:
         stats = self.stats.get(synapse_id)
         if stats is None:
-            stats = self.stats[synapse_id] = _SynapseStats()
+            stats = self.stats[synapse_id] = _SynapseStats(self.calls)
+        elif stats.seen != self.calls:
+            stats.catch_up(self.calls, self.config.window)
         return stats
-
-    def accumulator(self, synapse_id: int) -> float:
-        return self.stats_for(synapse_id).accumulator
-
-    def fired_count(self, synapse_id: int) -> int:
-        return self.stats_for(synapse_id).carried.bit_count()
-
-    def rejection_count(self, synapse_id: int) -> int:
-        return self.stats_for(synapse_id).rejected.bit_count()
-
-    def budded_ids(self) -> list[int]:
-        return sorted(s for s, st in self.stats.items() if st.budded)
 
     def total_turbulence(self) -> float:
         return sum(st.accumulator for st in self.stats.values())
@@ -156,25 +169,53 @@ def accumulate_turbulence(network: Network, record: FiringRecord,
     Synapses that carried signal into a rejecting target gain the clamped
     backward repulsion; synapses that carried signal when the target did
     not reject decay instead, which keeps frequently useful paths open.
+    Only the open synapses out of ``record.sources`` carried, so only they
+    are visited; every other window catches up when it is read.
     """
     cfg = state.config
     window = cfg.window
     keep = (1 << window) - 1
-    rejecting = {nid for nid, excess in record.rejections.items()
+    call = state.calls = state.calls + 1
+    stats_map, synapses = state.stats, network.synapses
+    # New synapses join in id order, so ``stats`` keeps the order in which
+    # an eager pass over every synapse would have met them.
+    for sid in range(state._registered, len(synapses)):
+        if sid not in stats_map:
+            stats_map[sid] = _SynapseStats(call - 1)
+    state._registered = len(synapses)
+    rejecting = {nid: excess for nid, excess in record.rejections.items()
                  if excess > cfg.eps_balance}
-    for sid, syn in network.synapses.items():
-        stats = state.stats_for(sid)
-        carried = syn.pre in record.sources and syn.open_fraction > 0.0
-        hit_rejection = carried and syn.post in rejecting
-        stats.carried = (stats.carried << 1 | carried) & keep
-        stats.rejected = (stats.rejected << 1 | hit_rejection) & keep
-        if stats.length < window:
-            stats.length += 1
-        if hit_rejection:
-            stats.accumulator += repulsion_at(record.rejections[syn.post],
-                                              syn.distance, cfg.force_per_segment)
-        elif carried:
-            stats.accumulator *= cfg.offpattern_decay
+    gains: dict[tuple[int, int], float] = {}
+    crossed, bud_threshold, decay = state._crossed, cfg.bud_threshold, cfg.offpattern_decay
+    outgoing = network._outgoing
+    for src in record.sources:
+        for sid in outgoing.get(src, ()):
+            syn = synapses[sid]
+            if syn.open_fraction <= 0.0:
+                continue
+            stats = stats_map[sid]
+            # catch_up inlined and fused with this call's flags: a method
+            # call per carried synapse made the loop about a third slower.
+            missed = call - stats.seen
+            stats.seen = call
+            carried, rejected = stats.carried << missed | 1, stats.rejected << missed
+            length = stats.length + missed
+            stats.length = length if length < window else window
+            post = syn.post
+            if post in rejecting:
+                rejected |= 1
+                key = (post, syn.distance)
+                gain = gains.get(key)
+                if gain is None:
+                    gain = gains[key] = repulsion_at(rejecting[post], syn.distance,
+                                                     cfg.force_per_segment)
+                stats.accumulator += gain
+                if stats.accumulator >= bud_threshold and not stats.budded:
+                    crossed.add(sid)
+            else:
+                stats.accumulator *= decay
+            stats.carried = carried & keep
+            stats.rejected = rejected & keep
     return state
 
 
@@ -256,14 +297,19 @@ def spawn_and_join(network: Network, state: TurbulenceState,
     """
     cfg = state.config
     events: list[GrowthEvent] = []
-    budded_by_target: dict[int, list[int]] = {}
-    for sid, syn in network.synapses.items():
-        stats = state.stats_for(sid)
+    # An accumulator rises only on a rejection, where accumulate_turbulence
+    # notes each one that reached the threshold.  When it ran more than once
+    # since the last spawn, a later clean carry may have decayed one below.
+    for sid in sorted(state._crossed):
+        stats = state.stats[sid]
         if not stats.budded and stats.accumulator >= cfg.bud_threshold:
             stats.budded = True
+            state._budded.add(sid)
             events.append(GrowthEvent(BUD_SPAWNED, tick, (sid,)))
-        if stats.budded:
-            budded_by_target.setdefault(syn.post, []).append(sid)
+    state._crossed.clear()
+    budded_by_target: dict[int, list[int]] = {}
+    for sid in state._budded:   # _greedy_groups orders each target's ids
+        budded_by_target.setdefault(network.synapses[sid].post, []).append(sid)
 
     for target in sorted(budded_by_target):
         for group in _greedy_groups(budded_by_target[target], state):
@@ -280,9 +326,10 @@ def spawn_and_join(network: Network, state: TurbulenceState,
                 events.append(GrowthEvent(INTERMEDIARY_CREATED, tick,
                                           (intermediary, target)))
             for sid in group:
-                stats = state.stats_for(sid)
+                stats = state.stats[sid]
                 stats.accumulator = 0.0
                 stats.budded = False
+                state._budded.discard(sid)
     return events
 
 

@@ -266,6 +266,12 @@ class ClusterNet:
                                      "is not a finite number >= 0")
                 if not _labels(inputs, f"hidden node {hid} inputs"):
                     raise ValueError(f"hidden node {hid} has no inputs")
+                if not net.base_concepts.issuperset(inputs):
+                    raise ValueError(f"hidden node {hid} inputs name labels "
+                                     "missing from base_concepts")
+                if created_at >= net.event_count:
+                    raise ValueError(f"hidden node {hid} created_at {created_at} "
+                                     f"is not before event_count {net.event_count}")
                 net.hidden[hid] = HiddenNode(hid, frozenset(inputs), weight, created_at)
         net._next_hidden_id = max(net.hidden, default=-1) + 1
         net._recompute_globals()

@@ -3,8 +3,9 @@
 Each function here is the implementation an optimised path replaced, copied
 unchanged; a replaced method takes its object as the first argument, and
 one that called another replaced method calls its oracle here.  The
-deque-window ``_SynapseStats`` keeps the old growth bookkeeping, and
-``_agreement`` unpacks today's int windows to the flag lists it compared.
+eager ``_SynapseStats`` keeps the growth bookkeeping that took a flag for
+every synapse on every tick, and ``_agreement`` unpacks int windows to the
+flag lists it compared.
 ``step`` counts refractory ticks down in a map its caller keeps, as a
 network once did, so the network's one last-fired set is checked against it.
 Differential tests check that the optimised path returns the same result on
@@ -15,15 +16,16 @@ from __future__ import annotations
 
 import hashlib
 import json
-from collections import deque
 
+from renforge import growth
 from renforge.concept_forest import (ConceptForest, ConceptNode, DynamicLink,
                                      SearchPath, SplitEvent)
 from renforge.core_net import FiringRecord, Network, fires
 from renforge.errors import (InvalidCombinationError, InvalidParameterError,
                              NotFoundError)
 from renforge.feedback import repulsion_at
-from renforge.growth import TurbulenceState
+from renforge.growth import (BUD_SPAWNED, INTERMEDIARY_CREATED, NEURONS_JOINED,
+                             GrowthEvent, TurbulenceState)
 from renforge.resonance import DEFAULT_MAX_DEPTH, ResonanceReport
 from renforge.symbolic_cluster import (ClusterNet, EventReport, GlobalConcept,
                                        HiddenNode)
@@ -117,7 +119,7 @@ def step(network: Network, refractory: dict[int, int],
 
     rejections: dict[int, float] = {}
     for nid in sorted(fired):
-        open_inputs = network.open_input_count(nid)
+        open_inputs = open_input_count(network, nid)
         if open_inputs >= 1:
             rejections[nid] = (input_sums[nid] - network.neurons[nid].threshold) / open_inputs
 
@@ -137,28 +139,38 @@ def step(network: Network, refractory: dict[int, int],
     return record
 
 
-class _SynapseStats:
-    __slots__ = ("accumulator", "carried", "rejected", "budded")
+def open_input_count(network: Network, neuron_id: int) -> int:
+    """Number of open direct unit inputs (multiplicity counted)."""
+    return sum(s.multiplicity for s in network.incoming(neuron_id)
+               if s.open_fraction > 0.0)
 
-    def __init__(self, window: int):
+
+class _SynapseStats:
+    # carried and rejected hold one flag per recent tick, newest in bit 0; both
+    # take a flag every tick, so one length counts the ticks they hold.
+    __slots__ = ("accumulator", "carried", "rejected", "length", "budded")
+
+    def __init__(self):
         self.accumulator = 0.0
-        self.carried: deque[bool] = deque(maxlen=window)
-        self.rejected: deque[bool] = deque(maxlen=window)
+        self.carried = 0
+        self.rejected = 0
+        self.length = 0
         self.budded = False
 
 
-class DequeTurbulenceState(TurbulenceState):
-    """A TurbulenceState whose ``stats_for`` makes the deque stats above."""
+class EagerTurbulenceState(TurbulenceState):
+    """A TurbulenceState whose stats take a flag on every accumulate call,
+    so ``stats_for`` returns them as they are."""
 
     def stats_for(self, synapse_id: int) -> _SynapseStats:
         stats = self.stats.get(synapse_id)
         if stats is None:
-            stats = self.stats[synapse_id] = _SynapseStats(self.config.window)
+            stats = self.stats[synapse_id] = _SynapseStats()
         return stats
 
 
 def accumulate_turbulence(network: Network, record: FiringRecord,
-                          state: DequeTurbulenceState) -> DequeTurbulenceState:
+                          state: EagerTurbulenceState) -> EagerTurbulenceState:
     """Fold one tick's firing outcome into the turbulence bookkeeping.
 
     Synapses that carried signal into a rejecting target gain the clamped
@@ -166,21 +178,66 @@ def accumulate_turbulence(network: Network, record: FiringRecord,
     not reject decay instead, which keeps frequently useful paths open.
     """
     cfg = state.config
+    window = cfg.window
+    keep = (1 << window) - 1
     rejecting = {nid for nid, excess in record.rejections.items()
                  if excess > cfg.eps_balance}
-    for sid in sorted(network.synapses):
-        syn = network.synapses[sid]
+    for sid, syn in network.synapses.items():
         stats = state.stats_for(sid)
         carried = syn.pre in record.sources and syn.open_fraction > 0.0
         hit_rejection = carried and syn.post in rejecting
-        stats.carried.append(carried)
-        stats.rejected.append(hit_rejection)
+        stats.carried = (stats.carried << 1 | carried) & keep
+        stats.rejected = (stats.rejected << 1 | hit_rejection) & keep
+        if stats.length < window:
+            stats.length += 1
         if hit_rejection:
             stats.accumulator += repulsion_at(record.rejections[syn.post],
                                               syn.distance, cfg.force_per_segment)
         elif carried:
             stats.accumulator *= cfg.offpattern_decay
     return state
+
+
+def spawn_and_join(network: Network, state: EagerTurbulenceState,
+                   tick: int) -> list[GrowthEvent]:
+    """Spawn buds on over-pressured synapses and join co-firing buds.
+
+    A joined group of size >= 2 gets one intermediary neuron fed by the
+    group's sources, with a unit synapse onward to the shared target.  A
+    source group that already produced an intermediary into the same target
+    never produces a second one; it is reported as joined again so the
+    proportional closure step can keep relieving the path.
+    """
+    cfg = state.config
+    events: list[GrowthEvent] = []
+    budded_by_target: dict[int, list[int]] = {}
+    for sid, syn in network.synapses.items():
+        stats = state.stats_for(sid)
+        if not stats.budded and stats.accumulator >= cfg.bud_threshold:
+            stats.budded = True
+            events.append(GrowthEvent(BUD_SPAWNED, tick, (sid,)))
+        if stats.budded:
+            budded_by_target.setdefault(syn.post, []).append(sid)
+
+    for target in sorted(budded_by_target):
+        for group in growth._greedy_groups(budded_by_target[target], state):
+            sources = frozenset(network.synapses[sid].pre for sid in group)
+            events.append(GrowthEvent(NEURONS_JOINED, tick, tuple(group)))
+            key = (target, sources)
+            if key not in state.groups_created:
+                state.groups_created.add(key)
+                threshold = cfg.intermediary_threshold(len(group))
+                intermediary = network.add_neuron(float(threshold))
+                for src in sorted(sources):
+                    network.add_synapse(src, intermediary, 1.0, 1)
+                network.add_synapse(intermediary, target, 1.0, 1)
+                events.append(GrowthEvent(INTERMEDIARY_CREATED, tick,
+                                          (intermediary, target)))
+            for sid in group:
+                stats = state.stats_for(sid)
+                stats.accumulator = 0.0
+                stats.budded = False
+    return events
 
 
 def network_fingerprint(network: Network) -> str:

@@ -187,6 +187,10 @@ class TestSerialization:
         '{"trees": [{"label": 5, "count": 1, "children": []}], "links": []}',
         '{"trees": [{"label": "a", "count": 1, "children": '
         '[{"label": null, "count": 1, "children": []}]}], "links": []}',
+        '{"trees": [{"label": "a", "count": 1, "children": []}], '
+        '"links": [{"from_tree": 0, "from_path": [], "to_tree": 0, "label": 5}]}',
+        '{"trees": [{"label": "a", "count": 1, "children": []}], '
+        '"links": [{"from_tree": 0, "from_path": [], "to_tree": 0, "label": null}]}',
     ])
     def test_malformed_document_rejected(self, text):
         with pytest.raises(InvalidParameterError, match="malformed forest document"):

@@ -124,7 +124,7 @@ class TestMutations:
         with pytest.raises(InvalidParameterError):
             net.add_synapse(0, 0)
 
-    @pytest.mark.parametrize("threshold", [0, -1.0, math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("threshold", [0, -1.0, math.nan, math.inf, -math.inf, True, False])
     def test_bad_threshold_rejected(self, threshold):
         with pytest.raises(InvalidParameterError, match="threshold must be a finite number > 0"):
             Network().add_neuron(threshold)
@@ -132,6 +132,8 @@ class TestMutations:
     @pytest.mark.parametrize("kwargs", [
         {"open_fraction": 1.5}, {"open_fraction": -0.1},
         {"distance": 0}, {"distance": -2}, {"multiplicity": 0},
+        {"open_fraction": True}, {"open_fraction": False}, {"distance": True},
+        {"multiplicity": True},
     ])
     def test_invalid_synapse_parameters(self, kwargs):
         net = Network()
@@ -154,15 +156,26 @@ class TestMutations:
         assert net.synapses[1].open_fraction == 0.0
         assert net.open_input_count(main) == 1
 
+    def test_open_input_count_follows_new_synapses(self):
+        net, _inputs, main = build_fan_in(2, 1.0)
+        assert net.open_input_count(main) == 2
+        net.add_synapse(net.add_neuron(1.0), main, 0.5, 1, multiplicity=3)
+        assert net.open_input_count(main) == 5
+
     @pytest.mark.parametrize("sid, fraction, error", [
         (0, 1.5, InvalidParameterError), (0, -0.1, InvalidParameterError),
         (0, float("nan"), InvalidParameterError), (7, 0.5, NotFoundError),
+        (0, True, InvalidParameterError), (0, False, InvalidParameterError),
     ])
     def test_set_open_fraction_rejects(self, sid, fraction, error):
         net, _inputs, _main = build_fan_in(1, 1.0)
         with pytest.raises(error):
             net.set_open_fraction(sid, fraction)
         assert net.synapses[0].open_fraction == 1.0
+
+
+TWO_NEURONS = ('{"neurons": [{"id": 0, "threshold": 1.0, "refractory": 0}, '
+               '{"id": 1, "threshold": 1.0, "refractory": 0}], ')
 
 
 class TestSerialization:
@@ -216,6 +229,12 @@ class TestSerialization:
         '{"neurons": [{"id": 0, "threshold": Infinity, "refractory": 0}], "synapses": []}',
         '{"neurons": [{"id": 0, "threshold": -Infinity, "refractory": 0}], "synapses": []}',
         '{"neurons": [{"id": 0, "threshold": 0.0, "refractory": 0}], "synapses": []}',
+        '{"neurons": [{"id": 0, "threshold": true, "refractory": 0}], "synapses": []}',
+        *(TWO_NEURONS + '"synapses": [{"pre": 0, "post": 1, %s}]}' % fields for fields in (
+            '"open_fraction": true, "distance": 1, "multiplicity": 1',
+            '"open_fraction": 1.0, "distance": true, "multiplicity": 1',
+            '"open_fraction": 1.0, "distance": 1, "multiplicity": true',
+            '"open_fraction": false, "distance": 1, "multiplicity": 1')),
         "[" * 5000,
     ])
     def test_malformed_document_rejected(self, text):

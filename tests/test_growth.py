@@ -1,5 +1,6 @@
 """Turbulence accumulation, bud joining, path closure, and convergence."""
 
+import copy
 import dataclasses
 import tempfile
 
@@ -10,8 +11,8 @@ from hypothesis import strategies as st
 import oracles
 from oracles import _greedy_groups as oracle_greedy_groups
 from renforge import (GrowthConfig, GrowthEvent, InvalidParameterError,
-                      Network, TurbulenceState, close_paths, growth_tick,
-                      repulsion_at, run_until_balanced)
+                      Network, TurbulenceState, accumulate_turbulence, close_paths,
+                      growth_tick, repulsion_at, run_until_balanced)
 from renforge.growth import (BUD_SPAWNED, INTERMEDIARY_CREATED,
                              NEURONS_JOINED, PATH_CLOSED, PATH_REDUCED,
                              _greedy_groups)
@@ -94,7 +95,7 @@ class TestAccumulateTurbulence:
                 expected += repulsion_at(0.8, 1, cfg.force_per_segment)
             else:
                 expected *= cfg.offpattern_decay
-            assert state.accumulator(probe) == expected
+            assert state.stats_for(probe).accumulator == expected
             assert not any(e.kind == BUD_SPAWNED for e in events)
             assert expected < cfg.bud_threshold
         # The next firing tick pushes every synapse over the bud threshold;
@@ -103,7 +104,7 @@ class TestAccumulateTurbulence:
         buds = [e for e in events if e.kind == BUD_SPAWNED]
         assert sorted(e.affected[0] for e in buds) == original_ids
         assert any(e.kind == NEURONS_JOINED for e in events)
-        assert state.accumulator(probe) == 0.0
+        assert state.stats_for(probe).accumulator == 0.0
 
     def test_source_firing_alone_halves_its_accumulator(self):
         net, inputs, main = build_direct_unit(3, 1.0)
@@ -112,11 +113,11 @@ class TestAccumulateTurbulence:
         growth_tick(net, state, inputs)          # excess 2/3, all gain
         gain = repulsion_at(2 / 3, 1, cfg.force_per_segment)
         sids = [s.id for s in net.incoming(main)]
-        assert [state.accumulator(s) for s in sids] == [gain] * 3
+        assert [state.stats_for(s).accumulator for s in sids] == [gain] * 3
         growth_tick(net, state, [inputs[0]])     # target refractory, no rejection
-        assert state.accumulator(sids[0]) == gain * cfg.offpattern_decay
-        assert state.accumulator(sids[1]) == gain
-        assert state.accumulator(sids[2]) == gain
+        assert state.stats_for(sids[0]).accumulator == gain * cfg.offpattern_decay
+        assert state.stats_for(sids[1]).accumulator == gain
+        assert state.stats_for(sids[2]).accumulator == gain
 
     def test_rejection_counts_never_exceed_fired_counts(self):
         net, inputs, main = build_direct_unit(10, 5.0)
@@ -124,7 +125,8 @@ class TestAccumulateTurbulence:
         for tick in range(12):
             growth_tick(net, state, inputs if tick % 3 else [])
         for syn in net.incoming(main):
-            assert state.rejection_count(syn.id) <= state.fired_count(syn.id)
+            stats = state.stats_for(syn.id)
+            assert stats.rejected.bit_count() <= stats.carried.bit_count()
 
 
 class TestSpawnAndJoin:
@@ -174,7 +176,7 @@ class TestSpawnAndJoin:
             events.extend(tick_events)
         assert any(e.kind == BUD_SPAWNED and e.affected == (sid,) for e in events)
         assert not any(e.kind == NEURONS_JOINED for e in events)
-        assert state.budded_ids() == [sid]
+        assert [s for s, stats in state.stats.items() if stats.budded] == [sid]
 
     def test_groups_are_pairwise_cliques(self):
         state = TurbulenceState(GrowthConfig(cofire_agreement=0.5))
@@ -217,16 +219,12 @@ class TestSpawnAndJoin:
         assert len(created) == 1    # but only one intermediary ever exists
 
 
-def mirror(net, twin):
-    """Repeat on ``twin`` the neurons, synapses and closures growth made in ``net``."""
-    for nid in range(len(twin.neurons), len(net.neurons)):
-        twin.add_neuron(net.neurons[nid].threshold)
-    for sid, syn in net.synapses.items():
-        if sid not in twin.synapses:
-            twin.add_synapse(syn.pre, syn.post, syn.open_fraction, syn.distance,
-                             syn.multiplicity)
-        elif twin.synapses[sid].open_fraction != syn.open_fraction:
-            twin.set_open_fraction(sid, syn.open_fraction)
+def current(state, sid):
+    """The stats of ``sid`` as ``stats_for`` would return them, read from a
+    copy so that ``state`` stays as the last accumulate call left it."""
+    view = copy.copy(state.stats[sid])
+    view.catch_up(state.calls, state.config.window)
+    return view
 
 
 class TestTickMatchesOracle:
@@ -235,10 +233,13 @@ class TestTickMatchesOracle:
     def test_random_graphs_and_drives(self, data):
         # Neuron 0 takes a fan-in from 1..k, and low bud thresholds make its
         # buds join mid-run, so intermediaries and their synapses appear
-        # between ticks and joined paths close.
+        # between ticks and joined paths close.  Drives repeat for stretches,
+        # some of them empty, so synapses go many ticks without carrying:
+        # more than a window of 1-10 ticks, less than one of 256.  Closed
+        # synapses whose sources are driven must not carry.
         cfg = GrowthConfig(
             bud_threshold=data.draw(st.sampled_from([0.05, 0.3, 1.0])),
-            window=data.draw(st.integers(1, 10)),
+            window=data.draw(st.sampled_from([1, 256]) | st.integers(2, 10)),
             cofire_agreement=data.draw(st.sampled_from([0.3, 0.6, 0.9, 1.0])),
             offpattern_decay=data.draw(st.sampled_from([0.0, 0.5, 0.9])),
             eps_balance=data.draw(st.sampled_from([0.0, 0.2])))
@@ -254,33 +255,52 @@ class TestTickMatchesOracle:
                             data.draw(st.integers(1, 3)), data.draw(st.integers(1, 3)))
         twin = Network.from_json(net.to_json())
         state = TurbulenceState(cfg)
-        oracle_state = oracles.DequeTurbulenceState(cfg)
+        oracle_state = oracles.EagerTurbulenceState(cfg)
         countdown: dict[int, int] = {}
-        drive = st.just(range(n)) | st.sets(st.integers(0, n - 1))
-        for external in data.draw(st.lists(drive, min_size=4, max_size=30)):
+        drive = st.just(range(n)) | st.just(()) | st.sets(st.integers(0, n - 1))
+        stretches = data.draw(st.lists(st.tuples(drive, st.integers(1, 12)),
+                                       min_size=2, max_size=8))
+        drives = [d for d, repeat in stretches for _ in range(repeat)]
+        while drives:
+            external = drives.pop(0)
             if data.draw(st.booleans()):
                 # A loaded network takes the same next tick; only the tick
                 # count and the history are not saved.
                 net = Network.from_json(net.to_json())
-            record, events = growth_tick(net, state, external)
             expected = oracles.step(twin, countdown, external)
             oracles.accumulate_turbulence(twin, expected, oracle_state)
+            if data.draw(st.integers(0, 3)):
+                record, events = growth_tick(net, state, external)
+                expected_events = oracles.spawn_and_join(twin, oracle_state, expected.tick)
+                expected_events += [closure for event in expected_events
+                                    if event.kind == NEURONS_JOINED
+                                    for closure in close_paths(twin, oracle_state,
+                                                               event.affected, expected.tick)]
+            else:
+                # No spawn this tick: the next one buds what crossed in both.
+                record = net.step(external)
+                accumulate_turbulence(net, record, state)
+                events = expected_events = []
             assert dataclasses.replace(record, tick=expected.tick) == expected
             assert list(record.input_sums) == list(expected.input_sums)
             assert list(record.rejections) == list(expected.rejections)
-            # growth_tick reset the joined buds' accumulators; so does the twin.
-            for event in events:
-                if event.kind == NEURONS_JOINED:
-                    for sid in event.affected:
-                        oracle_state.stats_for(sid).accumulator = 0.0
-            mirror(net, twin)
+            assert [dataclasses.replace(e, tick=expected.tick) for e in events] == expected_events
+            assert net.to_json() == twin.to_json()
             assert list(state.stats) == list(oracle_state.stats)
-            for sid, stats in state.stats.items():
-                old = oracle_state.stats[sid]
-                assert (stats.carried, stats.rejected, stats.length) == (
-                    pack(old.carried), pack(old.rejected), len(old.carried))
-                assert stats.accumulator == old.accumulator
-        assert net.to_json() == twin.to_json()
+            for sid, old in oracle_state.stats.items():
+                new = current(state, sid)
+                assert (new.carried, new.rejected, new.length, new.accumulator, new.budded) == (
+                    old.carried, old.rejected, old.length, old.accumulator, old.budded)
+            assert state.total_turbulence() == oracle_state.total_turbulence()
+            if any(e.kind == INTERMEDIARY_CREATED for e in events) and data.draw(st.booleans()):
+                # The new synapses first carry after a silence.
+                drives[:0] = [()] * data.draw(st.integers(2, 40))
+            # A read through stats_for brings a window up to date early; the
+            # windows it leaves must be the ones later calls would have made.
+            for sid in data.draw(st.lists(st.sampled_from(sorted(state.stats)), max_size=2)):
+                read, old = state.stats_for(sid), oracle_state.stats[sid]
+                assert (read.carried, read.rejected, read.length) == (
+                    old.carried, old.rejected, old.length)
 
 
 class TestClosePaths:

@@ -303,6 +303,9 @@ class TestCli:
         ("config.json", '{"growth": {"eps_balance": Infinity}}',
          ["sweep", "--config", "{path}", "--samples", "1"]),
         ("config.json", '{"schedule_probability": true}', ["run", "--config", "{path}"]),
+        ("forest.json", '{"trees": [{"label": "a", "count": 1, "children": []}], '
+         '"links": [{"from_tree": 0, "from_path": [], "to_tree": 0, "label": 5}]}',
+         ["trees", "query", "--forest", "{path}", "--terms", "a"]),
     ])
     def test_malformed_input_exits_2(self, tmp_path, capsys, name, text, command):
         path = tmp_path / name

@@ -300,6 +300,9 @@ class TestSerialization:
         _cluster_doc({"inputs": "ab"}),
         _cluster_doc({"inputs": []}),
         _cluster_doc({"inputs": [1, 2]}),
+        _cluster_doc({"inputs": ["a", "z"]}),
+        _cluster_doc({"created_at": 1}),
+        _cluster_doc({"created_at": 7}),
     ])
     def test_malformed_document_rejected(self, text):
         with pytest.raises(InvalidParameterError, match="malformed cluster document"):
