@@ -61,7 +61,7 @@ def _build_parser() -> argparse.ArgumentParser:
 def _cmd_run(args) -> int:
     config = load_config(args.config)
     summary = run_scenario(config)
-    print(json.dumps(summary, indent=2, sort_keys=True))
+    print(json.dumps(summary, indent=2, sort_keys=True, allow_nan=False))
     return 0
 
 
@@ -87,7 +87,7 @@ def _cmd_trees(args) -> int:
             "links_crossed": path.links_crossed,
             "tokens_matched": path.tokens_matched,
             "complete": path.complete} for path in paths]
-    print(json.dumps(doc, indent=2))
+    print(json.dumps(doc, indent=2, allow_nan=False))
     return 0
 
 

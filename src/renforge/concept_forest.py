@@ -148,8 +148,10 @@ class ConceptForest:
         node = attached
         node.count += 1
         for tok in toks[1:]:
-            child = next((c for c in node.children if c.label == tok), None)
-            if child is None:
+            for child in node.children:
+                if child.label == tok:
+                    break
+            else:
                 child = ConceptNode(tok, parent=node)
                 node.children.append(child)
                 nodes_with.setdefault(tok, []).append(child)
@@ -325,7 +327,7 @@ class ConceptForest:
             key=lambda d: (d["from_tree"], d["from_path"], d["to_tree"]))
         try:
             return json.dumps({"trees": [node_doc(r) for r in self.trees],
-                               "links": link_docs})
+                               "links": link_docs}, allow_nan=False)
         except RecursionError:
             depth, level = 0, self.trees
             while level:

@@ -267,7 +267,7 @@ class Network:
                      "open_fraction": s.open_fraction, "distance": s.distance,
                      "multiplicity": s.multiplicity}
                     for s in self.synapses.values()]
-        return json.dumps({"neurons": neurons, "synapses": synapses})
+        return json.dumps({"neurons": neurons, "synapses": synapses}, allow_nan=False)
 
     @classmethod
     def from_json(cls, text: str) -> "Network":

@@ -14,7 +14,7 @@ def write_text(path: Path, text: str) -> None:
 
 
 def write_json_doc(path: Path, doc) -> None:
-    write_text(path, json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    write_text(path, json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n")
 
 
 def write_csv(path: Path, header, rows) -> None:

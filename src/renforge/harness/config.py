@@ -62,7 +62,7 @@ class ExperimentConfig:
 
 
 def config_to_json(config: ExperimentConfig) -> str:
-    return json.dumps(config.to_doc(), indent=2) + "\n"
+    return json.dumps(config.to_doc(), indent=2, allow_nan=False) + "\n"
 
 
 def default_config_json() -> str:

@@ -176,7 +176,8 @@ def report_to_json(report: ResonanceReport) -> str:
                        "terminals_hit": sorted(report.terminals_hit),
                        "max_depth": report.max_depth,
                        "network_hash": report.network_hash,
-                       "edges": edges}, check_circular=False)  # fresh, so acyclic
+                       "edges": edges},
+                      check_circular=False, allow_nan=False)  # fresh, so acyclic
 
 
 def report_csv_rows(report: ResonanceReport) -> list[list]:

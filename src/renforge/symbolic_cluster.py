@@ -12,7 +12,9 @@ from __future__ import annotations
 
 import json
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
+from itertools import chain, combinations
 
 from .errors import (InvalidParameterError, NotFoundError, reading_document,
                      reading_text)
@@ -20,7 +22,8 @@ from .errors import (InvalidParameterError, NotFoundError, reading_document,
 
 @dataclass
 class HiddenNode:
-    """An exact event cluster; its input set is immutable after creation."""
+    """An exact event cluster; its input set is immutable after creation, and
+    its weight is read-only outside ``ClusterNet``, which tracks decay."""
 
     id: int
     inputs: frozenset[str]
@@ -86,41 +89,58 @@ class ClusterNet:
         new_bases = tuple(sorted(concept_set - self.base_concepts))
         self.base_concepts |= concept_set
 
-        hidden = self.hidden
-        exact = self._exact.get(concept_set)
-        reinforced = [] if exact is None else [exact]
+        hidden, live = self.hidden, self._live
+        same = self._exact.get(concept_set, [])
+        reinforced = same[:1]
         if fuzzy:
-            # A node is a strict subset when each of its labels is a hit
-            # and the event has more labels than the node.
+            # Strict subsets: look up each proper subset of the event when
+            # there are fewer of those than posting entries, else count hits
+            # (every label of the node is hit, and the event has more labels).
             size = len(concept_set)
-            hits: dict[int, int] = {}
-            for label in concept_set:
-                for hid in self._with_label.get(label, ()):
+            postings = [self._with_label.get(label, ()) for label in concept_set]
+            if (1 << size) - 2 < sum(map(len, postings)):
+                for k in range(1, size):
+                    for subset in combinations(concept_set, k):
+                        reinforced += self._exact.get(frozenset(subset), ())
+            else:
+                hits: dict[int, int] = {}
+                for hid in chain.from_iterable(postings):
                     hits[hid] = hits.get(hid, 0) + 1
-            reinforced += [hid for hid, count in hits.items()
-                           if count < size and count == len(hidden[hid].inputs)]
-        for hid in reinforced:
-            hidden[hid].weight += 1.0
-        decayed: list[int] = []
+                reinforced += [hid for hid, count in hits.items()
+                               if count < size and count == len(hidden[hid].inputs)]
+        reinforced.sort()
+        decayed = []
         if self.decay > 0:
-            d, touched = self.decay, set(reinforced)
-            for hid, node in hidden.items():
-                if hid not in touched:
-                    w = node.weight - d
-                    node.weight = w if w > 0.0 else 0.0
-                    decayed.append(hid)
+            # A weight that a decay step set to 0.0 stays 0.0, so only live
+            # nodes are visited; ``decayed`` is every other id, from ``_ids``.
+            d, dead = self.decay, []
+            for hid in reinforced:   # kept out of the decay; rejoins when reinforced
+                live.pop(hid, None)
+            for hid, node in live.items():
+                w = node.weight - d
+                if w <= 0.0:
+                    w = 0.0
+                    dead.append(hid)
+                node.weight = w
+            for hid in dead:
+                del live[hid]
+            decayed = self._ids.copy()
+            for hid in reversed(reinforced):
+                del decayed[bisect_left(decayed, hid)]
+        for hid in reinforced:
+            node = live[hid] = hidden[hid]
+            node.weight += 1.0
         created = None
-        if exact is None:
+        if not same:
             created = self._next_hidden_id
             self._next_hidden_id += 1
-            self.hidden[created] = HiddenNode(created, concept_set, 1.0,
-                                              self.event_count)
+            hidden[created] = HiddenNode(created, concept_set, 1.0, self.event_count)
+            self._ids.append(created)
             self._join(created)
 
         self.event_count += 1
-        return EventReport(self.event_count - 1, created,
-                           tuple(sorted(reinforced)), tuple(sorted(decayed)),
-                           new_bases)
+        return EventReport(self.event_count - 1, created, tuple(reinforced),
+                           tuple(decayed), new_bases)
 
     def ingest_events(self, lines, fuzzy: bool = False) -> list[EventReport]:
         """Parse ``time<TAB>label,label,...`` lines; times are finite and rise strictly."""
@@ -162,18 +182,18 @@ class ClusterNet:
         Ordered by descending weight, ties by creation order; this is the
         reverse-direction query that recovers what was clustered.
         """
-        concept = next((g for g in self.global_concepts
-                        if g.id == global_concept_id), None)
-        if concept is None:
-            raise NotFoundError(f"unknown global concept {global_concept_id}")
-        members = sorted((self.hidden[h] for h in concept.members),
+        concepts = self.global_concepts   # ids are 0..G-1 in list order
+        if type(global_concept_id) is not int or not 0 <= global_concept_id < len(concepts):
+            raise NotFoundError(f"unknown global concept {global_concept_id!r}")
+        members = sorted((self.hidden[h] for h in concepts[global_concept_id].members),
                          key=lambda node: (-node.weight, node.created_at))
         return [(node.inputs, node.weight) for node in members]
 
     def prune(self, threshold: float) -> list[int]:
         """Remove hidden nodes with weight <= threshold; bases remain."""
-        if threshold < 0:
-            raise InvalidParameterError(f"threshold must be >= 0, got {threshold}")
+        if type(threshold) not in (int, float) or not 0 <= threshold < math.inf:
+            raise InvalidParameterError(
+                f"threshold must be a finite number >= 0, got {threshold!r}")
         removed = sorted(h.id for h in self.hidden.values() if h.weight <= threshold)
         for hid in removed:
             del self.hidden[hid]
@@ -181,16 +201,20 @@ class ClusterNet:
         return removed
 
     # Lookups and union-find (Tarjan 1975) over hidden ids.  ``_exact`` maps
-    # an input set to the first node in ``hidden`` order that has it (a
-    # loaded document may repeat a set), and ``_with_label`` lists the
-    # nodes carrying each label.  Each node joins the first node on each of
-    # its labels' lists, and the smaller root wins.  Between two full
-    # rebuilds nodes are only added, with ids above every id present, so
-    # components only merge and each new node is one join.
+    # an input set to its nodes in ``hidden`` order (a loaded document may
+    # repeat a set), ``_with_label`` lists the nodes carrying each label,
+    # and ``_ids`` every id ascending.  ``_live`` maps id to node for the
+    # nodes a decay step could still change: each node joins it when added
+    # (so a loaded weight 0 still decays once into 0.0) or reinforced, and
+    # leaves it when a decay step sets its weight to 0.0.  Each node joins
+    # the first node on each of its labels' lists, and the smaller root wins.
+    # Between two full rebuilds nodes are only added, with ids above every
+    # id present, so components only merge and each new node is one join.
 
     def _recompute_globals(self):
         """Rebuild the lookups and the union-find, in ``hidden`` order."""
-        self._exact: dict[frozenset[str], int] = {}
+        self._ids, self._live = sorted(self.hidden), {}
+        self._exact: dict[frozenset[str], list[int]] = {}
         self._with_label: dict[str, list[int]] = {}
         self._root_of: dict[int, int] = {}
         for hid in self.hidden:
@@ -198,11 +222,12 @@ class ClusterNet:
         self._globals = None
 
     def _join(self, hid: int):
-        """Add hidden node ``hid`` to the lookups and the union-find; drops
-        the cached globals."""
+        """Add hidden node ``hid`` to the lookups, ``_live`` and the
+        union-find; drops the cached globals."""
         root_of, with_label = self._root_of, self._with_label
         inputs = self.hidden[hid].inputs
-        self._exact.setdefault(inputs, hid)
+        self._exact.setdefault(inputs, []).append(hid)
+        self._live[hid] = self.hidden[hid]
         root_of[hid] = hid
         for label in inputs:
             ids = with_label.setdefault(label, [])
@@ -227,7 +252,7 @@ class ClusterNet:
         """
         if self._globals is None:
             components: dict[int, list[int]] = {}
-            for hid in sorted(self.hidden):
+            for hid in self._ids:
                 components.setdefault(self._find(hid), []).append(hid)
             self._globals = [GlobalConcept(i, tuple(members))
                              for i, members in enumerate(components.values())]
@@ -246,7 +271,7 @@ class ClusterNet:
             "global_concepts": [{"id": g.id, "members": list(g.members)}
                                 for g in self.global_concepts],
         }
-        return json.dumps(doc)
+        return json.dumps(doc, allow_nan=False)
 
     @classmethod
     def from_json(cls, text: str) -> "ClusterNet":

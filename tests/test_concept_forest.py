@@ -1,5 +1,6 @@
 """Concept trees: counted insertion, splitting, linking, and search."""
 
+import math
 import random
 
 import pytest
@@ -204,6 +205,12 @@ class TestSerialization:
         forest = ConceptForest()
         forest.ingest_lines(lines)
         with pytest.raises(InvalidParameterError, match=f"forest is {depth} levels deep"):
+            forest.to_json()
+
+    def test_non_finite_value_is_not_written(self):
+        forest = build_fig4_forest()
+        forest.trees[0].count = math.inf   # forced past the checks
+        with pytest.raises(ValueError, match="not JSON compliant"):
             forest.to_json()
 
     def test_links_survive_round_trip(self):

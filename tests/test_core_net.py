@@ -195,6 +195,13 @@ class TestSerialization:
             '"synapses": [{"pre": 1, "post": 0, "open_fraction": 0.5, '
             '"distance": 3, "multiplicity": 2}]}')
 
+    def test_non_finite_value_is_not_written(self):
+        net = Network()
+        net.add_neuron(1.0)
+        net.neurons[0].threshold = math.nan   # forced past the checks
+        with pytest.raises(ValueError, match="not JSON compliant"):
+            net.to_json()
+
     def test_refractory_state_survives(self):
         net, inputs, main = build_fan_in(2, 1.0)
         net.step(inputs)

@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import math
 
 import pytest
 from hypothesis import given, settings
@@ -269,6 +270,14 @@ class TestReportEmission:
         assert rows[0] == ["pre", "post", "forward", "backward", "resonance"]
         assert len(rows) == 3
         assert rows[1] == [ids[0], ids[1], 1, 1, 1]
+
+    def test_non_finite_value_is_not_written(self):
+        net, ids = chain(3)
+        report = resonate(net, {ids[0]})
+        edge = next(iter(report.resonance))
+        forced = dataclasses.replace(report, resonance={**report.resonance, edge: math.inf})
+        with pytest.raises(ValueError, match="not JSON compliant"):
+            report_to_json(forced)
 
     def test_emission_is_deterministic(self):
         net, ids = chain(4)

@@ -110,6 +110,15 @@ class TestRetrieve:
         with pytest.raises(NotFoundError):
             ClusterNet().retrieve(3)
 
+    @pytest.mark.parametrize("concept_id", [True, False, 1.0, "1", None, -1, 2])
+    def test_id_must_be_a_listed_int(self, concept_id):
+        net = ClusterNet()
+        net.present_event({"a"})
+        net.present_event({"b"})
+        assert net.retrieve(1) == [(frozenset({"b"}), 1.0)]
+        with pytest.raises(NotFoundError, match="unknown global concept"):
+            net.retrieve(concept_id)
+
     def test_decayed_then_pruned_node_disappears(self):
         net = ClusterNet(decay=1.0)
         net.present_event({"x1", "x2"})
@@ -151,6 +160,14 @@ class TestPrune:
     def test_negative_threshold_rejected(self):
         with pytest.raises(InvalidParameterError):
             ClusterNet().prune(-1)
+
+    @pytest.mark.parametrize("threshold", [math.nan, math.inf, True, "0", None])
+    def test_non_finite_or_non_number_threshold_rejected(self, threshold):
+        net = ClusterNet()
+        net.present_event({"a"})
+        with pytest.raises(InvalidParameterError, match="threshold must be a finite number"):
+            net.prune(threshold)
+        assert list(net.hidden) == [0]
 
 
 def brute_force_components(net):
@@ -308,6 +325,13 @@ class TestSerialization:
         with pytest.raises(InvalidParameterError, match="malformed cluster document"):
             ClusterNet.from_json(text)
 
+    def test_non_finite_value_is_not_written(self):
+        net = ClusterNet()
+        net.present_event({"a"})
+        net.hidden[0].weight = math.nan   # forced past the checks
+        with pytest.raises(ValueError, match="not JSON compliant"):
+            net.to_json()
+
     def test_restored_net_keeps_learning(self):
         net = ClusterNet()
         net.present_event({"a", "b"})
@@ -326,7 +350,7 @@ class OracleClusterNet(ClusterNet):
 
 cluster_ops = st.lists(st.one_of(
     st.tuples(st.just("event"),
-              st.lists(st.sampled_from("abcdef"), min_size=1, max_size=4),
+              st.lists(st.sampled_from("abcdefgh"), min_size=1, max_size=6),
               st.booleans()),
     st.tuples(st.just("prune"), st.sampled_from([0.0, 0.5, 1.0, 2.0])),
     # Weights 0 and 2 are written as JSON integers and load as ints.
@@ -347,20 +371,62 @@ def _with_duplicate(net, pick, position, weight):
     return type(net).from_json(json.dumps(doc))
 
 
+def _replay(decay, ops):
+    """Run ``ops`` on a net and on the oracle, comparing every report (all
+    fields), prune result, grouping and document; returns the net."""
+    net, oracle = ClusterNet(decay=decay), OracleClusterNet(decay=decay)
+    for op in ops:
+        if op[0] == "event":
+            _, labels, fuzzy = op
+            assert (net.present_event(labels, fuzzy=fuzzy)
+                    == oracle.present_event(labels, fuzzy=fuzzy))
+        elif op[0] == "prune":
+            assert net.prune(op[1]) == oracle.prune(op[1])
+        else:
+            net, oracle = (_with_duplicate(n, *op[1:]) for n in (net, oracle))
+        assert ([g.members for g in net.global_concepts]
+                == [g.members for g in oracle.global_concepts])
+        assert net.to_json() == oracle.to_json()
+    return net
+
+
 class TestPresentEventMatchesOracle:
+    # Decay 0.25 takes a weight of 1.0 exactly to 0.0; 0.3 leaves a
+    # remainder.  Events of up to 6 of 8 labels reach both fuzzy branches.
     @settings(max_examples=300, deadline=None)
-    @given(st.sampled_from([0.0, 0.01, 0.5]), cluster_ops)
+    @given(st.sampled_from([0.0, 0.01, 0.25, 0.3, 0.5]), cluster_ops)
     def test_event_streams(self, decay, ops):
-        net, oracle = ClusterNet(decay=decay), OracleClusterNet(decay=decay)
-        for op in ops:
-            if op[0] == "event":
-                _, labels, fuzzy = op
-                assert (net.present_event(labels, fuzzy=fuzzy)
-                        == oracle.present_event(labels, fuzzy=fuzzy))
-            elif op[0] == "prune":
-                assert net.prune(op[1]) == oracle.prune(op[1])
-            else:
-                net, oracle = (_with_duplicate(n, *op[1:]) for n in (net, oracle))
-            assert ([g.members for g in net.global_concepts]
-                    == [g.members for g in oracle.global_concepts])
-            assert net.to_json() == oracle.to_json()
+        _replay(decay, ops)
+
+    @pytest.mark.parametrize("decay", [0.0, 0.01, 0.25, 0.3])
+    def test_long_random_streams(self, decay):
+        # Short hypothesis streams mostly count hits; nets grown over 150
+        # ops mostly take the subset lookup.
+        rng = random.Random(24)
+        for _ in range(10):
+            ops = []
+            for _ in range(150):
+                roll = rng.random()
+                if roll < 0.02:
+                    ops.append(("prune", rng.choice([0.0, 0.5, 1.0])))
+                elif roll < 0.04:
+                    ops.append(("duplicate", rng.randrange(50), rng.randrange(50),
+                                rng.choice([0.0, 1.0, 0, 2])))
+                else:
+                    ops.append(("event", rng.sample("abcdefgh", rng.randint(1, 6)),
+                                rng.random() < 0.7))
+            _replay(decay, ops)
+
+    @pytest.mark.parametrize("decay", [0.0, 0.25, 0.3])
+    @pytest.mark.parametrize("event, by_lookup", [("abc", True), ("abcdef", False)])
+    def test_each_fuzzy_branch(self, decay, event, by_lookup):
+        # Nodes a b ab ac bc c, then a copy of {a} with integer weight 0
+        # loaded ahead of the rest, so {a} has two nodes and the copy is
+        # its exact match.
+        ops = [("event", list(labels), False) for labels in ("a", "b", "ab", "ac", "bc", "c")]
+        net = _replay(decay, ops + [("duplicate", 0, 0, 0)])
+        postings = sum(len(net._with_label.get(label, ())) for label in event)
+        assert ((1 << len(event)) - 2 < postings) == by_lookup
+        ops += [("duplicate", 0, 0, 0), ("event", list(event), True),
+                ("event", list(event), True), ("event", ["a"], False)]
+        _replay(decay, ops)
