@@ -89,34 +89,33 @@ def _search_path(trail, matched: int, wanted: int) -> SearchPath:
 
 
 class ConceptForest:
-    """Ordered collection of counted trees plus their dynamic links."""
+    """Ordered collection of counted trees plus their dynamic links.
+
+    Nodes and trees enter only through ``insert_sequence``, ``from_json``
+    and ``split_if_violates``.  Treat ``trees`` and ``links`` as read-only;
+    a count may be edited in place, after which ``split_if_violates``
+    restores the count rule.
+    """
 
     def __init__(self):
         self.trees: list[ConceptNode] = []
         self.links: list[DynamicLink] = []
-        self._reindex()
-
-    # -- label index ---------------------------------------------------------
-    # Every node by label, the first tree whose root carries each label, and
-    # each root's tree index, like the header table of an FP-tree (Han, Pei
-    # & Yin 2000).  Trees are only appended and a root never gains a parent,
-    # so inserts and splits keep the index by appending.  A forest whose
-    # ``trees`` list was replaced is reindexed before its next insert, and
-    # ``split_if_violates`` reindexes, which covers trees edited in place.
-
-    def _reindex(self):
-        self._indexed = self.trees
+        # The label index, like the header table of an FP-tree (Han, Pei &
+        # Yin 2000): every node by label, the first tree whose root carries
+        # each label, and each root's tree index.  Nodes and trees are only
+        # appended and a root never gains a parent, so the three ways in
+        # keep it by appending.
         self._nodes_with: dict[str, list[ConceptNode]] = {}
         self._first_root: dict[str, int] = {}
         self._root_index: dict[ConceptNode, int] = {}
-        for index, root in enumerate(self.trees):
-            self._add_root(root, index)
-            for node in _preorder(root):
-                self._nodes_with.setdefault(node.label, []).append(node)
 
-    def _add_root(self, root: ConceptNode, index: int):
+    def _add_root(self, root: ConceptNode) -> int:
+        """Append ``root`` as a new tree and return its index."""
+        index = len(self.trees)
+        self.trees.append(root)
         self._first_root.setdefault(root.label, index)
         self._root_index[root] = index
+        return index
 
     # -- mutation ----------------------------------------------------------
 
@@ -136,14 +135,11 @@ class ConceptForest:
         toks = list(tokens)
         if not toks:
             raise InvalidParameterError("token sequence is empty")
-        if self.trees is not self._indexed:
-            self._reindex()
         nodes_with = self._nodes_with
         tree_index, attached = self._attachment_point(toks[0])
         if attached is None:
             attached = ConceptNode(toks[0])
-            self.trees.append(attached)
-            self._add_root(attached, len(self.trees) - 1)
+            self._add_root(attached)
             nodes_with.setdefault(attached.label, []).append(attached)
         node = attached
         node.count += 1
@@ -192,10 +188,8 @@ class ConceptForest:
         parent = node.parent
         parent.children.remove(node)
         node.parent = None
-        self.trees.append(node)
-        self._add_root(node, len(self.trees) - 1)
         self.links.append(DynamicLink(parent, node))
-        return SplitEvent(node.label, tree_index, len(self.trees) - 1)
+        return SplitEvent(node.label, tree_index, self._add_root(node))
 
     def split_if_violates(self) -> list[SplitEvent]:
         """Detach every over-counted branch into a new linked base tree.
@@ -203,9 +197,9 @@ class ConceptForest:
         Walks each tree root-down, lowest tree index first.  A detached
         branch is appended as a new tree and walked when the loop reaches
         it; a split changes no count, so one walk restores the count rule
-        forest-wide.  Applying it twice equals once.  Inserts keep the rule
-        by themselves; a forest whose trees were built by hand must call
-        this before its next insert.
+        forest-wide.  Applying it twice equals once.  Inserts and
+        ``from_json`` keep the rule by themselves; this repairs counts
+        edited in place.
         """
         events: list[SplitEvent] = []
         for tree_index, root in enumerate(self.trees):
@@ -217,7 +211,6 @@ class ConceptForest:
                     queue.extend(node.children)
                 else:
                     events.append(self._detach(node, tree_index))
-        self._reindex()
         return events
 
     def ingest_corpus(self, path) -> int:
@@ -282,10 +275,10 @@ class ConceptForest:
         return [link for link in self.links if link.from_node is node]
 
     def tree_index_of(self, root: ConceptNode) -> int:
-        for index, tree in enumerate(self.trees):
-            if tree is root:
-                return index
-        raise NotFoundError(f"node {root.label!r} is not a tree root")
+        index = self._root_index.get(root)
+        if index is None:
+            raise NotFoundError(f"node {root.label!r} is not a tree root")
+        return index
 
     def count_rule_holds(self) -> bool:
         return all(child.count <= node.count
@@ -338,19 +331,7 @@ class ConceptForest:
     @classmethod
     def from_json(cls, text: str) -> "ConceptForest":
         forest = cls()
-
-        def build(entry, parent):
-            label, count = entry["label"], entry["count"]
-            if type(label) is not str:
-                raise ValueError(f"label {label!r} is not a string")
-            limit = count if parent is None else parent.count
-            if type(count) is not int or not 1 <= count <= limit:
-                raise ValueError(
-                    f"count {count!r} of {label!r} "
-                    "is not an integer >= 1 and at most its parent's count")
-            node = ConceptNode(label, count, parent)
-            node.children = [build(c, node) for c in entry["children"]]
-            return node
+        nodes_with = forest._nodes_with
 
         def at(items, index):
             if type(index) is not int or index < 0:
@@ -359,7 +340,26 @@ class ConceptForest:
 
         with reading_document("forest"):
             doc = json.loads(text)
-            forest.trees = [build(entry, None) for entry in doc["trees"]]
+            # Depth-first over an explicit stack, children in document order.
+            for tree_doc in doc["trees"]:
+                stack = [(tree_doc, None)]
+                while stack:
+                    entry, parent = stack.pop()
+                    label, count = entry["label"], entry["count"]
+                    if type(label) is not str:
+                        raise ValueError(f"label {label!r} is not a string")
+                    limit = count if parent is None else parent.count
+                    if type(count) is not int or not 1 <= count <= limit:
+                        raise ValueError(
+                            f"count {count!r} of {label!r} "
+                            "is not an integer >= 1 and at most its parent's count")
+                    node = ConceptNode(label, count, parent)
+                    if parent is None:
+                        forest._add_root(node)
+                    else:
+                        parent.children.append(node)
+                    nodes_with.setdefault(label, []).append(node)
+                    stack.extend((child, node) for child in reversed(entry["children"]))
             for link_doc in doc["links"]:
                 node = at(forest.trees, link_doc["from_tree"])
                 for index in link_doc["from_path"]:
@@ -369,5 +369,4 @@ class ConceptForest:
                     raise ValueError(f"link label {label!r} is not a string")
                 forest.links.append(DynamicLink(node, at(forest.trees, link_doc["to_tree"]),
                                                 label))
-        forest._reindex()
         return forest

@@ -176,12 +176,6 @@ class Network:
         sid = self._edges.get((pre, post))
         return None if sid is None else self.synapses[sid]
 
-    def refractory_remaining(self, neuron_id: int) -> int:
-        """1 when the neuron fired last tick and so cannot fire now, else 0."""
-        if neuron_id not in self.neurons:
-            raise NotFoundError(f"unknown neuron id {neuron_id}")
-        return int(neuron_id in self._last_fired)
-
     def refractory_ids(self) -> frozenset[int]:
         """Ids of the neurons that cannot fire now: those that fired last tick."""
         return self._last_fired

@@ -25,8 +25,8 @@ def average_excess(input_total: float, threshold: float, input_count: int) -> fl
     May be negative when the input is below threshold; callers gate on
     firing before treating the value as a rejection.
     """
-    if input_count < 1:
-        raise InvalidParameterError(f"input_count must be >= 1, got {input_count}")
+    if type(input_count) is not int or input_count < 1:
+        raise InvalidParameterError(f"input_count must be an integer >= 1, got {input_count!r}")
     return (input_total - threshold) / input_count
 
 
@@ -38,8 +38,8 @@ def repulsion_at(excess_per_input: float, distance: int,
     opposing force; the result is clamped at zero where the repulsion dies
     out against the resistance.
     """
-    if not isinstance(distance, int) or distance < 1:
-        raise InvalidParameterError(f"distance must be an integer >= 1, got {distance}")
+    if type(distance) is not int or distance < 1:
+        raise InvalidParameterError(f"distance must be an integer >= 1, got {distance!r}")
     if forward_force_per_segment < 0:
         raise InvalidParameterError("forward force must be non-negative")
     return max(0.0, excess_per_input - distance * forward_force_per_segment)
@@ -47,8 +47,8 @@ def repulsion_at(excess_per_input: float, distance: int,
 
 def resistance_profile(force_per_segment, segments: int) -> list:
     """Cumulative opposing force met after 1..segments backward segments."""
-    if not isinstance(segments, int) or segments < 1:
-        raise InvalidParameterError(f"segments must be an integer >= 1, got {segments}")
+    if type(segments) is not int or segments < 1:
+        raise InvalidParameterError(f"segments must be an integer >= 1, got {segments!r}")
     if force_per_segment < 0:
         raise InvalidParameterError("forward force must be non-negative")
     return [force_per_segment * k for k in range(1, segments + 1)]
@@ -59,8 +59,8 @@ def is_balanced(network: Network, window: int,
     """True when no neuron that fired in the last ``window`` ticks carried
     per-input excess above ``eps_balance``.  Vacuously true with no firing.
     """
-    if window < 1:
-        raise InvalidParameterError(f"window must be >= 1, got {window}")
+    if type(window) is not int or window < 1:
+        raise InvalidParameterError(f"window must be an integer >= 1, got {window!r}")
     for record in islice(reversed(network.history), window):
         for excess in record.rejections.values():
             if excess > eps_balance:

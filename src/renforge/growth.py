@@ -429,8 +429,8 @@ def run_until_balanced(network: Network, input_schedule,
     at least ``config.window`` ticks.  Fully deterministic given the
     network and schedule.
     """
-    if max_ticks < 1:
-        raise InvalidParameterError(f"max_ticks must be >= 1, got {max_ticks}")
+    if type(max_ticks) is not int or max_ticks < 1:
+        raise InvalidParameterError(f"max_ticks must be an integer >= 1, got {max_ticks!r}")
     cfg = config or GrowthConfig()
     state = TurbulenceState(cfg)
     schedule = _as_schedule(input_schedule)

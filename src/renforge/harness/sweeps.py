@@ -47,8 +47,8 @@ def sweep(config: ExperimentConfig, n_samples: int) -> list[dict]:
     A sample that never balances reports ticks_to_balance -1; that is an
     outcome, not an error.  Rows are ordered by sample index.
     """
-    if n_samples < 1:
-        raise InvalidParameterError(f"n_samples must be >= 1, got {n_samples}")
+    if type(n_samples) is not int or n_samples < 1:
+        raise InvalidParameterError(f"n_samples must be an integer >= 1, got {n_samples!r}")
     master = random.Random(config.seed)
     results = []
     for index in range(n_samples):

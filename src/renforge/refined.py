@@ -38,7 +38,7 @@ class RefinedSpec:
         for name in ("input_count", "group_size", "group_threshold",
                      "main_threshold", "layers"):
             value = getattr(self, name)
-            if not isinstance(value, int) or value < 1:
+            if type(value) is not int or value < 1:
                 raise InvalidSpecError(f"{name} must be a positive integer, got {value}")
         if self.group_threshold > self.group_size:
             raise InvalidSpecError(

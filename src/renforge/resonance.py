@@ -82,8 +82,8 @@ def resonate(network: Network, seeds, max_depth: int = DEFAULT_MAX_DEPTH,
     for nid in seed_set:
         if nid not in network.neurons:
             raise NotFoundError(f"unknown neuron id {nid}")
-    if max_depth < 1:
-        raise InvalidParameterError(f"max_depth must be >= 1, got {max_depth}")
+    if type(max_depth) is not int or max_depth < 1:
+        raise InvalidParameterError(f"max_depth must be an integer >= 1, got {max_depth!r}")
 
     reflectors = find_terminals(network)
     if reflect_refractory:

@@ -64,8 +64,8 @@ class ClusterNet:
     """Base concepts, hidden event nodes, and overlap-closure global concepts."""
 
     def __init__(self, decay: float = 0.0):
-        if not math.isfinite(decay) or decay < 0:
-            raise InvalidParameterError(f"decay must be a finite number >= 0, got {decay}")
+        if type(decay) not in (int, float) or not 0 <= decay < math.inf:
+            raise InvalidParameterError(f"decay must be a finite number >= 0, got {decay!r}")
         self.decay = decay
         self.base_concepts: set[str] = set()
         self.hidden: dict[int, HiddenNode] = {}

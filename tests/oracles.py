@@ -8,6 +8,10 @@ every synapse on every tick, and ``_agreement`` unpacks int windows to the
 flag lists it compared.
 ``step`` counts refractory ticks down in a map its caller keeps, as a
 network once did, so the network's one last-fired set is checked against it.
+``forest_index`` rebuilds a forest's label index from its trees, as the
+forest once did on every load and split, and ``to_json`` finds tree indexes
+by scanning, as ``tree_index_of`` once did, so it writes a forest that the
+oracles here mutated without keeping its index.
 Differential tests check that the optimised path returns the same result on
 randomized inputs.
 """
@@ -19,7 +23,7 @@ import json
 
 from renforge import growth
 from renforge.concept_forest import (ConceptForest, ConceptNode, DynamicLink,
-                                     SearchPath, SplitEvent)
+                                     SearchPath, SplitEvent, _preorder)
 from renforge.core_net import FiringRecord, Network, fires
 from renforge.errors import (InvalidCombinationError, InvalidParameterError,
                              NotFoundError)
@@ -284,7 +288,7 @@ def resonate(network: Network, seeds, max_depth: int = DEFAULT_MAX_DEPTH,
     reflectors = find_terminals(network)
     if reflect_refractory:
         reflectors |= {nid for nid in network.neurons
-                       if network.refractory_remaining(nid) > 0}
+                       if nid in network.refractory_ids()}
     successors = network.derived(_open_successors)
 
     forward: dict[tuple[int, int], int] = {}
@@ -386,6 +390,52 @@ def report_csv_rows(report: ResonanceReport) -> list[list]:
                      report.backward_visits.get((pre, post), 0),
                      report.resonance[(pre, post)]])
     return rows
+
+
+def forest_index(forest: ConceptForest):
+    """The label index rebuilt from the trees: every node by label (tree by
+    tree, pre-order), the first tree whose root carries each label, and each
+    root's tree index."""
+    nodes_with: dict[str, list[ConceptNode]] = {}
+    first_root: dict[str, int] = {}
+    root_index: dict[ConceptNode, int] = {}
+    for index, root in enumerate(forest.trees):
+        first_root.setdefault(root.label, index)
+        root_index[root] = index
+        for node in _preorder(root):
+            nodes_with.setdefault(node.label, []).append(node)
+    return nodes_with, first_root, root_index
+
+
+def tree_index_of(forest: ConceptForest, root: ConceptNode) -> int:
+    for index, tree in enumerate(forest.trees):
+        if tree is root:
+            return index
+    raise NotFoundError(f"node {root.label!r} is not a tree root")
+
+
+def to_json(forest: ConceptForest) -> str:
+    """``ConceptForest.to_json`` that finds tree indexes by scanning the
+    trees, so it also writes a forest the oracles below mutated without
+    keeping its index."""
+    def node_doc(node):
+        return {"label": node.label, "count": node.count,
+                "children": [node_doc(c) for c in node.children]}
+
+    def tree_of(node):
+        while node.parent is not None:
+            node = node.parent
+        return tree_index_of(forest, node)
+
+    link_docs = sorted(
+        ({"from_tree": tree_of(link.from_node),
+          "from_path": forest._node_path(link.from_node),
+          "to_tree": tree_index_of(forest, link.to_root),
+          "label": link.label}
+         for link in forest.links),
+        key=lambda d: (d["from_tree"], d["from_path"], d["to_tree"]))
+    return json.dumps({"trees": [node_doc(r) for r in forest.trees],
+                       "links": link_docs}, allow_nan=False)
 
 
 def _level_order(root: ConceptNode):
@@ -492,7 +542,7 @@ def _explore(forest, node, q, qi, segments, results):
             if link.to_root.label == q[qi]:
                 extended = True
                 grown = [(ti, list(labels)) for ti, labels in segments]
-                grown.append((forest.tree_index_of(link.to_root), [link.to_root.label]))
+                grown.append((tree_index_of(forest, link.to_root), [link.to_root.label]))
                 _explore(forest, link.to_root, q, qi + 1, grown, results)
     if not extended:
         results.append(SearchPath(

@@ -1,5 +1,6 @@
 """Concept trees: counted insertion, splitting, linking, and search."""
 
+import json
 import math
 import random
 
@@ -7,11 +8,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import forest_index as oracle_forest_index
 from oracles import insert_sequence as oracle_insert_sequence
 from oracles import search as oracle_search
 from oracles import split_if_violates as oracle_split_if_violates
+from oracles import to_json as oracle_to_json
 from renforge import ConceptForest, InvalidParameterError, NotFoundError, tokenize
-from renforge.concept_forest import ConceptNode, SearchPath
+from renforge.concept_forest import SearchPath
 
 
 def snapshot(node):
@@ -70,12 +73,7 @@ class TestSplitIfViolates:
         assert forest.split_if_violates() == []
 
     def test_chain_with_two_violations(self):
-        forest = ConceptForest()
-        root = ConceptNode("a", 1)
-        middle = ConceptNode("b", 3, parent=root)
-        leaf = ConceptNode("c", 5, parent=middle)
-        root.children, middle.children = [middle], [leaf]
-        forest.trees = [root]
+        forest = _load([("a", 1, [("b", 3, [("c", 5, [])])])])
         events = forest.split_if_violates()
         assert len(events) == 2
         assert len(forest.trees) == 3
@@ -84,11 +82,7 @@ class TestSplitIfViolates:
             ("a", "b"), ("b", "c")]
 
     def test_split_preserves_counts(self):
-        forest = ConceptForest()
-        root = ConceptNode("x", 2)
-        child = ConceptNode("y", 4, parent=root)
-        root.children = [child]
-        forest.trees = [root]
+        forest = _load([("x", 2, [("y", 4, [])])])
         forest.split_if_violates()
         labels = sorted((r.label, r.count) for r in forest.trees)
         assert labels == [("x", 2), ("y", 4)]
@@ -273,13 +267,6 @@ class TestProperties:
             found_ever = findable
 
 
-def _build_tree(shape, parent=None):
-    label, count, children = shape
-    node = ConceptNode(label, count, parent)
-    node.children = [_build_tree(child, node) for child in children]
-    return node
-
-
 tree_shapes = st.recursive(
     st.tuples(st.sampled_from("abc"), st.integers(1, 6), st.just(())),
     lambda children: st.tuples(st.sampled_from("abc"), st.integers(1, 6),
@@ -291,14 +278,10 @@ class TestSplitMatchesOracle:
     @settings(max_examples=300, deadline=None)
     @given(st.lists(tree_shapes, min_size=1, max_size=4))
     def test_hand_built_trees(self, shapes):
-        forests = []
-        for split in (ConceptForest.split_if_violates, oracle_split_if_violates):
-            forest = ConceptForest()
-            forest.trees = [_build_tree(shape) for shape in shapes]
-            forests.append((forest, split(forest)))
-        (forest, events), (oracle, oracle_events) = forests
-        assert events == oracle_events
-        assert forest.to_json() == oracle.to_json()
+        forest, oracle = _load(shapes), _load(shapes)
+        assert forest.split_if_violates() == oracle_split_if_violates(oracle)
+        assert forest.to_json() == oracle_to_json(oracle)
+        _assert_index_kept(forest)
         assert forest.count_rule_holds()
         assert forest.split_if_violates() == []
 
@@ -307,12 +290,7 @@ class TestSplitMatchesOracle:
                               st.booleans()),
                     min_size=1, max_size=30))
     def test_insert_streams(self, stream):
-        forest, oracle = ConceptForest(), ConceptForest()
-        for sentence, reload in stream:
-            assert forest.insert_sequence(sentence) == oracle_insert_sequence(oracle, sentence)
-            assert forest.to_json() == oracle.to_json()
-            if reload:
-                forest = ConceptForest.from_json(forest.to_json())
+        _check_stream(ConceptForest(), ConceptForest(), stream)
 
 
 def _capped(shape, limit):
@@ -320,6 +298,48 @@ def _capped(shape, limit):
     label, count, children = shape
     count = min(count, limit)
     return (label, count, [_capped(child, count) for child in children])
+
+
+def _tree_doc(shape):
+    label, count, children = shape
+    return {"label": label, "count": count, "children": [_tree_doc(c) for c in children]}
+
+
+def _load(shapes):
+    """A forest of ``shapes`` loaded through ``from_json`` with every count
+    capped at its parent's, then raised in place to the shape's own, so it
+    may break the count rule until ``split_if_violates`` runs."""
+    doc = {"trees": [_tree_doc(_capped(shape, shape[1])) for shape in shapes], "links": []}
+    forest = ConceptForest.from_json(json.dumps(doc))
+    pairs = list(zip(forest.trees, shapes))
+    while pairs:
+        node, (_, count, children) = pairs.pop()
+        node.count = count
+        pairs.extend(zip(node.children, children))
+    return forest
+
+
+def _assert_index_kept(forest):
+    """The forest's label index equals one rebuilt from its trees.  Node
+    lists are kept in the order nodes entered, so they are compared as sets
+    (sorted by identity, which also catches a node indexed twice)."""
+    nodes_with, first_root, root_index = oracle_forest_index(forest)
+    assert ({label: sorted(nodes, key=id) for label, nodes in forest._nodes_with.items()}
+            == {label: sorted(nodes, key=id) for label, nodes in nodes_with.items()})
+    assert forest._first_root == first_root
+    assert forest._root_index == root_index
+
+
+def _check_stream(forest, oracle, stream):
+    """Insert each sentence into both forests and compare them, reloading
+    ``forest`` where the stream says so."""
+    for sentence, reload in stream:
+        assert forest.insert_sequence(sentence) == oracle_insert_sequence(oracle, sentence)
+        assert forest.to_json() == oracle_to_json(oracle)
+        _assert_index_kept(forest)
+        if reload:
+            forest = ConceptForest.from_json(forest.to_json())
+            _assert_index_kept(forest)
 
 
 wide_tree_shapes = st.recursive(
@@ -341,22 +361,15 @@ class TestAttachmentMatchesOracle:
                               st.booleans()),
                     min_size=5, max_size=60))
     def test_streams_over_hand_built_trees(self, shapes, split, stream):
-        # Trees edited in place are reindexed by the split; a replaced list
-        # is reindexed by the next insert, so its trees must obey the count
-        # rule already.
-        forest, oracle = ConceptForest(), ConceptForest()
+        # Counts raised in place break the count rule until the split
+        # repairs them; without the split the loaded trees are capped.
+        if not split:
+            shapes = [_capped(shape, shape[1]) for shape in shapes]
+        forest, oracle = _load(shapes), _load(shapes)
         if split:
-            forest.trees.extend(_build_tree(shape) for shape in shapes)
-            oracle.trees.extend(_build_tree(shape) for shape in shapes)
             assert forest.split_if_violates() == oracle_split_if_violates(oracle)
-        else:
-            forest.trees = [_build_tree(_capped(shape, shape[1])) for shape in shapes]
-            oracle.trees = [_build_tree(_capped(shape, shape[1])) for shape in shapes]
-        for sentence, reload in stream:
-            assert forest.insert_sequence(sentence) == oracle_insert_sequence(oracle, sentence)
-            assert forest.to_json() == oracle.to_json()
-            if reload:
-                forest = ConceptForest.from_json(forest.to_json())
+        _assert_index_kept(forest)
+        _check_stream(forest, oracle, stream)
 
 
 class TestSearchMatchesOracle:

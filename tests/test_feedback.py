@@ -19,9 +19,10 @@ class TestAverageExcess:
     def test_below_threshold_is_negative(self):
         assert average_excess(3, 5, 5) < 0
 
-    def test_zero_inputs_rejected(self):
+    @pytest.mark.parametrize("input_count", [0, True, 2.5])
+    def test_bad_input_count_rejected(self, input_count):
         with pytest.raises(InvalidParameterError):
-            average_excess(10, 5, 0)
+            average_excess(10, 5, input_count)
 
     def test_strictly_increasing_in_input_count(self):
         threshold = 5
@@ -45,9 +46,10 @@ class TestRepulsionAt:
     def test_partial_decay(self):
         assert repulsion_at(0.5, 3, 0.1) == pytest.approx(0.2)
 
-    def test_invalid_distance(self):
+    @pytest.mark.parametrize("distance", [0, True, 2.5])
+    def test_invalid_distance(self, distance):
         with pytest.raises(InvalidParameterError):
-            repulsion_at(0.5, 0, 0.1)
+            repulsion_at(0.5, distance, 0.1)
 
     def test_non_increasing_in_distance_and_force(self):
         for distance in range(1, 10):
@@ -66,9 +68,10 @@ class TestResistanceProfile:
         force, segments = 0.25, 6
         assert resistance_profile(force, segments) == [force * k for k in range(1, 7)]
 
-    def test_invalid_segments(self):
+    @pytest.mark.parametrize("segments", [0, True, 2.5])
+    def test_invalid_segments(self, segments):
         with pytest.raises(InvalidParameterError):
-            resistance_profile(5, 0)
+            resistance_profile(5, segments)
 
 
 def saturated_unit(n_inputs, threshold):
@@ -104,8 +107,9 @@ class TestIsBalanced:
         assert is_balanced(net, window=2)
         assert not is_balanced(net, window=3)
 
-    def test_invalid_window(self):
+    @pytest.mark.parametrize("window", [0, True, 2.5])
+    def test_invalid_window(self, window):
         net, _, _ = saturated_unit(5, 4)
         with pytest.raises(InvalidParameterError):
-            is_balanced(net, window=0)
+            is_balanced(net, window=window)
 

@@ -398,10 +398,11 @@ class TestRunUntilBalanced:
                 assert after <= before + 1e-9
         assert rewirings >= 1
 
-    def test_invalid_max_ticks(self):
+    @pytest.mark.parametrize("max_ticks", [0, True, 2.5])
+    def test_invalid_max_ticks(self, max_ticks):
         net, inputs, _ = build_direct_unit(5, 4.0)
         with pytest.raises(InvalidParameterError):
-            run_until_balanced(net, frozenset(inputs), GrowthConfig(), 0)
+            run_until_balanced(net, frozenset(inputs), GrowthConfig(), max_ticks)
 
 
 class TestScriptedRewiring:

@@ -189,10 +189,11 @@ class TestSweep:
             results.append(sweep(config, 2))
         assert results[0] == results[1]
 
-    def test_sample_count_validated(self, tmp_path):
+    @pytest.mark.parametrize("n_samples", [0, True, 2.5])
+    def test_sample_count_validated(self, tmp_path, n_samples):
         config = ExperimentConfig(output_dir=str(tmp_path))
         with pytest.raises(InvalidParameterError):
-            sweep(config, 0)
+            sweep(config, n_samples)
 
 
 class TestCli:
@@ -306,6 +307,8 @@ class TestCli:
         ("forest.json", '{"trees": [{"label": "a", "count": 1, "children": []}], '
          '"links": [{"from_tree": 0, "from_path": [], "to_tree": 0, "label": 5}]}',
          ["trees", "query", "--forest", "{path}", "--terms", "a"]),
+        ("config.json", '{"refined_specs": [{"input_count": true, "group_size": 1, '
+         '"group_threshold": 1, "main_threshold": 1}]}', ["run", "--config", "{path}"]),
     ])
     def test_malformed_input_exits_2(self, tmp_path, capsys, name, text, command):
         path = tmp_path / name

@@ -162,6 +162,8 @@ class TestBuildRefined:
             RefinedSpec(0, 5, 4, 4)
         with pytest.raises(InvalidSpecError):
             RefinedSpec(25, 5, 4, 4, layers=0)
+        with pytest.raises(InvalidSpecError):
+            RefinedSpec(True, 1, 1, 1)        # a bool is not an integer
 
 
 class TestEffectiveWeight:

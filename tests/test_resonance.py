@@ -155,8 +155,9 @@ class TestResonate:
             resonate(net, set())
         with pytest.raises(NotFoundError):
             resonate(net, {99})
-        with pytest.raises(InvalidParameterError):
-            resonate(net, {ids[0]}, max_depth=0)
+        for max_depth in (0, True, 2.5):
+            with pytest.raises(InvalidParameterError):
+                resonate(net, {ids[0]}, max_depth=max_depth)
 
 
 def assert_same_report(report, expected):

@@ -68,7 +68,7 @@ class TestPresentEvent:
         with pytest.raises(InvalidParameterError):
             ClusterNet().present_event(set())
 
-    @pytest.mark.parametrize("decay", [-0.1, math.nan, math.inf])
+    @pytest.mark.parametrize("decay", [-0.1, math.nan, math.inf, True, "0.1", None])
     def test_bad_decay_rejected(self, decay):
         with pytest.raises(InvalidParameterError, match="decay must be a finite number"):
             ClusterNet(decay=decay)
@@ -314,6 +314,7 @@ class TestSerialization:
         '{"decay": 0.0, "event_count": "x", "base_concepts": [], "hidden_nodes": []}',
         '{"decay": 0.0, "event_count": 0, "base_concepts": "ab", "hidden_nodes": []}',
         '{"decay": 0.0, "event_count": 0, "base_concepts": [1], "hidden_nodes": []}',
+        '{"decay": true, "event_count": 0, "base_concepts": [], "hidden_nodes": []}',
         _cluster_doc({"inputs": "ab"}),
         _cluster_doc({"inputs": []}),
         _cluster_doc({"inputs": [1, 2]}),
