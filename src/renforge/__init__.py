@@ -3,8 +3,7 @@ growth, concept forests, symbolic event clustering, and resonance search."""
 
 from .concept_forest import (ConceptForest, ConceptNode, DynamicLink,
                              SearchPath, SplitEvent, tokenize)
-from .core_net import (FIRING_TOLERANCE, FiringRecord, Network, Neuron,
-                       Synapse, fires)
+from .core_net import FIRING_TOLERANCE, FiringRecord, Network, Neuron, Synapse
 from .errors import (ConfigurationError, DuplicateEdgeError,
                      InvalidCombinationError, InvalidParameterError,
                      InvalidSpecError, NotFoundError, RenforgeError)

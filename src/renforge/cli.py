@@ -8,7 +8,7 @@ import json
 import sys
 
 from .concept_forest import ConceptForest, tokenize
-from .errors import RenforgeError
+from .errors import RenforgeError, reading_text
 from .harness import (default_config_json, load_config, run_scenario, sweep,
                       verify)
 from .harness.artifacts import write_text
@@ -80,7 +80,7 @@ def _cmd_trees(args) -> int:
         print(f"ingested {inserted} sequences into {len(forest.trees)} trees "
               f"({len(forest.links)} links)")
         return 0
-    with open(args.forest, "r", encoding="utf-8") as handle:
+    with reading_text(args.forest), open(args.forest, "r", encoding="utf-8") as handle:
         forest = ConceptForest.from_json(handle.read())
     paths = forest.search(tokenize(args.terms))
     doc = [{"segments": [[ti, list(labels)] for ti, labels in path.segments],

@@ -24,16 +24,6 @@ FIRING_TOLERANCE = 1e-9
 HISTORY_LIMIT = 256
 
 
-def fires(threshold: float, input_sum: float) -> int:
-    """Stepwise activation: 1 when the summed input reaches the threshold.
-
-    Raises InvalidParameterError for a non-positive threshold.
-    """
-    if threshold <= 0:
-        raise InvalidParameterError(f"threshold must be positive, got {threshold}")
-    return 1 if input_sum >= threshold - FIRING_TOLERANCE else 0
-
-
 @dataclass
 class Neuron:
     id: int
@@ -211,8 +201,8 @@ class Network:
         """
         externals = frozenset(external_inputs)
         for nid in externals:
-            if nid not in self.neurons:
-                raise NotFoundError(f"unknown neuron id {nid}")
+            if type(nid) is not int or nid not in self.neurons:
+                raise NotFoundError(f"unknown neuron id {nid!r}")
         refractory = self._last_fired
         sources = refractory | externals
 
@@ -228,7 +218,7 @@ class Network:
                 if syn.pre in sources:
                     total += syn.delivery
             input_sums[nid] = total
-            if nid not in refractory and fires(neuron.threshold, total):
+            if nid not in refractory and total >= neuron.threshold - FIRING_TOLERANCE:
                 fired.append(nid)
                 open_inputs = self.open_input_count(nid)
                 if open_inputs >= 1:

@@ -8,7 +8,7 @@ import math
 import os
 from dataclasses import dataclass, field
 
-from ..errors import ConfigurationError
+from ..errors import ConfigurationError, reading_text
 from ..growth import GrowthConfig
 from ..refined import RefinedSpec
 
@@ -101,7 +101,7 @@ def config_from_json(text: str) -> ExperimentConfig:
 def load_config(path) -> ExperimentConfig:
     """Read a config file; the seed env var overrides the file's seed."""
     try:
-        with open(path, "r", encoding="utf-8") as handle:
+        with reading_text(path), open(path, "r", encoding="utf-8") as handle:
             text = handle.read()
     except OSError as exc:
         raise ConfigurationError(f"cannot read config {path}: {exc}") from exc

@@ -80,8 +80,8 @@ def resonate(network: Network, seeds, max_depth: int = DEFAULT_MAX_DEPTH,
     if not seed_set:
         raise InvalidParameterError("seeds must be non-empty")
     for nid in seed_set:
-        if nid not in network.neurons:
-            raise NotFoundError(f"unknown neuron id {nid}")
+        if type(nid) is not int or nid not in network.neurons:
+            raise NotFoundError(f"unknown neuron id {nid!r}")
     if type(max_depth) is not int or max_depth < 1:
         raise InvalidParameterError(f"max_depth must be an integer >= 1, got {max_depth!r}")
 

@@ -70,15 +70,14 @@ class ClusterNet:
         self.base_concepts: set[str] = set()
         self.hidden: dict[int, HiddenNode] = {}
         self.event_count = 0
-        self._next_hidden_id = 0
-        self._recompute_globals()
+        self._reindex()
 
     # -- training ------------------------------------------------------------
 
     def present_event(self, concepts, fuzzy: bool = False) -> EventReport:
         """Present one event; duplicate labels collapse to a set.
 
-        The first exact-matching hidden node is reinforced, otherwise a new
+        The exact-matching hidden node is reinforced, otherwise a new
         one is created with weight 1.  With fuzzy feedback every strict
         subset of the presentation is reinforced as well.  Non-reinforced
         nodes decay by the configured amount (default none).
@@ -89,9 +88,9 @@ class ClusterNet:
         new_bases = tuple(sorted(concept_set - self.base_concepts))
         self.base_concepts |= concept_set
 
-        hidden, live = self.hidden, self._live
-        same = self._exact.get(concept_set, [])
-        reinforced = same[:1]
+        hidden, live, exact = self.hidden, self._live, self._exact
+        same = exact.get(concept_set)
+        reinforced = [] if same is None else [same]
         if fuzzy:
             # Strict subsets: look up each proper subset of the event when
             # there are fewer of those than posting entries, else count hits
@@ -101,7 +100,9 @@ class ClusterNet:
             if (1 << size) - 2 < sum(map(len, postings)):
                 for k in range(1, size):
                     for subset in combinations(concept_set, k):
-                        reinforced += self._exact.get(frozenset(subset), ())
+                        hid = exact.get(frozenset(subset))
+                        if hid is not None:
+                            reinforced.append(hid)
             else:
                 hits: dict[int, int] = {}
                 for hid in chain.from_iterable(postings):
@@ -112,7 +113,7 @@ class ClusterNet:
         decayed = []
         if self.decay > 0:
             # A weight that a decay step set to 0.0 stays 0.0, so only live
-            # nodes are visited; ``decayed`` is every other id, from ``_ids``.
+            # nodes are visited; ``decayed`` is every other id, from ``hidden``.
             d, dead = self.decay, []
             for hid in reinforced:   # kept out of the decay; rejoins when reinforced
                 live.pop(hid, None)
@@ -124,18 +125,16 @@ class ClusterNet:
                 node.weight = w
             for hid in dead:
                 del live[hid]
-            decayed = self._ids.copy()
+            decayed = list(hidden)
             for hid in reversed(reinforced):
                 del decayed[bisect_left(decayed, hid)]
         for hid in reinforced:
             node = live[hid] = hidden[hid]
             node.weight += 1.0
         created = None
-        if not same:
-            created = self._next_hidden_id
-            self._next_hidden_id += 1
+        if same is None:
+            created = next(reversed(hidden), -1) + 1
             hidden[created] = HiddenNode(created, concept_set, 1.0, self.event_count)
-            self._ids.append(created)
             self._join(created)
 
         self.event_count += 1
@@ -194,66 +193,63 @@ class ClusterNet:
         if type(threshold) not in (int, float) or not 0 <= threshold < math.inf:
             raise InvalidParameterError(
                 f"threshold must be a finite number >= 0, got {threshold!r}")
-        removed = sorted(h.id for h in self.hidden.values() if h.weight <= threshold)
+        removed = [hid for hid, h in self.hidden.items() if h.weight <= threshold]
         for hid in removed:
             del self.hidden[hid]
-        self._recompute_globals()
+        self._reindex()
         return removed
 
-    # Lookups and union-find (Tarjan 1975) over hidden ids.  ``_exact`` maps
-    # an input set to its nodes in ``hidden`` order (a loaded document may
-    # repeat a set), ``_with_label`` lists the nodes carrying each label,
-    # and ``_ids`` every id ascending.  ``_live`` maps id to node for the
+    # ``hidden`` holds the nodes in ascending id order: ``present_event``
+    # appends a node one id above the highest present, ``prune`` deletes and
+    # ``from_json`` loads ascending ids.  The lookups over it: ``_exact``
+    # maps each input set to its one node, ``_with_label`` lists the nodes
+    # carrying each label, in id order.  ``_live`` maps id to node for the
     # nodes a decay step could still change: each node joins it when added
     # (so a loaded weight 0 still decays once into 0.0) or reinforced, and
-    # leaves it when a decay step sets its weight to 0.0.  Each node joins
-    # the first node on each of its labels' lists, and the smaller root wins.
-    # Between two full rebuilds nodes are only added, with ids above every
-    # id present, so components only merge and each new node is one join.
+    # leaves it when a decay step sets its weight to 0.0.
 
-    def _recompute_globals(self):
-        """Rebuild the lookups and the union-find, in ``hidden`` order."""
-        self._ids, self._live = sorted(self.hidden), {}
-        self._exact: dict[frozenset[str], list[int]] = {}
+    def _reindex(self):
+        """Rebuild the lookups and ``_live`` from ``hidden``."""
+        self._exact: dict[frozenset[str], int] = {}
         self._with_label: dict[str, list[int]] = {}
-        self._root_of: dict[int, int] = {}
+        self._live: dict[int, HiddenNode] = {}
         for hid in self.hidden:
             self._join(hid)
         self._globals = None
 
     def _join(self, hid: int):
-        """Add hidden node ``hid`` to the lookups, ``_live`` and the
-        union-find; drops the cached globals."""
-        root_of, with_label = self._root_of, self._with_label
-        inputs = self.hidden[hid].inputs
-        self._exact.setdefault(inputs, []).append(hid)
-        self._live[hid] = self.hidden[hid]
-        root_of[hid] = hid
-        for label in inputs:
-            ids = with_label.setdefault(label, [])
-            ids.append(hid)
-            a, b = self._find(hid), self._find(ids[0])
-            root_of[max(a, b)] = min(a, b)
+        """Add hidden node ``hid`` to the lookups and ``_live``; drops the
+        cached globals."""
+        node = self._live[hid] = self.hidden[hid]
+        self._exact[node.inputs] = hid
+        for label in node.inputs:
+            self._with_label.setdefault(label, []).append(hid)
         self._globals = None
-
-    def _find(self, hid: int) -> int:
-        root_of = self._root_of
-        while root_of[hid] != hid:
-            root_of[hid] = root_of[root_of[hid]]
-            hid = root_of[hid]
-        return hid
 
     @property
     def global_concepts(self) -> list[GlobalConcept]:
         """Overlap-closure components, each listed by its smallest member.
 
-        Built on first read after a change and shared until the next one;
-        the caller must not mutate the returned list.
+        Built by a union-find (Tarjan 1975) over the label posting lists on
+        the first read after a change and shared until the next one; the
+        caller must not mutate the returned list.
         """
         if self._globals is None:
+            parent = {hid: hid for hid in self.hidden}
+
+            def find(hid: int) -> int:
+                while parent[hid] != hid:
+                    parent[hid] = parent[parent[hid]]
+                    hid = parent[hid]
+                return hid
+
+            for ids in self._with_label.values():
+                root = find(ids[0])
+                for hid in ids[1:]:
+                    parent[find(hid)] = root
             components: dict[int, list[int]] = {}
-            for hid in self._ids:
-                components.setdefault(self._find(hid), []).append(hid)
+            for hid in self.hidden:
+                components.setdefault(find(hid), []).append(hid)
             self._globals = [GlobalConcept(i, tuple(members))
                              for i, members in enumerate(components.values())]
         return self._globals
@@ -267,7 +263,7 @@ class ClusterNet:
             "base_concepts": sorted(self.base_concepts),
             "hidden_nodes": [{"id": h.id, "inputs": sorted(h.inputs),
                               "weight": h.weight, "created_at": h.created_at}
-                             for h in (self.hidden[i] for i in sorted(self.hidden))],
+                             for h in self.hidden.values()],
             "global_concepts": [{"id": g.id, "members": list(g.members)}
                                 for g in self.global_concepts],
         }
@@ -284,8 +280,8 @@ class ClusterNet:
                 hid = _count(entry["id"], "hidden node id")
                 created_at = _count(entry["created_at"], f"hidden node {hid} created_at")
                 weight, inputs = entry["weight"], entry["inputs"]
-                if hid in net.hidden:
-                    raise ValueError(f"hidden node id {hid} is repeated")
+                if hid <= next(reversed(net.hidden), -1):
+                    raise ValueError(f"hidden node id {hid} is not above the id before it")
                 if type(weight) not in (int, float) or not 0 <= weight < math.inf:
                     raise ValueError(f"hidden node {hid} weight {weight!r} "
                                      "is not a finite number >= 0")
@@ -297,7 +293,10 @@ class ClusterNet:
                 if created_at >= net.event_count:
                     raise ValueError(f"hidden node {hid} created_at {created_at} "
                                      f"is not before event_count {net.event_count}")
-                net.hidden[hid] = HiddenNode(hid, frozenset(inputs), weight, created_at)
-        net._next_hidden_id = max(net.hidden, default=-1) + 1
-        net._recompute_globals()
+                inputs = frozenset(inputs)
+                if inputs in net._exact:
+                    raise ValueError(f"hidden node {hid} repeats the inputs of "
+                                     f"hidden node {net._exact[inputs]}")
+                net.hidden[hid] = HiddenNode(hid, inputs, weight, created_at)
+                net._join(hid)
         return net

@@ -7,11 +7,15 @@ eager ``_SynapseStats`` keeps the growth bookkeeping that took a flag for
 every synapse on every tick, and ``_agreement`` unpacks int windows to the
 flag lists it compared.
 ``step`` counts refractory ticks down in a map its caller keeps, as a
-network once did, so the network's one last-fired set is checked against it.
+network once did, so the network's one last-fired set is checked against it;
+it asks ``fires``, the activation rule ``Network.step`` once called per
+neuron, whether a neuron fires.
 ``forest_index`` rebuilds a forest's label index from its trees, as the
 forest once did on every load and split, and ``to_json`` finds tree indexes
 by scanning, as ``tree_index_of`` once did, so it writes a forest that the
 oracles here mutated without keeping its index.
+``global_concepts`` recomputes a cluster's overlap closure on every read,
+so a net whose events ``present_event`` here presented needs no lookups.
 Differential tests check that the optimised path returns the same result on
 randomized inputs.
 """
@@ -24,7 +28,7 @@ import json
 from renforge import growth
 from renforge.concept_forest import (ConceptForest, ConceptNode, DynamicLink,
                                      SearchPath, SplitEvent, _preorder)
-from renforge.core_net import FiringRecord, Network, fires
+from renforge.core_net import FIRING_TOLERANCE, FiringRecord, Network
 from renforge.errors import (InvalidCombinationError, InvalidParameterError,
                              NotFoundError)
 from renforge.feedback import repulsion_at
@@ -88,6 +92,16 @@ def _greedy_groups(ids: list[int], state: TurbulenceState) -> list[list[int]]:
 
 
 REFRACTORY_TICKS = 1
+
+
+def fires(threshold: float, input_sum: float) -> int:
+    """Stepwise activation: 1 when the summed input reaches the threshold.
+
+    Raises InvalidParameterError for a non-positive threshold.
+    """
+    if threshold <= 0:
+        raise InvalidParameterError(f"threshold must be positive, got {threshold}")
+    return 1 if input_sum >= threshold - FIRING_TOLERANCE else 0
 
 
 def step(network: Network, refractory: dict[int, int],
@@ -574,8 +588,7 @@ def present_event(net: ClusterNet, concepts, fuzzy: bool = False) -> EventReport
         exact.weight += 1.0
         reinforced.append(exact.id)
     else:
-        created = net._next_hidden_id
-        net._next_hidden_id += 1
+        created = max(net.hidden, default=-1) + 1
         net.hidden[created] = HiddenNode(created, concept_set, 1.0,
                                          net.event_count)
     if fuzzy:
@@ -595,13 +608,12 @@ def present_event(net: ClusterNet, concepts, fuzzy: bool = False) -> EventReport
                 decayed.append(node.id)
 
     net.event_count += 1
-    recompute_globals(net)
     return EventReport(net.event_count - 1, created,
                        tuple(sorted(reinforced)), tuple(sorted(decayed)),
                        new_bases)
 
 
-def recompute_globals(net: ClusterNet):
+def global_concepts(net: ClusterNet) -> list[GlobalConcept]:
     by_label: dict[str, list[int]] = {}
     for node in net.hidden.values():
         for label in node.inputs:
@@ -624,5 +636,4 @@ def recompute_globals(net: ClusterNet):
                         queue.append(other)
         components.append(tuple(sorted(component)))
     components.sort(key=lambda c: c[0])
-    net.global_concepts = [GlobalConcept(i, members)
-                           for i, members in enumerate(components)]
+    return [GlobalConcept(i, members) for i, members in enumerate(components)]

@@ -6,26 +6,38 @@ import random
 import pytest
 
 from renforge import (DuplicateEdgeError, InvalidParameterError, Network,
-                      NotFoundError, fires)
+                      NotFoundError)
 
 
 class TestFires:
     def test_at_threshold(self):
-        assert fires(4, 4) == 1
+        net, inputs, main = build_fan_in(4, 4)
+        assert main in net.step(inputs).fired
 
     def test_below_threshold(self):
-        assert fires(4, 3) == 0
+        net, inputs, main = build_fan_in(3, 4)
+        assert main not in net.step(inputs).fired
 
     def test_zero_input(self):
-        assert fires(1, 0) == 0
+        net, inputs, main = build_fan_in(1, 1)
+        assert main not in net.step().fired
 
     def test_tolerance_absorbs_float_noise(self):
-        assert fires(1.0, 0.1 + 0.2 + 0.7) == 1
+        # Open fractions 0.7, 0.2 and 0.1 sum to 0.9999999999999999 in
+        # synapse order, below a threshold of 1.0 but within the tolerance.
+        net = Network()
+        inputs = [net.add_neuron(1.0) for _ in range(3)]
+        main = net.add_neuron(1.0)
+        for nid, fraction in zip(inputs, (0.7, 0.2, 0.1)):
+            net.add_synapse(nid, main, fraction)
+        record = net.step(inputs)
+        assert record.input_sums[main] < 1.0
+        assert main in record.fired
 
     @pytest.mark.parametrize("threshold", [0, -1, -0.5])
     def test_non_positive_threshold_rejected(self, threshold):
         with pytest.raises(InvalidParameterError):
-            fires(threshold, 1)
+            Network().add_neuron(threshold)
 
 
 def build_fan_in(n_inputs, threshold, open_fraction=1.0):
@@ -90,9 +102,13 @@ class TestStep:
         net.add_neuron(1e-10)
         assert [sorted(net.step().fired) for _ in range(4)] == [[0], [], [0], []]
 
-    def test_unknown_external_input(self):
-        with pytest.raises(NotFoundError):
-            Network().step([7])
+    @pytest.mark.parametrize("nid", [7, True, 1.0])
+    def test_unknown_external_input(self, nid):
+        net = Network()
+        net.add_neuron(1.0)
+        net.add_neuron(1.0)
+        with pytest.raises(NotFoundError, match="unknown neuron id"):
+            net.step([nid])
 
     def test_sources_include_externals_and_last_fired(self):
         net, inputs, main = build_fan_in(5, 4.0)

@@ -281,6 +281,10 @@ class TestCli:
          ["trees", "ingest", "--corpus", "{path}", "--out", "{out}"]),
         ("events.tsv", b"\xff\xfe1.0\ta,b\n",
          ["cluster", "--events", "{path}", "--out", "{out}"]),
+        ("config.json", b"\xff\xfe{}",
+         ["run", "--config", "{path}"]),
+        ("forest.json", b"\xff\xfe{}",
+         ["trees", "query", "--forest", "{path}", "--terms", "a"]),
         ("config.json", "[" * 5000, ["run", "--config", "{path}"]),
         ("forest.json", "[" * 5000,
          ["trees", "query", "--forest", "{path}", "--terms", "a"]),

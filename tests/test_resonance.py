@@ -153,8 +153,9 @@ class TestResonate:
         net, ids = chain(2)
         with pytest.raises(InvalidParameterError):
             resonate(net, set())
-        with pytest.raises(NotFoundError):
-            resonate(net, {99})
+        for seeds in ({99}, {True}, {1.0}):
+            with pytest.raises(NotFoundError, match="unknown neuron id"):
+                resonate(net, seeds)
         for max_depth in (0, True, 2.5):
             with pytest.raises(InvalidParameterError):
                 resonate(net, {ids[0]}, max_depth=max_depth)
