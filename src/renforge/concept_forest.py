@@ -9,11 +9,12 @@ concepts therefore migrate to tree bases, where searches enter them.
 from __future__ import annotations
 
 import json
+import math
 from collections import deque
 from dataclasses import dataclass
 
-from .errors import (InvalidParameterError, NotFoundError, reading_document,
-                     reading_text)
+from .errors import (InvalidParameterError, NotFoundError, check_int, check_str,
+                     reading_document, reading_text)
 
 LINK_LABEL = "M"
 
@@ -332,11 +333,10 @@ class ConceptForest:
     def from_json(cls, text: str) -> "ConceptForest":
         forest = cls()
         nodes_with = forest._nodes_with
+        error = InvalidParameterError
 
         def at(items, index):
-            if type(index) is not int or index < 0:
-                raise IndexError(f"index {index!r} is not an integer >= 0")
-            return items[index]
+            return items[check_int(index, "index", error, 0)]
 
         with reading_document("forest"):
             doc = json.loads(text)
@@ -345,14 +345,9 @@ class ConceptForest:
                 stack = [(tree_doc, None)]
                 while stack:
                     entry, parent = stack.pop()
-                    label, count = entry["label"], entry["count"]
-                    if type(label) is not str:
-                        raise ValueError(f"label {label!r} is not a string")
-                    limit = count if parent is None else parent.count
-                    if type(count) is not int or not 1 <= count <= limit:
-                        raise ValueError(
-                            f"count {count!r} of {label!r} "
-                            "is not an integer >= 1 and at most its parent's count")
+                    label = check_str(entry["label"], "label", error)
+                    limit = math.inf if parent is None else parent.count
+                    count = check_int(entry["count"], f"count of {label!r}", error, 1, limit)
                     node = ConceptNode(label, count, parent)
                     if parent is None:
                         forest._add_root(node)
@@ -364,9 +359,7 @@ class ConceptForest:
                 node = at(forest.trees, link_doc["from_tree"])
                 for index in link_doc["from_path"]:
                     node = at(node.children, index)
-                label = link_doc["label"]
-                if type(label) is not str:
-                    raise ValueError(f"link label {label!r} is not a string")
+                label = check_str(link_doc["label"], "link label", error)
                 forest.links.append(DynamicLink(node, at(forest.trees, link_doc["to_tree"]),
                                                 label))
         return forest

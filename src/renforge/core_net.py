@@ -15,7 +15,7 @@ from collections import deque
 from dataclasses import dataclass
 
 from .errors import (DuplicateEdgeError, InvalidParameterError, NotFoundError,
-                     reading_document)
+                     check_int, check_number, reading_document)
 
 # Real-valued input sums are compared to thresholds with this slack to
 # absorb fraction arithmetic.
@@ -104,9 +104,11 @@ class Network:
 
     def add_neuron(self, threshold: float) -> int:
         """Add a neuron; ids are dense integers assigned in creation order."""
-        if not 0 < threshold < math.inf or type(threshold) is bool:
+        # Inline, not check_number: the call made build_direct_unit a fifth slower.
+        if (type(threshold) is not float and type(threshold) is not int
+                or not 0.0 < threshold < math.inf):
             raise InvalidParameterError(
-                f"threshold must be a finite number > 0, got {threshold}")
+                f"threshold must be a finite number > 0, got {threshold!r}")
         nid = len(self.neurons)
         self.neurons[nid] = Neuron(id=nid, threshold=float(threshold))
         self._derived.clear()
@@ -121,14 +123,16 @@ class Network:
             raise NotFoundError(f"unknown neuron id {post}")
         if pre == post:
             raise InvalidParameterError("self-loops are not allowed")
-        if not 0.0 <= open_fraction <= 1.0 or type(open_fraction) is bool:
+        # Inline, not the checkers: their calls made build_direct_unit a fifth slower.
+        if (type(open_fraction) is not float and type(open_fraction) is not int
+                or not 0.0 <= open_fraction <= 1.0):
             raise InvalidParameterError(
-                f"open_fraction must lie in [0, 1], got {open_fraction}")
+                f"open_fraction must be a finite number in [0, 1], got {open_fraction!r}")
         if type(distance) is not int or distance < 1:
-            raise InvalidParameterError(f"distance must be an integer >= 1, got {distance}")
+            raise InvalidParameterError(f"distance must be an integer >= 1, got {distance!r}")
         if type(multiplicity) is not int or multiplicity < 1:
             raise InvalidParameterError(
-                f"multiplicity must be an integer >= 1, got {multiplicity}")
+                f"multiplicity must be an integer >= 1, got {multiplicity!r}")
         if (pre, post) in self._edges:
             raise DuplicateEdgeError(f"synapse {pre}->{post} already exists")
         sid = len(self.synapses)
@@ -146,9 +150,7 @@ class Network:
         """Set a synapse's open fraction, which must lie in [0, 1]."""
         if synapse_id not in self.synapses:
             raise NotFoundError(f"unknown synapse id {synapse_id}")
-        if not 0.0 <= open_fraction <= 1.0 or type(open_fraction) is bool:
-            raise InvalidParameterError(
-                f"open_fraction must lie in [0, 1], got {open_fraction}")
+        check_number(open_fraction, "open_fraction", InvalidParameterError, 0, 1)
         syn = self.synapses[synapse_id]
         syn.open_fraction = float(open_fraction)
         self._open_inputs.pop(syn.post, None)
@@ -264,10 +266,7 @@ class Network:
                 if nid != entry["id"]:
                     raise InvalidParameterError(
                         f"neuron ids must be dense and ascending, got {entry['id']}")
-                refractory = entry["refractory"]
-                if type(refractory) is not int or refractory not in (0, 1):
-                    raise ValueError(f"refractory must be 0 or 1, got {refractory!r}")
-                if refractory:
+                if check_int(entry["refractory"], "refractory", InvalidParameterError, 0, 1):
                     fired.append(nid)
             net._last_fired = frozenset(fired)
             for entry in doc["synapses"]:

@@ -12,7 +12,7 @@ from __future__ import annotations
 from itertools import islice
 
 from .core_net import Network
-from .errors import InvalidParameterError
+from .errors import InvalidParameterError, check_int, check_number
 
 # A 5-input unit with threshold 4 carries per-input excess exactly 0.2 when
 # saturated; that canonical stable unit must count as balanced.
@@ -25,8 +25,9 @@ def average_excess(input_total: float, threshold: float, input_count: int) -> fl
     May be negative when the input is below threshold; callers gate on
     firing before treating the value as a rejection.
     """
-    if type(input_count) is not int or input_count < 1:
-        raise InvalidParameterError(f"input_count must be an integer >= 1, got {input_count!r}")
+    check_number(input_total, "input_total", InvalidParameterError, 0)
+    check_number(threshold, "threshold", InvalidParameterError, 0, brackets="(]")
+    check_int(input_count, "input_count", InvalidParameterError, 1)
     return (input_total - threshold) / input_count
 
 
@@ -38,19 +39,17 @@ def repulsion_at(excess_per_input: float, distance: int,
     opposing force; the result is clamped at zero where the repulsion dies
     out against the resistance.
     """
-    if type(distance) is not int or distance < 1:
-        raise InvalidParameterError(f"distance must be an integer >= 1, got {distance!r}")
-    if forward_force_per_segment < 0:
-        raise InvalidParameterError("forward force must be non-negative")
+    check_number(excess_per_input, "excess_per_input", InvalidParameterError)
+    check_int(distance, "distance", InvalidParameterError, 1)
+    check_number(forward_force_per_segment, "forward_force_per_segment",
+                 InvalidParameterError, 0)
     return max(0.0, excess_per_input - distance * forward_force_per_segment)
 
 
 def resistance_profile(force_per_segment, segments: int) -> list:
     """Cumulative opposing force met after 1..segments backward segments."""
-    if type(segments) is not int or segments < 1:
-        raise InvalidParameterError(f"segments must be an integer >= 1, got {segments!r}")
-    if force_per_segment < 0:
-        raise InvalidParameterError("forward force must be non-negative")
+    check_number(force_per_segment, "force_per_segment", InvalidParameterError, 0)
+    check_int(segments, "segments", InvalidParameterError, 1)
     return [force_per_segment * k for k in range(1, segments + 1)]
 
 
@@ -59,8 +58,8 @@ def is_balanced(network: Network, window: int,
     """True when no neuron that fired in the last ``window`` ticks carried
     per-input excess above ``eps_balance``.  Vacuously true with no firing.
     """
-    if type(window) is not int or window < 1:
-        raise InvalidParameterError(f"window must be an integer >= 1, got {window!r}")
+    check_int(window, "window", InvalidParameterError, 1)
+    check_number(eps_balance, "eps_balance", InvalidParameterError, 0)
     for record in islice(reversed(network.history), window):
         for excess in record.rejections.values():
             if excess > eps_balance:

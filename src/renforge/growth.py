@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass, field
 
 from .core_net import HISTORY_LIMIT, FiringRecord, Network
-from .errors import InvalidParameterError
+from .errors import InvalidParameterError, check_int, check_number, check_str
 from .feedback import DEFAULT_EPS_BALANCE, is_balanced, repulsion_at
 
 BUD_SPAWNED = "bud_spawned"
@@ -41,29 +41,16 @@ class GrowthConfig:
     threshold_policy: str = "all"     # "all" or "fraction:<f>" of the group size
 
     def __post_init__(self):
-        for f in dataclasses.fields(self):
-            value = getattr(self, f.name)
-            if f.type == "float" and type(value) not in (int, float):
-                raise InvalidParameterError(f"{f.name} must be a number, got {value!r}")
-        if not 0 < self.bud_threshold < math.inf:
-            raise InvalidParameterError("bud_threshold must be a finite number > 0")
-        if type(self.window) is not int or not 1 <= self.window <= HISTORY_LIMIT:
-            # is_balanced can look back no further than the kept history.
-            raise InvalidParameterError(
-                f"window must be an integer in [1, {HISTORY_LIMIT}]")
-        if not 0 < self.cofire_agreement <= 1:
-            raise InvalidParameterError("cofire_agreement must lie in (0, 1]")
-        if not 0 <= self.offpattern_decay < 1:
-            raise InvalidParameterError("offpattern_decay must lie in [0, 1)")
-        if not 0 <= self.force_per_segment < math.inf:
-            raise InvalidParameterError("force_per_segment must be a finite number >= 0")
-        if not 0 <= self.eps_balance < math.inf:
-            raise InvalidParameterError("eps_balance must be a finite number >= 0")
-        if not 0 <= self.close_cutoff <= 1:
-            raise InvalidParameterError("close_cutoff must lie in [0, 1]")
-        if not isinstance(self.threshold_policy, str):
-            raise InvalidParameterError("threshold_policy must be a string")
-        if self.threshold_policy != "all":
+        error = InvalidParameterError
+        check_number(self.bud_threshold, "bud_threshold", error, 0, brackets="(]")
+        # is_balanced can look back no further than the kept history.
+        check_int(self.window, "window", error, 1, HISTORY_LIMIT)
+        check_number(self.cofire_agreement, "cofire_agreement", error, 0, 1, "(]")
+        check_number(self.offpattern_decay, "offpattern_decay", error, 0, 1, "[)")
+        check_number(self.eps_balance, "eps_balance", error, 0)
+        check_number(self.force_per_segment, "force_per_segment", error, 0)
+        check_number(self.close_cutoff, "close_cutoff", error, 0, 1)
+        if check_str(self.threshold_policy, "threshold_policy", error) != "all":
             self._policy_fraction()
 
     def _policy_fraction(self) -> float:
@@ -429,8 +416,7 @@ def run_until_balanced(network: Network, input_schedule,
     at least ``config.window`` ticks.  Fully deterministic given the
     network and schedule.
     """
-    if type(max_ticks) is not int or max_ticks < 1:
-        raise InvalidParameterError(f"max_ticks must be an integer >= 1, got {max_ticks!r}")
+    check_int(max_ticks, "max_ticks", InvalidParameterError, 1)
     cfg = config or GrowthConfig()
     state = TurbulenceState(cfg)
     schedule = _as_schedule(input_schedule)

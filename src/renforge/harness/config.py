@@ -4,11 +4,11 @@ from __future__ import annotations
 
 import dataclasses
 import json
-import math
 import os
 from dataclasses import dataclass, field
 
-from ..errors import ConfigurationError, reading_text
+from ..errors import (ConfigurationError, check_int, check_number, check_str,
+                      reading_text)
 from ..growth import GrowthConfig
 from ..refined import RefinedSpec
 
@@ -31,31 +31,22 @@ class ExperimentConfig:
     sweep_thresholds: list[float] = field(default_factory=lambda: [5.0])
 
     def __post_init__(self):
-        if type(self.seed) is not int:
-            raise ConfigurationError(f"seed must be an integer, got {self.seed!r}")
+        error = ConfigurationError
+        check_int(self.seed, "seed", error)
         if self.schedule not in KNOWN_SCHEDULES:
             raise ConfigurationError(
                 f"unknown schedule {self.schedule!r}; expected one of {KNOWN_SCHEDULES}")
-        if (type(self.schedule_probability) not in (int, float)
-                or not 0 <= self.schedule_probability <= 1):
-            raise ConfigurationError("schedule_probability must lie in [0, 1]")
-        if type(self.max_ticks) is not int or self.max_ticks < 1:
-            raise ConfigurationError("max_ticks must be an integer >= 1")
-        if not isinstance(self.output_dir, str):
-            raise ConfigurationError(f"output_dir must be a string, got {self.output_dir!r}")
+        check_number(self.schedule_probability, "schedule_probability", error, 0, 1)
+        check_int(self.max_ticks, "max_ticks", error, 1)
+        check_str(self.output_dir, "output_dir", error)
         if not self.sweep_inputs:
             raise ConfigurationError("sweep_inputs must be non-empty")
-        for count in self.sweep_inputs:
-            if type(count) is not int or count < 1:
-                raise ConfigurationError(
-                    f"sweep_inputs entries must be integers >= 1, got {count!r}")
+        for i, count in enumerate(self.sweep_inputs):
+            check_int(count, f"sweep_inputs[{i}]", error, 1)
         if not self.sweep_thresholds:
             raise ConfigurationError("sweep_thresholds must be non-empty")
-        for threshold in self.sweep_thresholds:
-            if (type(threshold) not in (int, float) or not math.isfinite(threshold)
-                    or threshold <= 0):
-                raise ConfigurationError(
-                    f"sweep_thresholds entries must be finite numbers > 0, got {threshold!r}")
+        for i, threshold in enumerate(self.sweep_thresholds):
+            check_number(threshold, f"sweep_thresholds[{i}]", error, 0, brackets="(]")
 
     def to_doc(self) -> dict:
         return dataclasses.asdict(self)

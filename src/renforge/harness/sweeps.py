@@ -11,7 +11,7 @@ from __future__ import annotations
 import random
 from pathlib import Path
 
-from ..errors import InvalidParameterError
+from ..errors import InvalidParameterError, check_int
 from ..growth import GrowthConfig, run_until_balanced
 from .artifacts import write_csv
 from .builders import build_direct_unit
@@ -47,8 +47,7 @@ def sweep(config: ExperimentConfig, n_samples: int) -> list[dict]:
     A sample that never balances reports ticks_to_balance -1; that is an
     outcome, not an error.  Rows are ordered by sample index.
     """
-    if type(n_samples) is not int or n_samples < 1:
-        raise InvalidParameterError(f"n_samples must be an integer >= 1, got {n_samples!r}")
+    check_int(n_samples, "n_samples", InvalidParameterError, 1)
     master = random.Random(config.seed)
     results = []
     for index in range(n_samples):

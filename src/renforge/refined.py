@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .core_net import Network
-from .errors import InvalidParameterError, InvalidSpecError, NotFoundError
+from .errors import InvalidParameterError, InvalidSpecError, NotFoundError, check_int
 
 
 @dataclass(frozen=True)
@@ -35,18 +35,11 @@ class RefinedSpec:
     layers: int = 1
 
     def __post_init__(self):
-        for name in ("input_count", "group_size", "group_threshold",
-                     "main_threshold", "layers"):
-            value = getattr(self, name)
-            if type(value) is not int or value < 1:
-                raise InvalidSpecError(f"{name} must be a positive integer, got {value}")
-        if self.group_threshold > self.group_size:
-            raise InvalidSpecError(
-                f"group_threshold {self.group_threshold} exceeds group_size {self.group_size}")
-        if self.main_threshold > self.final_unit_count():
-            raise InvalidSpecError(
-                f"main_threshold {self.main_threshold} exceeds the "
-                f"{self.final_unit_count()} units of the last layer")
+        for name in ("input_count", "group_size", "layers"):
+            check_int(getattr(self, name), name, InvalidSpecError, 1)
+        check_int(self.group_threshold, "group_threshold", InvalidSpecError, 1, self.group_size)
+        check_int(self.main_threshold, "main_threshold", InvalidSpecError, 1,
+                  self.final_unit_count())
 
     def unit_counts(self) -> list[int]:
         """Unit count per level, inputs first, last layer last."""
@@ -156,7 +149,6 @@ def expand_weighted(network: Network, pre: int, post: int, weight: int) -> int:
     The firing behaviour of the target is exactly that of a weight-w
     weighted unit; returns the synapse id.
     """
-    if not isinstance(weight, int) or weight < 1:
-        raise InvalidParameterError(f"weight must be an integer >= 1, got {weight}")
+    check_int(weight, "weight", InvalidParameterError, 1)
     return network.add_synapse(pre, post, open_fraction=1.0, distance=1,
                                multiplicity=weight)

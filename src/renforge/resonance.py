@@ -14,7 +14,8 @@ import json
 from dataclasses import dataclass
 
 from .core_net import Network
-from .errors import InvalidCombinationError, InvalidParameterError, NotFoundError
+from .errors import (InvalidCombinationError, InvalidParameterError, NotFoundError,
+                     check_int)
 
 DEFAULT_MAX_DEPTH = 32
 
@@ -82,8 +83,7 @@ def resonate(network: Network, seeds, max_depth: int = DEFAULT_MAX_DEPTH,
     for nid in seed_set:
         if type(nid) is not int or nid not in network.neurons:
             raise NotFoundError(f"unknown neuron id {nid!r}")
-    if type(max_depth) is not int or max_depth < 1:
-        raise InvalidParameterError(f"max_depth must be an integer >= 1, got {max_depth!r}")
+    check_int(max_depth, "max_depth", InvalidParameterError, 1)
 
     reflectors = find_terminals(network)
     if reflect_refractory:

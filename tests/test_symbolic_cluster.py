@@ -274,11 +274,21 @@ class TestIngestEvents:
 
 def _cluster_doc(changes, *more):
     """A one-node cluster document with ``changes`` applied to the node,
-    followed by the ``more`` nodes; string values are written unquoted."""
+    followed by the ``more`` nodes and the global concepts those nodes
+    derive; string values are written unquoted."""
     nodes = [dict({"id": 0, "inputs": ["a"], "weight": 1.0, "created_at": 0}, **changes)]
     nodes += [dict(nodes[0], **extra) for extra in more]
+    components = []   # (member ids, labels), merged wherever the labels overlap
+    for node in nodes:
+        ids, labels = [node["id"]], set(node["inputs"])
+        for other in [c for c in components if c[1] & labels]:
+            components.remove(other)
+            ids, labels = other[0] + ids, other[1] | labels
+        components.append((ids, labels))
+    components.sort(key=lambda c: min(c[0]))
+    concepts = [{"id": i, "members": sorted(ids)} for i, (ids, _) in enumerate(components)]
     text = json.dumps({"decay": 0.0, "event_count": 1, "base_concepts": ["a", "b"],
-                       "hidden_nodes": nodes, "global_concepts": []})
+                       "hidden_nodes": nodes, "global_concepts": concepts})
     return text.replace('"NaN"', "NaN").replace('"Infinity"', "Infinity")
 
 
@@ -324,6 +334,13 @@ class TestSerialization:
         _cluster_doc({"inputs": ["a", "z"]}),
         _cluster_doc({"created_at": 1}),
         _cluster_doc({"created_at": 7}),
+        _cluster_doc({"inputs": ["a", "a", "b"]}),
+        '{"decay": 0.0, "event_count": 0, "base_concepts": ["a", "a"], "hidden_nodes": [], '
+        '"global_concepts": []}',
+        *(_cluster_doc({}).replace('[{"id": 0, "members": [0]}]', concepts) for concepts in (
+            '[]', '"junk"', '[{"id": 5, "members": [9]}]', '[{"id": 0.0, "members": [0]}]',
+            '[{"id": 0, "members": [0]}, {"id": 1, "members": []}]')),
+        _cluster_doc({}).replace(', "global_concepts": [{"id": 0, "members": [0]}]', ""),
     ])
     def test_malformed_document_rejected(self, text):
         with pytest.raises(InvalidParameterError, match="malformed cluster document"):
