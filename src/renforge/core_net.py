@@ -58,16 +58,36 @@ class Synapse:
 class FiringRecord:
     """Outcome of one synchronous tick.
 
-    ``sources`` holds every id that acted as a signal source this tick
-    (fired last tick or was externally driven); downstream bookkeeping
-    uses it to tell which synapses carried signal.
+    ``input_sums`` is sparse: it holds, in ascending id order, each neuron
+    whose input sum is nonzero plus each neuron that fired (a neuron whose
+    threshold is within ``FIRING_TOLERANCE`` of 0 fires on a 0.0 sum).  A
+    neuron it leaves out had a sum of 0.0 and did not fire.
+
+    The record shares its source sets instead of copying them:
+    ``refractory`` is the previous tick's ``fired`` set, and ``externals``
+    is the frozenset ``step`` built from its argument, which is that
+    argument itself when it is already a frozenset.  ``sources``, their
+    union, holds every id that acted as a signal source this tick;
+    downstream bookkeeping uses it to tell which synapses carried signal.
     """
 
     tick: int
     fired: frozenset[int]
     input_sums: dict[int, float]
     rejections: dict[int, float]
-    sources: frozenset[int]
+    refractory: frozenset[int]
+    externals: frozenset[int]
+
+    @property
+    def sources(self) -> frozenset[int]:
+        return _union(self.refractory, self.externals)
+
+
+def _union(a: frozenset[int], b: frozenset[int]) -> frozenset[int]:
+    """``a | b``, without a copy when either is empty."""
+    if not a:
+        return b
+    return a | b if b else a
 
 
 class Network:
@@ -117,10 +137,10 @@ class Network:
     def add_synapse(self, pre: int, post: int, open_fraction: float = 1.0,
                     distance: int = 1, multiplicity: int = 1) -> int:
         """Add a directed synapse; returns its dense integer id."""
-        if pre not in self.neurons:
-            raise NotFoundError(f"unknown neuron id {pre}")
-        if post not in self.neurons:
-            raise NotFoundError(f"unknown neuron id {post}")
+        if type(pre) is not int or pre not in self.neurons:
+            raise NotFoundError(f"unknown neuron id {pre!r}")
+        if type(post) is not int or post not in self.neurons:
+            raise NotFoundError(f"unknown neuron id {post!r}")
         if pre == post:
             raise InvalidParameterError("self-loops are not allowed")
         # Inline, not the checkers: their calls made build_direct_unit a fifth slower.
@@ -148,8 +168,8 @@ class Network:
 
     def set_open_fraction(self, synapse_id: int, open_fraction: float) -> None:
         """Set a synapse's open fraction, which must lie in [0, 1]."""
-        if synapse_id not in self.synapses:
-            raise NotFoundError(f"unknown synapse id {synapse_id}")
+        if type(synapse_id) is not int or synapse_id not in self.synapses:
+            raise NotFoundError(f"unknown synapse id {synapse_id!r}")
         check_number(open_fraction, "open_fraction", InvalidParameterError, 0, 1)
         syn = self.synapses[synapse_id]
         syn.open_fraction = float(open_fraction)
@@ -200,13 +220,14 @@ class Network:
         incoming synapses whose source fired last tick or is externally
         driven this tick.  A neuron that fired last tick cannot fire; the
         per-input excess of every fired neuron is recorded as its rejection.
+        The record keeps the nonzero sums and those of the fired neurons.
         """
         externals = frozenset(external_inputs)
         for nid in externals:
             if type(nid) is not int or nid not in self.neurons:
                 raise NotFoundError(f"unknown neuron id {nid!r}")
         refractory = self._last_fired
-        sources = refractory | externals
+        sources = _union(refractory, externals)
 
         synapses, incoming = self.synapses, self._incoming
         input_sums: dict[int, float] = {}
@@ -219,16 +240,18 @@ class Network:
                 syn = synapses[sid]
                 if syn.pre in sources:
                     total += syn.delivery
-            input_sums[nid] = total
             if nid not in refractory and total >= neuron.threshold - FIRING_TOLERANCE:
+                input_sums[nid] = total
                 fired.append(nid)
                 open_inputs = self.open_input_count(nid)
                 if open_inputs >= 1:
                     rejections[nid] = (total - neuron.threshold) / open_inputs
+            elif total:
+                input_sums[nid] = total
 
         record = FiringRecord(tick=self.tick, fired=frozenset(fired),
                               input_sums=input_sums, rejections=rejections,
-                              sources=sources)
+                              refractory=refractory, externals=externals)
         self.tick += 1
         self._last_fired = record.fired
         self._derived.clear()

@@ -39,12 +39,17 @@ class ExperimentConfig:
         check_number(self.schedule_probability, "schedule_probability", error, 0, 1)
         check_int(self.max_ticks, "max_ticks", error, 1)
         check_str(self.output_dir, "output_dir", error)
-        if not self.sweep_inputs:
-            raise ConfigurationError("sweep_inputs must be non-empty")
+        if not isinstance(self.growth, GrowthConfig):
+            raise error(f"growth must be a GrowthConfig, got {self.growth!r}")
+        if (not isinstance(self.refined_specs, list)
+                or not all(isinstance(spec, RefinedSpec) for spec in self.refined_specs)):
+            raise error(f"refined_specs must be a list of RefinedSpec, got {self.refined_specs!r}")
+        for name, values in (("sweep_inputs", self.sweep_inputs),
+                             ("sweep_thresholds", self.sweep_thresholds)):
+            if not isinstance(values, list) or not values:
+                raise error(f"{name} must be a non-empty list, got {values!r}")
         for i, count in enumerate(self.sweep_inputs):
             check_int(count, f"sweep_inputs[{i}]", error, 1)
-        if not self.sweep_thresholds:
-            raise ConfigurationError("sweep_thresholds must be non-empty")
         for i, threshold in enumerate(self.sweep_thresholds):
             check_number(threshold, f"sweep_thresholds[{i}]", error, 0, brackets="(]")
 

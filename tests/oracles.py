@@ -9,7 +9,9 @@ flag lists it compared.
 ``step`` counts refractory ticks down in a map its caller keeps, as a
 network once did, so the network's one last-fired set is checked against it;
 it asks ``fires``, the activation rule ``Network.step`` once called per
-neuron, whether a neuron fires.
+neuron, whether a neuron fires, and it records a dense ``input_sums``, an
+entry for every neuron, of which ``sparse_input_sums`` selects the entries a
+library record keeps.
 ``forest_index`` rebuilds a forest's label index from its trees, as the
 forest once did on every load and split, and ``to_json`` finds tree indexes
 by scanning, as ``tree_index_of`` once did, so it writes a forest that the
@@ -150,11 +152,18 @@ def step(network: Network, refractory: dict[int, int],
 
     record = FiringRecord(tick=network.tick, fired=frozenset(fired),
                           input_sums=input_sums, rejections=rejections,
-                          sources=sources)
+                          refractory=network._last_fired, externals=externals)
     network.tick += 1
     network._last_fired = record.fired
     network.history.append(record)
     return record
+
+
+def sparse_input_sums(record: FiringRecord) -> dict[int, float]:
+    """The entries of ``record.input_sums`` that are nonzero or fired, in
+    its order: what a library record keeps of the oracle's dense sums."""
+    return {nid: total for nid, total in record.input_sums.items()
+            if total or nid in record.fired}
 
 
 def open_input_count(network: Network, neuron_id: int) -> int:

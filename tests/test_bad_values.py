@@ -6,9 +6,9 @@ import math
 import pytest
 
 from renforge import (ClusterNet, ConceptForest, ConfigurationError, GrowthConfig,
-                      InvalidParameterError, InvalidSpecError, Network, RefinedSpec,
-                      average_excess, expand_weighted, is_balanced, repulsion_at,
-                      resistance_profile, resonate, run_until_balanced)
+                      InvalidParameterError, InvalidSpecError, Network, NotFoundError,
+                      RefinedSpec, average_excess, expand_weighted, is_balanced,
+                      repulsion_at, resistance_profile, resonate, run_until_balanced)
 from renforge.errors import check_int, check_labels, check_number, check_str
 from renforge.harness import ExperimentConfig, sweep
 
@@ -29,6 +29,12 @@ def two_neurons():
 def one_synapse():
     net = two_neurons()
     net.add_synapse(0, 1)
+    return net
+
+
+def two_synapses():
+    net = one_synapse()
+    net.add_synapse(1, 0)
     return net
 
 
@@ -77,6 +83,11 @@ CASES = [
     ("Network.add_synapse multiplicity", 2, INT,
      lambda v: two_neurons().add_synapse(0, 1, 1.0, 1, v)),
     ("Network.set_open_fraction", 0.5, NUMBER, lambda v: one_synapse().set_open_fraction(0, v)),
+    # An id of True would otherwise name neuron or synapse 1.
+    ("Network.add_synapse pre", 1, INT, lambda v: one_synapse().add_synapse(v, 0)),
+    ("Network.add_synapse post", 1, INT, lambda v: two_neurons().add_synapse(0, v)),
+    ("Network.set_open_fraction synapse_id", 1, INT,
+     lambda v: two_synapses().set_open_fraction(v, 0.5)),
     ("Network.from_json threshold", 0.5, NUMBER, network_doc("neurons", 0, "threshold")),
     ("Network.from_json refractory", 1, INT, network_doc("neurons", 0, "refractory")),
     ("Network.from_json open_fraction", 0.5, NUMBER,
@@ -113,6 +124,15 @@ CASES = [
      lambda v: ExperimentConfig(schedule_probability=v)),
     ("ExperimentConfig max_ticks", 2, INT, lambda v: ExperimentConfig(max_ticks=v)),
     ("ExperimentConfig output_dir", "1", STR, lambda v: ExperimentConfig(output_dir=v)),
+    ("ExperimentConfig growth", GrowthConfig(window=2), [None, 5, "1", {}],
+     lambda v: ExperimentConfig(growth=v)),
+    ("ExperimentConfig refined_specs", [RefinedSpec(1, 1, 1, 1)],
+     [None, 5, (RefinedSpec(1, 1, 1, 1),), [None], [{}]],
+     lambda v: ExperimentConfig(refined_specs=v)),
+    ("ExperimentConfig sweep_inputs", [10], [None, 5, "1", (10,)],
+     lambda v: ExperimentConfig(sweep_inputs=v)),
+    ("ExperimentConfig sweep_thresholds", [5.0], [None, 5.0, "1", (5.0,)],
+     lambda v: ExperimentConfig(sweep_thresholds=v)),
     ("ExperimentConfig sweep_inputs entry", 2, INT,
      lambda v: ExperimentConfig(sweep_inputs=[10, v])),
     ("ExperimentConfig sweep_thresholds entry", 0.5, NUMBER,
@@ -151,8 +171,11 @@ CASES = [
 ]
 
 
-# The RenforgeError each entry point raises; the rest raise InvalidParameterError.
-ERRORS = {"ExperimentConfig": ConfigurationError, "RefinedSpec": InvalidSpecError}
+# The RenforgeError each entry point, or each place named in full, raises;
+# the rest raise InvalidParameterError.
+ERRORS = {"ExperimentConfig": ConfigurationError, "RefinedSpec": InvalidSpecError,
+          **dict.fromkeys(("Network.add_synapse pre", "Network.add_synapse post",
+                           "Network.set_open_fraction synapse_id"), NotFoundError)}
 
 
 @pytest.mark.parametrize("name, call, value", [
@@ -160,7 +183,7 @@ ERRORS = {"ExperimentConfig": ConfigurationError, "RefinedSpec": InvalidSpecErro
     for name, _good, values, call in CASES for value in values])
 def test_bad_value_raises_its_renforge_error(name, call, value, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)   # where a sweep that ran would write
-    with pytest.raises(ERRORS.get(name.split()[0], InvalidParameterError)):
+    with pytest.raises(ERRORS.get(name) or ERRORS.get(name.split()[0], InvalidParameterError)):
         call(value)
 
 

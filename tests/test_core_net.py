@@ -5,8 +5,9 @@ import random
 
 import pytest
 
+import oracles
 from renforge import (DuplicateEdgeError, InvalidParameterError, Network,
-                      NotFoundError)
+                      NotFoundError, RefinedSpec, build_refined)
 
 
 class TestFires:
@@ -116,6 +117,60 @@ class TestStep:
         assert set(inputs) <= set(record.sources)
         second = net.step()
         assert main in second.sources
+
+
+class TestSparseRecord:
+    def test_input_sums_hold_nonzero_and_fired_in_id_order(self):
+        net = Network()
+        a, b, c, d = (net.add_neuron(t) for t in (1.0, 2.0, 1e-10, 1.0))
+        net.add_synapse(a, b, 1.0)
+        net.add_synapse(a, d, 0.0)
+        record = net.step([a])
+        # b is reached but stays below threshold and c fires on a 0.0 sum;
+        # the driven a has no input and d's only synapse is closed.
+        assert list(record.input_sums.items()) == [(b, 1.0), (c, 0.0)]
+        assert record.fired == {c}
+
+    def test_externals_is_the_callers_frozenset(self):
+        net, inputs, _main = build_fan_in(5, 4.0)
+        drive = frozenset(inputs)
+        assert net.step(drive).externals is drive
+        assert net.step(inputs).externals == drive
+
+    def test_refractory_is_the_previous_fired_set(self):
+        net, inputs, main = build_fan_in(5, 4.0)
+        previous = net.step(inputs)
+        record = net.step(inputs[:2])
+        assert record.refractory is previous.fired
+        assert record.refractory == {main}
+
+    def test_sources_are_refractory_and_externals(self):
+        net, inputs, main = build_fan_in(5, 4.0)
+        net.step(inputs)
+        for drive in (inputs[:2], (), [main]):
+            record = net.step(drive)
+            assert record.sources == record.refractory | record.externals
+
+    def test_history_stays_sparse_under_sparse_drive(self):
+        # Four two-layer 4-of-5 refined units; each tick drives 50-90 % of
+        # one unit's inputs, so few neurons are reached.  A dense record
+        # would hold an entry for every neuron on every tick.
+        net = Network()
+        inputs = [build_refined(net, RefinedSpec(125, 5, 4, 4, layers=2))[1]
+                  for _ in range(4)]
+        twin = Network.from_json(net.to_json())
+        rng = random.Random(3)
+        countdown: dict[int, int] = {}
+        for _ in range(300):
+            unit = inputs[rng.randrange(len(inputs))]
+            drive = frozenset(rng.sample(unit, round(rng.uniform(0.5, 0.9) * len(unit))))
+            net.step(drive)
+            oracles.step(twin, countdown, drive)
+        expected = [oracles.sparse_input_sums(record) for record in twin.history]
+        assert [record.input_sums for record in net.history] == expected
+        entries = sum(len(record.input_sums) for record in net.history)
+        assert entries == sum(map(len, expected)) == 7623
+        assert entries * 20 < len(net.neurons) * len(net.history)   # 159,744
 
 
 class TestMutations:

@@ -274,6 +274,9 @@ class TestTickMatchesOracle:
                 record = net.step(external)
                 accumulate_turbulence(net, record, state)
                 events = expected_events = []
+            # The library keeps only the oracle's nonzero or fired sums.
+            expected = dataclasses.replace(
+                expected, input_sums=oracles.sparse_input_sums(expected))
             assert dataclasses.replace(record, tick=expected.tick) == expected
             assert list(record.input_sums) == list(expected.input_sums)
             assert list(record.rejections) == list(expected.rejections)
