@@ -23,6 +23,11 @@ FIRING_TOLERANCE = 1e-9
 
 HISTORY_LIMIT = 256
 
+_NETWORK = '{"neurons": [%s], "synapses": [%s]}'
+_NEURON = '{"id": %d, "threshold": %r, "refractory": %d}'
+_SYNAPSE = ('{"pre": %d, "post": %d, "open_fraction": %r, "distance": %d, '
+            '"multiplicity": %d}')
+
 
 @dataclass
 class Neuron:
@@ -66,9 +71,9 @@ class FiringRecord:
     The record shares its source sets instead of copying them:
     ``refractory`` is the previous tick's ``fired`` set, and ``externals``
     is the frozenset ``step`` built from its argument, which is that
-    argument itself when it is already a frozenset.  ``sources``, their
-    union, holds every id that acted as a signal source this tick;
-    downstream bookkeeping uses it to tell which synapses carried signal.
+    argument itself when it is already a frozenset.  Together they hold
+    every id that acted as a signal source this tick.  ``sources`` builds
+    their union on each read, so hot loops visit the two sets instead.
     """
 
     tick: int
@@ -268,15 +273,21 @@ class Network:
     # -- serialization ----------------------------------------------------
 
     def to_json(self) -> str:
-        """Canonical JSON form; re-serialization round-trips bit-exactly."""
-        neurons = [{"id": n.id, "threshold": n.threshold,
-                    "refractory": int(n.id in self._last_fired)}
-                   for n in self.neurons.values()]
-        synapses = [{"pre": s.pre, "post": s.post,
-                     "open_fraction": s.open_fraction, "distance": s.distance,
-                     "multiplicity": s.multiplicity}
-                    for s in self.synapses.values()]
-        return json.dumps({"neurons": neurons, "synapses": synapses}, allow_nan=False)
+        """Canonical JSON form; re-serialization round-trips bit-exactly.
+
+        The bytes are those ``json.dumps`` gives for one dict per neuron and
+        per synapse, written from templates; floats take their
+        ``float.__repr__`` form, as in ``json``.
+        """
+        neurons, synapses = self.neurons.values(), self.synapses.values()
+        if not (all(map(math.isfinite, [n.threshold for n in neurons]))
+                and all(map(math.isfinite, [s.open_fraction for s in synapses]))):
+            raise ValueError("Out of range float values are not JSON compliant")
+        fired = self._last_fired
+        return _NETWORK % (
+            ", ".join([_NEURON % (n.id, n.threshold, n.id in fired) for n in neurons]),
+            ", ".join([_SYNAPSE % (s.pre, s.post, s.open_fraction, s.distance, s.multiplicity)
+                       for s in synapses]))
 
     @classmethod
     def from_json(cls, text: str) -> "Network":

@@ -12,6 +12,7 @@ from __future__ import annotations
 import dataclasses
 import math
 from dataclasses import dataclass, field
+from itertools import chain
 
 from .core_net import HISTORY_LIMIT, FiringRecord, Network
 from .errors import InvalidParameterError, check_int, check_number, check_str
@@ -156,8 +157,10 @@ def accumulate_turbulence(network: Network, record: FiringRecord,
     Synapses that carried signal into a rejecting target gain the clamped
     backward repulsion; synapses that carried signal when the target did
     not reject decay instead, which keeps frequently useful paths open.
-    Only the open synapses out of ``record.sources`` carried, so only they
-    are visited; every other window catches up when it is read.
+    Only the open synapses out of the tick's sources carried, so only they
+    are visited: those out of ``record.externals``, then those out of the
+    ``record.refractory`` ids not among them, without building the union.
+    Every other window catches up when it is read.
     """
     cfg = state.config
     window = cfg.window
@@ -175,7 +178,8 @@ def accumulate_turbulence(network: Network, record: FiringRecord,
     gains: dict[tuple[int, int], float] = {}
     crossed, bud_threshold, decay = state._crossed, cfg.bud_threshold, cfg.offpattern_decay
     outgoing = network._outgoing
-    for src in record.sources:
+    externals = record.externals
+    for src in chain(externals, record.refractory - externals):
         for sid in outgoing.get(src, ()):
             syn = synapses[sid]
             if syn.open_fraction <= 0.0:

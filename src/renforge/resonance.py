@@ -24,20 +24,26 @@ def _fingerprint(network: Network) -> str:
     return hashlib.sha256(network.to_json().encode("utf-8")).hexdigest()
 
 
-def _open_successors(network: Network) -> dict[int, tuple]:
-    """Per source with an open outgoing synapse, its ``((pre, post), post)``
-    pairs in synapse-id order."""
-    successors = {}
-    for nid in network.neurons:
-        pairs = tuple(((nid, s.post), s.post) for s in network.outgoing(nid)
-                      if s.open_fraction > 0.0)
-        if pairs:
-            successors[nid] = pairs
-    return successors
+def _adjacency(network: Network) -> tuple[dict, dict]:
+    """Per node, its open ``(edge, post)`` successors and its open
+    ``(edge, pre)`` predecessors, each in synapse-id order.
+
+    ``edge`` is the synapse's ``(pre, post)`` tuple, one object shared by
+    both lists.  A node with no open synapse on a side has no entry there.
+    """
+    successors: dict[int, list] = {}
+    predecessors: dict[int, list] = {}
+    for syn in network.synapses.values():
+        if syn.open_fraction > 0.0:
+            pre, post = syn.pre, syn.post
+            edge = (pre, post)
+            successors.setdefault(pre, []).append((edge, post))
+            predecessors.setdefault(post, []).append((edge, pre))
+    return successors, predecessors
 
 
 def _terminals(network: Network) -> frozenset[int]:
-    successors = network.derived(_open_successors)
+    successors = network.derived(_adjacency)[0]
     return frozenset(nid for nid in network.neurons if nid not in successors)
 
 
@@ -88,24 +94,23 @@ def resonate(network: Network, seeds, max_depth: int = DEFAULT_MAX_DEPTH,
     reflectors = find_terminals(network)
     if reflect_refractory:
         reflectors = reflectors.union(network.refractory_ids())
-    forward, arrivals = _wave({nid: 1 for nid in sorted(seed_set)},
-                              network.derived(_open_successors), reflectors, max_depth)
-    reverse_index: dict[int, list] = {}
-    for edge in forward:
-        reverse_index.setdefault(edge[1], []).append((edge, edge[0]))
-    backward, _ = _wave(arrivals, reverse_index, (), max_depth)
+    successors, predecessors = network.derived(_adjacency)
+    forward, arrivals = _wave({nid: 1 for nid in sorted(seed_set)}, successors,
+                              reflectors, max_depth)
+    backward, _ = _wave(arrivals, predecessors, (), max_depth, forward)
     return _finish(forward, backward, frozenset(arrivals), seed_set, max_depth,
                    network_fingerprint(network))
 
 
-def _wave(start, edges_from, stop, max_depth):
+def _wave(start, edges_from, stop, max_depth, within=None):
     """Spread integer flows from ``start`` for up to ``max_depth`` layers.
 
     Each node of a layer either ends the wave (it is in ``stop``) or copies
-    its flow down every ``(edge, next node)`` pair of ``edges_from``; flows
-    that meet at a node add up.  Sums do not depend on order, so no layer
-    is sorted.  Returns the flow over each edge and the flow that ended at
-    each stop node.
+    its flow down every ``(edge, next node)`` pair of ``edges_from``, or of
+    those whose edge is in ``within`` when that is given; flows that meet
+    at a node add up.  Sums do not depend on order, so no layer is sorted.
+    Returns the flow over each edge and the flow that ended at each stop
+    node.
     """
     flows: dict = {}
     ended: dict = {}
@@ -118,9 +123,10 @@ def _wave(start, edges_from, stop, max_depth):
             if nid in stop:
                 ended[nid] = ended.get(nid, 0) + flow
             elif layers_left:
-                for edge, post in edges_from.get(nid, ()):
-                    flows[edge] = flows.get(edge, 0) + flow
-                    next_layer[post] = next_layer.get(post, 0) + flow
+                for edge, nxt in edges_from.get(nid, ()):
+                    if within is None or edge in within:
+                        flows[edge] = flows.get(edge, 0) + flow
+                        next_layer[nxt] = next_layer.get(nxt, 0) + flow
         layer = next_layer
     return flows, ended
 
@@ -130,10 +136,13 @@ def _finish(forward, backward, terminals_hit, seeds, max_depth,
     """Report over the wave counts; an edge resonates with min(forward, backward).
 
     The backward wave crosses only forward edges and carries at least 1
-    wherever it goes, so its edges are exactly those that resonate.
+    wherever it goes, so its edges are exactly those that resonate; every
+    other forward edge resonates with 0.
     """
-    resonance = {edge: min(count, backward.get(edge, 0))
-                 for edge, count in forward.items()}
+    resonance = dict.fromkeys(forward, 0)
+    for edge, count in backward.items():
+        ahead = forward[edge]
+        resonance[edge] = count if count < ahead else ahead
     return ResonanceReport(forward, backward, resonance, frozenset(backward),
                            terminals_hit, seeds, max_depth, network_hash)
 
@@ -159,25 +168,39 @@ def combine_searches(report_a: ResonanceReport,
                    report_a.network_hash)
 
 
+_EDGE = ('{"pre": %d, "post": %d, "forward": %d, "backward": %d, "resonance": %d, '
+         '"recognized": %s}')
+_REPORT = ('{"seeds": %s, "terminals_hit": %s, "max_depth": %d, "network_hash": %s, '
+           '"edges": [%s]}')
+
+
 def _edge_rows(report: ResonanceReport) -> list[list]:
-    """``[pre, post, forward, backward, resonance]`` per forward edge, by edge."""
+    """``[pre, post, forward, backward, resonance]`` per forward edge, by edge.
+
+    Counts are the waves' integer flows; a report holding any other count
+    is rejected, since the writers format integers.
+    """
     forward, backward, resonance = (report.forward_visits, report.backward_visits,
                                     report.resonance)
+    for counts in (forward, backward, resonance):
+        if {*map(type, counts.values())} - {int}:
+            bad = next(value for value in counts.values() if type(value) is not int)
+            raise ValueError(f"edge count {bad!r} is not JSON compliant: counts are integers")
     return [[edge[0], edge[1], forward[edge], backward.get(edge, 0), resonance[edge]]
             for edge in sorted(forward)]
 
 
 def report_to_json(report: ResonanceReport) -> str:
+    """The report as canonical JSON: the bytes ``json.dumps`` gives for
+    ``{"seeds", "terminals_hit", "max_depth", "network_hash", "edges"}``,
+    written from templates with one row per forward edge."""
     recognized = report.recognized_path
-    edges = [{"pre": pre, "post": post, "forward": forward, "backward": backward,
-              "resonance": value, "recognized": (pre, post) in recognized}
-             for pre, post, forward, backward, value in _edge_rows(report)]
-    return json.dumps({"seeds": sorted(report.seeds),
-                       "terminals_hit": sorted(report.terminals_hit),
-                       "max_depth": report.max_depth,
-                       "network_hash": report.network_hash,
-                       "edges": edges},
-                      check_circular=False, allow_nan=False)  # fresh, so acyclic
+    edges = ", ".join([_EDGE % (pre, post, forward, backward, value,
+                                "true" if (pre, post) in recognized else "false")
+                       for pre, post, forward, backward, value in _edge_rows(report)])
+    return _REPORT % (json.dumps(sorted(report.seeds)),
+                      json.dumps(sorted(report.terminals_hit)), report.max_depth,
+                      json.dumps(report.network_hash), edges)
 
 
 def report_csv_rows(report: ResonanceReport) -> list[list]:

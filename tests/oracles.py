@@ -288,6 +288,21 @@ def _open_successors(network: Network) -> dict[int, tuple[int, ...]]:
     return successors
 
 
+def adjacency(network: Network) -> tuple[dict, dict]:
+    """Per node, its open ``((pre, post), post)`` successors and its open
+    ``((pre, post), pre)`` predecessors in synapse-id order; nodes without
+    an open synapse on a side are left out of that side."""
+    successors, predecessors = {}, {}
+    for nid in network.neurons:
+        ahead = [((nid, s.post), s.post) for s in network.outgoing(nid) if s.open_fraction > 0.0]
+        behind = [((s.pre, nid), s.pre) for s in network.incoming(nid) if s.open_fraction > 0.0]
+        if ahead:
+            successors[nid] = ahead
+        if behind:
+            predecessors[nid] = behind
+    return successors, predecessors
+
+
 def resonate(network: Network, seeds, max_depth: int = DEFAULT_MAX_DEPTH,
              reflect_refractory: bool = False) -> ResonanceReport:
     """Run one forward/backward search wave from ``seeds``.

@@ -272,6 +272,12 @@ class TestSerialization:
         net.neurons[0].threshold = math.nan   # forced past the checks
         with pytest.raises(ValueError, match="not JSON compliant"):
             net.to_json()
+        net.neurons[0].threshold = 1.0
+        net.add_neuron(1.0)
+        net.add_synapse(0, 1)
+        net.synapses[0].open_fraction = math.inf
+        with pytest.raises(ValueError, match="not JSON compliant"):
+            net.to_json()
 
     def test_refractory_state_survives(self):
         net, inputs, main = build_fan_in(2, 1.0)

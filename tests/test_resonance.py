@@ -15,6 +15,7 @@ from renforge import (InvalidCombinationError, InvalidParameterError, Network,
                       NotFoundError, combine_searches, find_terminals,
                       network_fingerprint, report_csv_rows, report_to_json,
                       resonate)
+from renforge.resonance import _adjacency
 
 
 def chain(length):
@@ -69,11 +70,29 @@ class TestDerivedViews:
                 net.reset_dynamics()
             assert network_fingerprint(net) == oracle_network_fingerprint(net)
             assert find_terminals(net) == oracle_find_terminals(net)
+            assert net.derived(_adjacency) == oracles.adjacency(net)
             seeds = data.draw(st.sets(st.integers(0, len(net.neurons) - 1), min_size=1))
             flag = data.draw(st.booleans())
             restored = Network.from_json(net.to_json())
             assert (report_to_json(resonate(net, seeds, reflect_refractory=flag))
                     == report_to_json(resonate(restored, seeds, reflect_refractory=flag)))
+
+
+    def test_adjacency_follows_closing_and_reopening(self):
+        net = Network()
+        a, b, c = (net.add_neuron(1.0) for _ in range(3))
+        net.add_synapse(a, c)
+        net.add_synapse(b, c)
+        net.add_synapse(a, b)
+        successors, predecessors = net.derived(_adjacency)
+        assert successors == {a: [((a, c), c), ((a, b), b)], b: [((b, c), c)]}
+        assert predecessors == {c: [((a, c), a), ((b, c), b)], b: [((a, b), a)]}
+        assert successors[a][0][0] is predecessors[c][0][0]   # one shared edge tuple
+        net.set_open_fraction(0, 0.0)
+        assert net.derived(_adjacency) == oracles.adjacency(net)
+        assert net.derived(_adjacency)[1][c] == [((b, c), b)]
+        net.set_open_fraction(0, 0.5)
+        assert net.derived(_adjacency) == (successors, predecessors)
 
 
 class TestResonate:
@@ -182,15 +201,26 @@ class TestResonateMatchesOracle:
                                    max_size=30, unique=True))
         for pre, post in pairs:
             net.add_synapse(pre, post, data.draw(st.sampled_from([0.0, 0.5, 1.0])))
-        for _ in range(data.draw(st.integers(0, 3))):
-            net.step(data.draw(st.sets(ids)))
+        # A reload swaps the library's network for one loaded from its
+        # document; the oracle keeps the network that was never reloaded.
+        twin = net
+        for op in data.draw(st.lists(st.sampled_from(["step", "reload"]), max_size=4)):
+            if op == "reload":
+                net = Network.from_json(net.to_json())
+            else:
+                drive = data.draw(st.sets(ids))
+                net.step(drive)
+                if twin is not net:
+                    twin.step(drive)
         reports = []
         for _ in range(data.draw(st.integers(1, 3))):
+            if data.draw(st.booleans()):
+                net = Network.from_json(net.to_json())
             seeds = data.draw(st.sets(ids, min_size=1, max_size=4))
             depth = data.draw(st.integers(1, 12))
             flag = data.draw(st.booleans())
             report = resonate(net, seeds, depth, reflect_refractory=flag)
-            expected = oracles.resonate(net, seeds, depth, reflect_refractory=flag)
+            expected = oracles.resonate(twin, seeds, depth, reflect_refractory=flag)
             assert_same_report(report, expected)
             reports.append((report, expected))
         combined, expected = reports[0]
@@ -279,6 +309,18 @@ class TestReportEmission:
         forced = dataclasses.replace(report, resonance={**report.resonance, edge: math.inf})
         with pytest.raises(ValueError, match="not JSON compliant"):
             report_to_json(forced)
+
+    @pytest.mark.parametrize("value", [math.nan, 2.5, True])
+    def test_count_that_is_not_an_integer_is_not_written(self, value):
+        # The writers format integer counts, so any other count is refused.
+        net, ids = chain(3)
+        report = resonate(net, {ids[0]})
+        edge = next(iter(report.backward_visits))
+        forced = dataclasses.replace(
+            report, backward_visits={**report.backward_visits, edge: value})
+        for write in (report_to_json, report_csv_rows):
+            with pytest.raises(ValueError, match="not JSON compliant"):
+                write(forced)
 
     def test_emission_is_deterministic(self):
         net, ids = chain(4)
