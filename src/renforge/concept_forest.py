@@ -266,8 +266,7 @@ class ConceptForest:
 
     def terminal_nodes(self, tree_index: int) -> list[ConceptNode]:
         """Leaves of one tree: no children and no outgoing links."""
-        if not 0 <= tree_index < len(self.trees):
-            raise NotFoundError(f"no tree {tree_index}")
+        check_int(tree_index, "tree_index", NotFoundError, 0, len(self.trees) - 1)
         linked = {id(link.from_node) for link in self.links}
         return [node for node in _preorder(self.trees[tree_index])
                 if not node.children and id(node) not in linked]

@@ -9,6 +9,7 @@ outputs, so "firing at the same time" is well defined.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import math
 from collections import deque
@@ -105,11 +106,11 @@ class Network:
     with other instances.
 
     Every change to the topology, the open fractions or the firing state
-    goes through a method of this class, and each such method drops
-    the views ``derived`` built, so a view is built at most once between
-    two changes.  Each neuron's open input count is kept apart from those
-    views, across ticks, until its incoming synapses or their open
-    fractions change.
+    goes through a method of this class.  The views ``derived`` builds are
+    its one cache.  The topology mutators (``add_neuron``, ``add_synapse``,
+    ``set_open_fraction``) drop every view.  A tick or ``reset_dynamics``
+    changes only the firing state, so it drops only the fingerprint, the
+    one view that reads it; the rest outlive ticks.
     """
 
     def __init__(self, rng_seed: int = 0):
@@ -123,7 +124,6 @@ class Network:
         self._outgoing: dict[int, list[int]] = {}
         self._last_fired: frozenset[int] = frozenset()
         self._derived: dict = {}
-        self._open_inputs: dict[int, int] = {}
 
     # -- construction -----------------------------------------------------
 
@@ -167,7 +167,6 @@ class Network:
         self._edges[(pre, post)] = sid
         self._incoming.setdefault(post, []).append(sid)
         self._outgoing.setdefault(pre, []).append(sid)
-        self._open_inputs.pop(post, None)
         self._derived.clear()
         return sid
 
@@ -178,7 +177,6 @@ class Network:
         check_number(open_fraction, "open_fraction", InvalidParameterError, 0, 1)
         syn = self.synapses[synapse_id]
         syn.open_fraction = float(open_fraction)
-        self._open_inputs.pop(syn.post, None)
         self._derived.clear()
 
     # -- queries ----------------------------------------------------------
@@ -198,9 +196,12 @@ class Network:
         return self._last_fired
 
     def derived(self, build):
-        """``build(self)``, built at most once between two changes to the network.
+        """``build(self)``, built at most once between two changes that drop it.
 
-        The caller must not mutate the returned value: later callers share it.
+        The topology mutators drop every view; ``step`` and
+        ``reset_dynamics`` drop only ``Network._fingerprint``, so any other
+        ``build`` must read the topology alone, not the firing state.  The
+        caller must not mutate the returned value: later callers share it.
         """
         try:
             return self._derived[build]
@@ -210,11 +211,15 @@ class Network:
 
     def open_input_count(self, neuron_id: int) -> int:
         """Number of open direct unit inputs (multiplicity counted)."""
-        count = self._open_inputs.get(neuron_id)
-        if count is None:
-            count = self._open_inputs[neuron_id] = sum(
-                s.multiplicity for s in self.incoming(neuron_id) if s.open_fraction > 0.0)
-        return count
+        return self.derived(Network._open_input_counts).get(neuron_id, 0)
+
+    def _open_input_counts(self) -> dict[int, int]:
+        """Per neuron with an open incoming synapse, its open input count."""
+        counts: dict[int, int] = {}
+        for syn in self.synapses.values():
+            if syn.open_fraction > 0.0:
+                counts[syn.post] = counts.get(syn.post, 0) + syn.multiplicity
+        return counts
 
     # -- simulation -------------------------------------------------------
 
@@ -238,6 +243,7 @@ class Network:
         input_sums: dict[int, float] = {}
         rejections: dict[int, float] = {}
         fired = []
+        open_counts = None
         # Ids are dense and never deleted, so the dict iterates in id order.
         for nid, neuron in self.neurons.items():
             total = 0.0
@@ -248,7 +254,9 @@ class Network:
             if nid not in refractory and total >= neuron.threshold - FIRING_TOLERANCE:
                 input_sums[nid] = total
                 fired.append(nid)
-                open_inputs = self.open_input_count(nid)
+                if open_counts is None:
+                    open_counts = self.derived(Network._open_input_counts)
+                open_inputs = open_counts.get(nid, 0)
                 if open_inputs >= 1:
                     rejections[nid] = (total - neuron.threshold) / open_inputs
             elif total:
@@ -259,7 +267,7 @@ class Network:
                               refractory=refractory, externals=externals)
         self.tick += 1
         self._last_fired = record.fired
-        self._derived.clear()
+        self._derived.pop(Network._fingerprint, None)
         self.history.append(record)
         return record
 
@@ -268,7 +276,7 @@ class Network:
         self.tick = 0
         self.history.clear()
         self._last_fired = frozenset()
-        self._derived.clear()
+        self._derived.pop(Network._fingerprint, None)
 
     # -- serialization ----------------------------------------------------
 
@@ -288,6 +296,11 @@ class Network:
             ", ".join([_NEURON % (n.id, n.threshold, n.id in fired) for n in neurons]),
             ", ".join([_SYNAPSE % (s.pre, s.post, s.open_fraction, s.distance, s.multiplicity)
                        for s in synapses]))
+
+    def _fingerprint(self) -> str:
+        """The SHA-256 of ``to_json()``: the fingerprint view, which
+        ``resonance.network_fingerprint`` reads."""
+        return hashlib.sha256(self.to_json().encode("utf-8")).hexdigest()
 
     @classmethod
     def from_json(cls, text: str) -> "Network":

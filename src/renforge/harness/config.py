@@ -7,8 +7,7 @@ import json
 import os
 from dataclasses import dataclass, field
 
-from ..errors import (ConfigurationError, check_int, check_number, check_str,
-                      reading_text)
+from ..errors import ConfigurationError, check_int, check_number, check_str
 from ..growth import GrowthConfig
 from ..refined import RefinedSpec
 
@@ -97,10 +96,12 @@ def config_from_json(text: str) -> ExperimentConfig:
 def load_config(path) -> ExperimentConfig:
     """Read a config file; the seed env var overrides the file's seed."""
     try:
-        with reading_text(path), open(path, "r", encoding="utf-8") as handle:
+        with open(path, "r", encoding="utf-8") as handle:
             text = handle.read()
     except OSError as exc:
         raise ConfigurationError(f"cannot read config {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ConfigurationError(f"config {path} is not UTF-8 text: {exc}") from exc
     config = config_from_json(text)
     override = os.environ.get(SEED_ENV_VAR)
     if override is not None:

@@ -122,18 +122,20 @@ def effective_weight(spec: RefinedSpec, layer_path) -> Fraction:
     returns 1.  The fraction is 1 over the product of the traversed
     intermediaries' thresholds.
     """
-    path = list(layer_path)
+    try:
+        path = list(layer_path)
+    except TypeError:
+        raise NotFoundError(f"layer_path must be a sequence of unit indices, "
+                            f"got {layer_path!r}") from None
     if not path:
         return Fraction(1)
     if len(path) != spec.layers:
         raise NotFoundError(
-            f"path must traverse all {spec.layers} layers, got {len(path)}")
+            f"layer_path must traverse all {spec.layers} layers, got {len(path)}")
     counts = spec.unit_counts()
     weight = Fraction(1)
     for level, index in enumerate(path):
-        level_units = counts[level + 1]
-        if not 0 <= index < level_units:
-            raise NotFoundError(f"no unit {index} at layer {level + 1}")
+        check_int(index, f"layer_path[{level}]", NotFoundError, 0, counts[level + 1] - 1)
         if level > 0 and path[level - 1] // spec.group_size != index:
             raise NotFoundError(
                 f"unit {path[level - 1]} at layer {level} does not feed "

@@ -9,7 +9,6 @@ search path.
 
 from __future__ import annotations
 
-import hashlib
 import json
 from dataclasses import dataclass
 
@@ -18,10 +17,6 @@ from .errors import (InvalidCombinationError, InvalidParameterError, NotFoundErr
                      check_int)
 
 DEFAULT_MAX_DEPTH = 32
-
-
-def _fingerprint(network: Network) -> str:
-    return hashlib.sha256(network.to_json().encode("utf-8")).hexdigest()
 
 
 def _adjacency(network: Network) -> tuple[dict, dict]:
@@ -50,9 +45,10 @@ def _terminals(network: Network) -> frozenset[int]:
 def network_fingerprint(network: Network) -> str:
     """Stable digest of the network snapshot a report was computed over.
 
-    The SHA-256 of ``network.to_json()``, computed once per mutation.
+    The SHA-256 of ``network.to_json()``, computed once per change to the
+    network, ticks included.
     """
-    return network.derived(_fingerprint)
+    return network.derived(Network._fingerprint)
 
 
 def find_terminals(network: Network) -> frozenset[int]:

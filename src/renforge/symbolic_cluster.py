@@ -147,6 +147,8 @@ class ClusterNet:
                     f"line {line_number}: times must be strictly increasing")
             last_time = moment
             labels = [part.strip() for part in label_part.split(",") if part.strip()]
+            if not labels:
+                raise InvalidParameterError(f"line {line_number}: event concept set is empty")
             reports.append(self.present_event(labels, fuzzy=fuzzy))
         return reports
 

@@ -148,7 +148,7 @@ def step(network: Network, refractory: dict[int, int],
     refractory.clear()
     refractory.update(countdown)
     refractory.update(dict.fromkeys(fired, REFRACTORY_TICKS))
-    network._derived.clear()
+    network._derived.pop(Network._fingerprint, None)   # the one view a tick changes
 
     record = FiringRecord(tick=network.tick, fired=frozenset(fired),
                           input_sums=input_sums, rejections=rejections,

@@ -7,8 +7,9 @@ import pytest
 
 from renforge import (ClusterNet, ConceptForest, ConfigurationError, GrowthConfig,
                       InvalidParameterError, InvalidSpecError, Network, NotFoundError,
-                      RefinedSpec, average_excess, expand_weighted, is_balanced,
-                      repulsion_at, resistance_profile, resonate, run_until_balanced)
+                      RefinedSpec, average_excess, effective_weight, expand_weighted,
+                      is_balanced, repulsion_at, resistance_profile, resonate,
+                      run_until_balanced)
 from renforge.errors import check_int, check_labels, check_number, check_str
 from renforge.harness import ExperimentConfig, sweep
 
@@ -164,6 +165,14 @@ CASES = [
      forest_doc("links", 0, "from_path", 0)),
     ("ConceptForest.from_json to_tree", 0, INT, forest_doc("links", 0, "to_tree")),
     ("ConceptForest.from_json link label", "x", STR, forest_doc("links", 0, "label")),
+    # Tree 1 exists, so True would otherwise name it.
+    ("ConceptForest.terminal_nodes tree_index", 1, INT,
+     lambda v: ConceptForest.from_json(json.dumps(FOREST_DOC)).terminal_nodes(v)),
+    # Two units at layer 1 (4 inputs in groups of 2), so True would otherwise name unit 1.
+    ("effective_weight layer_path", [1], INT,
+     lambda v: effective_weight(RefinedSpec(4, 2, 1, 1), v)),
+    ("effective_weight layer_path entry", 1, INT,
+     lambda v: effective_weight(RefinedSpec(4, 2, 1, 1), [v])),
     ("resonate max_depth", 2, INT, lambda v: resonate(two_neurons(), {0}, v)),
     ("run_until_balanced max_ticks", 2, INT,
      lambda v: run_until_balanced(two_neurons(), [{0}], max_ticks=v)),
@@ -174,6 +183,7 @@ CASES = [
 # The RenforgeError each entry point, or each place named in full, raises;
 # the rest raise InvalidParameterError.
 ERRORS = {"ExperimentConfig": ConfigurationError, "RefinedSpec": InvalidSpecError,
+          "ConceptForest.terminal_nodes": NotFoundError, "effective_weight": NotFoundError,
           **dict.fromkeys(("Network.add_synapse pre", "Network.add_synapse post",
                            "Network.set_open_fraction synapse_id"), NotFoundError)}
 

@@ -76,6 +76,12 @@ class TestConfig:
         with pytest.raises(ConfigurationError):
             load_config(tmp_path / "absent.json")
 
+    def test_config_that_is_not_utf8(self, tmp_path):
+        path = tmp_path / "config.json"
+        path.write_bytes(b"\xff\xfe{}")
+        with pytest.raises(ConfigurationError, match="not UTF-8 text"):
+            load_config(path)
+
 
 class TestRunScenario:
     def test_unknown_scenario(self, tmp_path):

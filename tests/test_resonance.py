@@ -15,7 +15,7 @@ from renforge import (InvalidCombinationError, InvalidParameterError, Network,
                       NotFoundError, combine_searches, find_terminals,
                       network_fingerprint, report_csv_rows, report_to_json,
                       resonate)
-from renforge.resonance import _adjacency
+from renforge.resonance import _adjacency, _terminals
 
 
 def chain(length):
@@ -71,12 +71,30 @@ class TestDerivedViews:
             assert network_fingerprint(net) == oracle_network_fingerprint(net)
             assert find_terminals(net) == oracle_find_terminals(net)
             assert net.derived(_adjacency) == oracles.adjacency(net)
+            assert all(net.open_input_count(nid) == oracles.open_input_count(net, nid)
+                       for nid in net.neurons)
             seeds = data.draw(st.sets(st.integers(0, len(net.neurons) - 1), min_size=1))
             flag = data.draw(st.booleans())
             restored = Network.from_json(net.to_json())
             assert (report_to_json(resonate(net, seeds, reflect_refractory=flag))
                     == report_to_json(resonate(restored, seeds, reflect_refractory=flag)))
 
+    def test_ticks_keep_topology_views_and_mutators_drop_them(self):
+        # A tick changes only the firing state, and only the fingerprint reads it.
+        net, ids = chain(3)
+        builders = (_adjacency, _terminals, Network._open_input_counts)
+        views = [net.derived(build) for build in builders]
+        for tick in (lambda: net.step([]), lambda: net.step([ids[0]]), net.reset_dynamics):
+            network_fingerprint(net)
+            tick()
+            assert all(net.derived(build) is view for build, view in zip(builders, views))
+            assert network_fingerprint(net) == oracle_network_fingerprint(net)
+        for mutate in (lambda: net.add_neuron(1.0), lambda: net.add_synapse(ids[2], 3),
+                       lambda: net.set_open_fraction(0, 0.5)):
+            for build in (*builders, Network._fingerprint):
+                net.derived(build)
+            mutate()
+            assert net._derived == {}
 
     def test_adjacency_follows_closing_and_reopening(self):
         net = Network()

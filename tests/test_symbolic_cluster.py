@@ -259,6 +259,11 @@ class TestIngestEvents:
         with pytest.raises(InvalidParameterError):
             ClusterNet().ingest_events(["soon\ta,b"])
 
+    @pytest.mark.parametrize("line", ["1.0\t\n", "1.0\t , \n"])
+    def test_line_without_labels_rejected(self, line):
+        with pytest.raises(InvalidParameterError, match="line 2: event concept set is empty"):
+            ClusterNet().ingest_events(["0.5\ta,b\n", line])
+
     @pytest.mark.parametrize("time", ["nan", "inf", "-inf"])
     def test_non_finite_time_rejected(self, time):
         with pytest.raises(InvalidParameterError, match="line 2: time must be finite"):
