@@ -13,7 +13,7 @@ import hashlib
 import json
 import math
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .errors import (DuplicateEdgeError, InvalidParameterError, NotFoundError,
                      check_int, check_number, reading_document)
@@ -30,21 +30,24 @@ _SYNAPSE = ('{"pre": %d, "post": %d, "open_fraction": %r, "distance": %d, '
             '"multiplicity": %d}')
 
 
-@dataclass
+@dataclass(slots=True)
 class Neuron:
     id: int
     threshold: float
 
 
-@dataclass
+@dataclass(slots=True)
 class Synapse:
     """Directed connection carrying forward signal and backward rejection.
 
     ``multiplicity`` represents parallel unit connections on the same
     (pre, post) pair; a weight-w link is w unit inputs bundled together.
+    ``delivery``, the signal handed to the target when the source fires,
+    is stored, not computed per read: it is ``open_fraction *
+    multiplicity``, set on construction and by ``Network.set_open_fraction``.
     The fields are read-only outside ``Network``: change an open fraction
-    with ``Network.set_open_fraction``, so views derived from the network
-    are rebuilt.
+    with ``Network.set_open_fraction``, so ``delivery`` and the views
+    derived from the network follow it.
     """
 
     id: int
@@ -53,11 +56,10 @@ class Synapse:
     open_fraction: float
     distance: int
     multiplicity: int = 1
+    delivery: float = field(init=False)
 
-    @property
-    def delivery(self) -> float:
-        """Signal handed to the target when the source fires."""
-        return self.open_fraction * self.multiplicity
+    def __post_init__(self):
+        self.delivery = self.open_fraction * self.multiplicity
 
 
 @dataclass(frozen=True)
@@ -120,8 +122,9 @@ class Network:
         self.tick = 0
         self.history: deque[FiringRecord] = deque(maxlen=HISTORY_LIMIT)
         self._edges: dict[tuple[int, int], int] = {}
-        self._incoming: dict[int, list[int]] = {}
-        self._outgoing: dict[int, list[int]] = {}
+        # Per neuron, its incoming and outgoing synapses, in id order.
+        self._incoming: dict[int, list[Synapse]] = {}
+        self._outgoing: dict[int, list[Synapse]] = {}
         self._last_fired: frozenset[int] = frozenset()
         self._derived: dict = {}
 
@@ -161,12 +164,12 @@ class Network:
         if (pre, post) in self._edges:
             raise DuplicateEdgeError(f"synapse {pre}->{post} already exists")
         sid = len(self.synapses)
-        self.synapses[sid] = Synapse(id=sid, pre=pre, post=post,
-                                     open_fraction=float(open_fraction),
-                                     distance=distance, multiplicity=multiplicity)
+        syn = self.synapses[sid] = Synapse(id=sid, pre=pre, post=post,
+                                           open_fraction=float(open_fraction),
+                                           distance=distance, multiplicity=multiplicity)
         self._edges[(pre, post)] = sid
-        self._incoming.setdefault(post, []).append(sid)
-        self._outgoing.setdefault(pre, []).append(sid)
+        self._incoming.setdefault(post, []).append(syn)
+        self._outgoing.setdefault(pre, []).append(syn)
         self._derived.clear()
         return sid
 
@@ -177,15 +180,18 @@ class Network:
         check_number(open_fraction, "open_fraction", InvalidParameterError, 0, 1)
         syn = self.synapses[synapse_id]
         syn.open_fraction = float(open_fraction)
+        syn.delivery = syn.open_fraction * syn.multiplicity
         self._derived.clear()
 
     # -- queries ----------------------------------------------------------
 
     def incoming(self, neuron_id: int) -> list[Synapse]:
-        return [self.synapses[s] for s in self._incoming.get(neuron_id, ())]
+        """A new list of the synapses into ``neuron_id``, in id order."""
+        return list(self._incoming.get(neuron_id, ()))
 
     def outgoing(self, neuron_id: int) -> list[Synapse]:
-        return [self.synapses[s] for s in self._outgoing.get(neuron_id, ())]
+        """A new list of the synapses out of ``neuron_id``, in id order."""
+        return list(self._outgoing.get(neuron_id, ()))
 
     def synapse_between(self, pre: int, post: int) -> Synapse | None:
         sid = self._edges.get((pre, post))
@@ -239,7 +245,7 @@ class Network:
         refractory = self._last_fired
         sources = _union(refractory, externals)
 
-        synapses, incoming = self.synapses, self._incoming
+        incoming = self._incoming
         input_sums: dict[int, float] = {}
         rejections: dict[int, float] = {}
         fired = []
@@ -247,8 +253,7 @@ class Network:
         # Ids are dense and never deleted, so the dict iterates in id order.
         for nid, neuron in self.neurons.items():
             total = 0.0
-            for sid in incoming.get(nid, ()):
-                syn = synapses[sid]
+            for syn in incoming.get(nid, ()):
                 if syn.pre in sources:
                     total += syn.delivery
             if nid not in refractory and total >= neuron.threshold - FIRING_TOLERANCE:

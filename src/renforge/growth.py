@@ -12,7 +12,9 @@ from __future__ import annotations
 import dataclasses
 import math
 from dataclasses import dataclass, field
+from functools import reduce
 from itertools import chain
+from operator import add
 
 from .core_net import HISTORY_LIMIT, FiringRecord, Network
 from .errors import InvalidParameterError, check_int, check_number, check_str
@@ -23,6 +25,16 @@ NEURONS_JOINED = "neurons_joined"
 INTERMEDIARY_CREATED = "intermediary_created"
 PATH_CLOSED = "path_closed"
 PATH_REDUCED = "path_reduced"
+
+
+def float_total(values):
+    """The sum of ``values``, added left to right on every Python.
+
+    From 3.12 on, ``sum`` adds floats with compensated summation, which
+    changes the last bits of the totals that artifacts record.  Like
+    ``sum`` before 3.12, this returns the int 0 for no values.
+    """
+    return reduce(add, values, 0)
 
 
 @dataclass(frozen=True)
@@ -147,7 +159,7 @@ class TurbulenceState:
         return stats
 
     def total_turbulence(self) -> float:
-        return sum(st.accumulator for st in self.stats.values())
+        return float_total(st.accumulator for st in self.stats.values())
 
 
 def accumulate_turbulence(network: Network, record: FiringRecord,
@@ -180,11 +192,10 @@ def accumulate_turbulence(network: Network, record: FiringRecord,
     outgoing = network._outgoing
     externals = record.externals
     for src in chain(externals, record.refractory - externals):
-        for sid in outgoing.get(src, ()):
-            syn = synapses[sid]
+        for syn in outgoing.get(src, ()):
             if syn.open_fraction <= 0.0:
                 continue
-            stats = stats_map[sid]
+            stats = stats_map[syn.id]
             # catch_up inlined and fused with this call's flags: a method
             # call per carried synapse made the loop about a third slower.
             missed = call - stats.seen
@@ -202,7 +213,7 @@ def accumulate_turbulence(network: Network, record: FiringRecord,
                                                      cfg.force_per_segment)
                 stats.accumulator += gain
                 if stats.accumulator >= bud_threshold and not stats.budded:
-                    crossed.add(sid)
+                    crossed.add(syn.id)
             else:
                 stats.accumulator *= decay
             stats.carried = carried & keep
@@ -446,7 +457,7 @@ def run_until_balanced(network: Network, input_schedule,
         ticks_to_balance=ticks_to_balance,
         intermediaries_created=sum(1 for e in events
                                    if e.kind == INTERMEDIARY_CREATED),
-        final_total_excess=sum(final_excesses),
+        final_total_excess=float_total(final_excesses),
         initial_max_excess=initial_max,
         final_max_excess=max(final_excesses, default=0.0),
         ticks_run=ticks_run,

@@ -17,7 +17,8 @@ from pathlib import Path
 
 from ..concept_forest import ConceptForest, tokenize
 from ..errors import ConfigurationError
-from ..growth import GrowthConfig, INTERMEDIARY_CREATED, run_until_balanced
+from ..growth import (GrowthConfig, INTERMEDIARY_CREATED, float_total,
+                      run_until_balanced)
 from ..resonance import report_csv_rows, report_to_json, resonate
 from ..symbolic_cluster import ClusterNet
 from .artifacts import write_csv, write_json_doc, write_text
@@ -52,7 +53,7 @@ def _run_growth_scenario(net, schedule, growth_cfg, max_ticks, outdir,
         nonlocal created
         created += sum(1 for e in events if e.kind == INTERMEDIARY_CREATED)
         metrics_rows.append([record.tick, len(record.fired),
-                             sum(record.rejections.values()),
+                             float_total(record.rejections.values()),
                              state.total_turbulence(), created, int(balanced)])
         for event in events:
             events_rows.append([event.tick, event.kind,

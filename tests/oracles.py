@@ -8,6 +8,8 @@ every synapse on every tick, and ``_agreement`` unpacks int windows to the
 flag lists it compared.
 ``step`` counts refractory ticks down in a map its caller keeps, as a
 network once did, so the network's one last-fired set is checked against it;
+it computes each synapse's delivery from its open fraction and multiplicity,
+as the ``Synapse.delivery`` property once did, not from the stored value;
 it asks ``fires``, the activation rule ``Network.step`` once called per
 neuron, whether a neuron fires, and it records a dense ``input_sums``, an
 entry for every neuron, of which ``sparse_input_sums`` selects the entries a
@@ -126,10 +128,9 @@ def step(network: Network, refractory: dict[int, int],
     input_sums: dict[int, float] = {}
     for nid in sorted(network.neurons):
         total = 0.0
-        for sid in network._incoming.get(nid, ()):
-            syn = network.synapses[sid]
+        for syn in network.incoming(nid):
             if syn.pre in sources:
-                total += syn.delivery
+                total += syn.open_fraction * syn.multiplicity
         input_sums[nid] = total
 
     fired = set()

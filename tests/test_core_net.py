@@ -233,6 +233,44 @@ class TestMutations:
         net.add_synapse(net.add_neuron(1.0), main, 0.5, 1, multiplicity=3)
         assert net.open_input_count(main) == 5
 
+    def test_delivery_follows_open_fraction_and_multiplicity(self):
+        net, _inputs, main = build_fan_in(2, 1.0, open_fraction=0.3)
+        bundled = net.add_synapse(net.add_neuron(1.0), main, 0.7, 1, multiplicity=3)
+        syn = net.synapses[0]
+        assert syn.delivery == 0.3
+        net.set_open_fraction(0, 0.0)
+        assert syn.delivery == 0.0
+        net.set_open_fraction(0, 0.6)
+        assert syn.delivery == 0.6
+        assert net.synapses[bundled].delivery == 0.7 * 3
+        restored = Network.from_json(net.to_json())
+        for network in (net, restored):
+            assert [s.delivery for s in network.synapses.values()] == [
+                s.open_fraction * s.multiplicity for s in network.synapses.values()]
+
+    def test_neurons_and_synapses_take_no_extra_attributes(self):
+        net, _inputs, main = build_fan_in(1, 1.0)
+        for obj in (net.neurons[main], net.synapses[0]):
+            with pytest.raises(AttributeError):
+                obj.extra = 1
+
+    def test_incoming_and_outgoing_are_fresh_lists_in_id_order(self):
+        rng = random.Random(5)
+        net = Network()
+        ids = [net.add_neuron(1.0) for _ in range(8)]
+        for _ in range(30):
+            pre, post = rng.sample(ids, 2)
+            if net.synapse_between(pre, post) is None:
+                net.add_synapse(pre, post, rng.choice([0.0, 0.5, 1.0]))
+        for nid in ids:
+            for query, end in ((net.incoming, "post"), (net.outgoing, "pre")):
+                expected = [s for s in net.synapses.values() if getattr(s, end) == nid]
+                listed = query(nid)
+                assert listed == expected
+                assert all(a is b for a, b in zip(listed, expected))
+                listed.clear()
+                assert query(nid) == expected and query(nid) is not query(nid)
+
     @pytest.mark.parametrize("sid, fraction, error", [
         (0, 1.5, InvalidParameterError), (0, -0.1, InvalidParameterError),
         (0, float("nan"), InvalidParameterError), (7, 0.5, NotFoundError),

@@ -15,7 +15,7 @@ from renforge import (GrowthConfig, GrowthEvent, InvalidParameterError,
                       growth_tick, repulsion_at, run_until_balanced)
 from renforge.growth import (BUD_SPAWNED, INTERMEDIARY_CREATED,
                              NEURONS_JOINED, PATH_CLOSED, PATH_REDUCED,
-                             _greedy_groups)
+                             _greedy_groups, float_total)
 from renforge.harness import ALL_FIRING_GROWTH, build_direct_unit
 
 
@@ -417,3 +417,13 @@ class TestScriptedRewiring:
         assert summary["independent_input"] in kinds
         reduced = final.synapse_between(summary["independent_input"], main)
         assert 0.0 < reduced.open_fraction < 1.0
+
+
+class TestFloatTotal:
+    def test_adds_left_to_right(self):
+        # sum() from Python 3.12 on compensates and returns 1.0 here.
+        assert float_total([1e16, 1.0, -1e16]) == 0.0
+
+    def test_empty_total_is_int_zero(self):
+        total = float_total([])
+        assert total == 0 and type(total) is int
