@@ -24,11 +24,13 @@ def _build_parser() -> argparse.ArgumentParser:
 
     run_parser = sub.add_parser("run", help="run a scripted scenario")
     run_parser.add_argument("--config", required=True, help="config JSON path")
+    run_parser.set_defaults(handler=_cmd_run)
 
     sweep_parser = sub.add_parser("sweep", help="run a convergence sweep")
     sweep_parser.add_argument("--config", required=True, help="config JSON path")
     sweep_parser.add_argument("--samples", required=True, type=int,
                               help="number of sweep samples")
+    sweep_parser.set_defaults(handler=_cmd_sweep)
 
     trees_parser = sub.add_parser("trees", help="concept-forest operations")
     trees_sub = trees_parser.add_subparsers(dest="trees_command", required=True)
@@ -36,10 +38,12 @@ def _build_parser() -> argparse.ArgumentParser:
     ingest_parser.add_argument("--corpus", required=True,
                                help="text file, one sequence per line")
     ingest_parser.add_argument("--out", required=True, help="forest JSON output path")
+    ingest_parser.set_defaults(handler=_cmd_trees_ingest)
     query_parser = trees_sub.add_parser("query", help="search a stored forest")
     query_parser.add_argument("--forest", required=True, help="forest JSON path")
     query_parser.add_argument("--terms", required=True,
                               help="query tokens, whitespace separated")
+    query_parser.set_defaults(handler=_cmd_trees_query)
 
     cluster_parser = sub.add_parser("cluster", help="cluster a TSV event stream")
     cluster_parser.add_argument("--events", required=True,
@@ -49,12 +53,15 @@ def _build_parser() -> argparse.ArgumentParser:
     cluster_parser.add_argument("--decay", type=float, default=0.0,
                                 help="weight decay for non-reinforced nodes")
     cluster_parser.add_argument("--out", required=True, help="net JSON output path")
+    cluster_parser.set_defaults(handler=_cmd_cluster)
 
-    sub.add_parser("verify", help="run the acceptance suite")
+    sub.add_parser("verify", help="run the acceptance suite").set_defaults(
+        handler=lambda args: verify())
 
     config_parser = sub.add_parser("config", help="configuration helpers")
     config_parser.add_argument("--print-defaults", action="store_true",
                                help="print the default config JSON")
+    config_parser.set_defaults(handler=_cmd_config)
     return parser
 
 
@@ -72,14 +79,16 @@ def _cmd_sweep(args) -> int:
     return 0
 
 
-def _cmd_trees(args) -> int:
-    if args.trees_command == "ingest":
-        forest = ConceptForest()
-        inserted = forest.ingest_corpus(args.corpus)
-        write_text(args.out, forest.to_json() + "\n")
-        print(f"ingested {inserted} sequences into {len(forest.trees)} trees "
-              f"({len(forest.links)} links)")
-        return 0
+def _cmd_trees_ingest(args) -> int:
+    forest = ConceptForest()
+    inserted = forest.ingest_corpus(args.corpus)
+    write_text(args.out, forest.to_json() + "\n")
+    print(f"ingested {inserted} sequences into {len(forest.trees)} trees "
+          f"({len(forest.links)} links)")
+    return 0
+
+
+def _cmd_trees_query(args) -> int:
     with reading_text(args.forest), open(args.forest, "r", encoding="utf-8") as handle:
         forest = ConceptForest.from_json(handle.read())
     paths = forest.search(tokenize(args.terms))
@@ -111,25 +120,10 @@ def _cmd_config(args) -> int:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        if args.command == "run":
-            return _cmd_run(args)
-        if args.command == "sweep":
-            return _cmd_sweep(args)
-        if args.command == "trees":
-            return _cmd_trees(args)
-        if args.command == "cluster":
-            return _cmd_cluster(args)
-        if args.command == "verify":
-            return verify()
-        if args.command == "config":
-            return _cmd_config(args)
-    except RenforgeError as exc:
+        return args.handler(args)
+    except (RenforgeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    raise AssertionError(f"unhandled command {args.command}")
 
 
 if __name__ == "__main__":

@@ -133,7 +133,7 @@ class ConceptForest:
         outcount its parent; it is then split off.  Returns the split
         events, at most one.
         """
-        toks = list(tokens)
+        toks = [check_str(tok, "token", InvalidParameterError) for tok in tokens]
         if not toks:
             raise InvalidParameterError("token sequence is empty")
         nodes_with = self._nodes_with

@@ -9,7 +9,6 @@ in proportion to how often they met rejection.
 
 from __future__ import annotations
 
-import dataclasses
 import math
 from dataclasses import dataclass, field
 from functools import reduce
@@ -89,13 +88,6 @@ class GrowthConfig:
             return group_size
         fraction = self._policy_fraction()
         return max(1, min(group_size, math.ceil(fraction * group_size)))
-
-    def to_doc(self) -> dict:
-        return dataclasses.asdict(self)
-
-    @classmethod
-    def from_doc(cls, doc: dict) -> "GrowthConfig":
-        return cls(**doc)
 
 
 @dataclass(frozen=True)

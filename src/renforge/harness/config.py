@@ -52,35 +52,13 @@ class ExperimentConfig:
         for i, threshold in enumerate(self.sweep_thresholds):
             check_number(threshold, f"sweep_thresholds[{i}]", error, 0, brackets="(]")
 
-    def to_doc(self) -> dict:
-        return dataclasses.asdict(self)
-
 
 def config_to_json(config: ExperimentConfig) -> str:
-    return json.dumps(config.to_doc(), indent=2, allow_nan=False) + "\n"
+    return json.dumps(dataclasses.asdict(config), indent=2, allow_nan=False) + "\n"
 
 
 def default_config_json() -> str:
     return config_to_json(ExperimentConfig())
-
-
-_FIELD_NAMES = {f.name for f in dataclasses.fields(ExperimentConfig)}
-
-
-def config_from_doc(doc: dict) -> ExperimentConfig:
-    unknown = set(doc) - _FIELD_NAMES
-    if unknown:
-        raise ConfigurationError(f"unknown configuration keys: {sorted(unknown)}")
-    kwargs = dict(doc)
-    try:
-        if "growth" in kwargs:
-            kwargs["growth"] = GrowthConfig.from_doc(kwargs["growth"])
-        if "refined_specs" in kwargs:
-            kwargs["refined_specs"] = [RefinedSpec.from_doc(d)
-                                       for d in kwargs["refined_specs"]]
-        return ExperimentConfig(**kwargs)
-    except (TypeError, ValueError) as exc:
-        raise ConfigurationError(f"bad configuration value: {exc}") from exc
 
 
 def config_from_json(text: str) -> ExperimentConfig:
@@ -90,7 +68,17 @@ def config_from_json(text: str) -> ExperimentConfig:
         raise ConfigurationError(f"config is not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise ConfigurationError("config must be a JSON object")
-    return config_from_doc(doc)
+    unknown = set(doc) - {f.name for f in dataclasses.fields(ExperimentConfig)}
+    if unknown:
+        raise ConfigurationError(f"unknown configuration keys: {sorted(unknown)}")
+    try:
+        if "growth" in doc:
+            doc["growth"] = GrowthConfig(**doc["growth"])
+        if "refined_specs" in doc:
+            doc["refined_specs"] = [RefinedSpec(**d) for d in doc["refined_specs"]]
+        return ExperimentConfig(**doc)
+    except (TypeError, ValueError) as exc:
+        raise ConfigurationError(f"bad configuration value: {exc}") from exc
 
 
 def load_config(path) -> ExperimentConfig:

@@ -13,6 +13,7 @@ summary.  The config's growth settings govern the sweep command instead.
 
 from __future__ import annotations
 
+import dataclasses
 from pathlib import Path
 
 from ..concept_forest import ConceptForest, tokenize
@@ -90,7 +91,7 @@ def run_fig2_growth(config: ExperimentConfig, outdir: Path) -> dict:
     return {
         "scenario": "fig2_growth",
         "seed": config.seed,
-        "growth": FIG2_GROWTH.to_doc(),
+        "growth": dataclasses.asdict(FIG2_GROWTH),
         "main_neuron": main,
         "independent_input": independent,
         "original_paths": originals,

@@ -8,8 +8,7 @@ wiring alone produces the analogue behaviour.
 
 from __future__ import annotations
 
-import dataclasses
-import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -38,37 +37,37 @@ class RefinedSpec:
         for name in ("input_count", "group_size", "layers"):
             check_int(getattr(self, name), name, InvalidSpecError, 1)
         check_int(self.group_threshold, "group_threshold", InvalidSpecError, 1, self.group_size)
-        check_int(self.main_threshold, "main_threshold", InvalidSpecError, 1,
-                  self.final_unit_count())
-
-    def unit_counts(self) -> list[int]:
-        """Unit count per level, inputs first, last layer last."""
-        counts = [self.input_count]
-        for _ in range(self.layers):
-            counts.append(math.ceil(counts[-1] / self.group_size))
-        return counts
-
-    def final_unit_count(self) -> int:
-        return self.unit_counts()[-1]
-
-    def to_doc(self) -> dict:
-        return dataclasses.asdict(self)
-
-    @classmethod
-    def from_doc(cls, doc: dict) -> "RefinedSpec":
-        return cls(**doc)
+        *_, top = _layers(self)
+        check_int(self.main_threshold, "main_threshold", InvalidSpecError, 1, len(top))
 
 
-def _group_sizes(count: int, group_size: int) -> list[int]:
-    sizes = [group_size] * (count // group_size)
-    if count % group_size:
-        sizes.append(count % group_size)
-    return sizes
+class _Layer(Sequence):
+    """One layer over ``below`` units: a ``(first, size, threshold)`` per unit.
+
+    A unit reads the ``size`` units of the level below from index ``first``
+    and demands ``min(group_threshold, size)`` of them.  Units are computed
+    on demand, so a spec of any input count is checked at once.
+    """
+
+    def __init__(self, spec: RefinedSpec, below: int):
+        self.spec, self.firsts = spec, range(0, below, spec.group_size)
+
+    def __len__(self) -> int:
+        return len(self.firsts)
+
+    def __getitem__(self, index):
+        first = self.firsts[index]
+        left = self.firsts.stop - first
+        return first, min(self.spec.group_size, left), min(self.spec.group_threshold, left)
 
 
-def _group_threshold(spec: RefinedSpec, size: int) -> int:
-    # The remainder group cannot demand more members than it has.
-    return min(spec.group_threshold, size)
+def _layers(spec: RefinedSpec):
+    """Yield the layers of ``spec``, the one over the inputs first."""
+    below = spec.input_count
+    for _ in range(spec.layers):
+        layer = _Layer(spec, below)
+        yield layer
+        below = len(layer)
 
 
 def build_refined(network: Network, spec: RefinedSpec):
@@ -78,18 +77,16 @@ def build_refined(network: Network, spec: RefinedSpec):
     is by input ordering (consecutive ids) so construction is deterministic.
     """
     input_ids = [network.add_neuron(1.0) for _ in range(spec.input_count)]
-    current = list(input_ids)
+    current = input_ids
     intermediaries: list[int] = []
-    for _ in range(spec.layers):
-        next_level = []
-        for start in range(0, len(current), spec.group_size):
-            group = current[start:start + spec.group_size]
-            inter = network.add_neuron(float(_group_threshold(spec, len(group))))
-            for src in group:
+    for layer in _layers(spec):
+        below, current = current, []
+        for first, size, threshold in layer:
+            inter = network.add_neuron(float(threshold))
+            for src in below[first:first + size]:
                 network.add_synapse(src, inter, 1.0, 1)
-            next_level.append(inter)
-        intermediaries.extend(next_level)
-        current = next_level
+            current.append(inter)
+        intermediaries.extend(current)
     main = network.add_neuron(float(spec.main_threshold))
     for unit in current:
         network.add_synapse(unit, main, 1.0, 1)
@@ -105,12 +102,9 @@ def min_firing_set_size(spec: RefinedSpec) -> int:
     main_threshold * group_threshold.
     """
     costs = [1] * spec.input_count
-    for _ in range(spec.layers):
-        next_costs = []
-        for start in range(0, len(costs), spec.group_size):
-            group = sorted(costs[start:start + spec.group_size])
-            next_costs.append(sum(group[:_group_threshold(spec, len(group))]))
-        costs = next_costs
+    for layer in _layers(spec):
+        costs = [sum(sorted(costs[first:first + size])[:threshold])
+                 for first, size, threshold in layer]
     return sum(sorted(costs)[:spec.main_threshold])
 
 
@@ -132,16 +126,15 @@ def effective_weight(spec: RefinedSpec, layer_path) -> Fraction:
     if len(path) != spec.layers:
         raise NotFoundError(
             f"layer_path must traverse all {spec.layers} layers, got {len(path)}")
-    counts = spec.unit_counts()
     weight = Fraction(1)
-    for level, index in enumerate(path):
-        check_int(index, f"layer_path[{level}]", NotFoundError, 0, counts[level + 1] - 1)
-        if level > 0 and path[level - 1] // spec.group_size != index:
+    for level, (index, layer) in enumerate(zip(path, _layers(spec))):
+        check_int(index, f"layer_path[{level}]", NotFoundError, 0, len(layer) - 1)
+        first, size, threshold = layer[index]
+        if level > 0 and not first <= path[level - 1] < first + size:
             raise NotFoundError(
                 f"unit {path[level - 1]} at layer {level} does not feed "
                 f"unit {index} at layer {level + 1}")
-        sizes = _group_sizes(counts[level], spec.group_size)
-        weight /= _group_threshold(spec, sizes[index])
+        weight /= threshold
     return weight
 
 

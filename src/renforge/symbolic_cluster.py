@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from itertools import chain, combinations
 
 from .errors import (InvalidParameterError, NotFoundError, check_int, check_labels,
-                     check_number, reading_document, reading_text)
+                     check_number, check_str, reading_document, reading_text)
 
 
 @dataclass
@@ -65,7 +65,8 @@ class ClusterNet:
         subset of the presentation is reinforced as well.  Non-reinforced
         nodes decay by the configured amount (default none).
         """
-        concept_set = frozenset(concepts)
+        concept_set = frozenset(check_str(label, "event label", InvalidParameterError)
+                                for label in concepts)
         if not concept_set:
             raise InvalidParameterError("event concept set is empty")
         new_bases = tuple(sorted(concept_set - self.base_concepts))

@@ -58,6 +58,14 @@ class TestInsertSequence:
         with pytest.raises(InvalidParameterError):
             ConceptForest().insert_sequence([])
 
+    @pytest.mark.parametrize("tokens", [["a", 1], [1, 2], [["a"]], ["a", None]])
+    def test_non_string_tokens_rejected_without_change(self, tokens):
+        forest = build_fig4_forest()
+        before = forest.to_json()
+        with pytest.raises(InvalidParameterError, match="token must be a string"):
+            forest.insert_sequence(tokens)
+        assert forest.to_json() == before
+
 
 class TestSplitIfViolates:
     def test_fig4_link(self):

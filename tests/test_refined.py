@@ -1,10 +1,13 @@
 """Refined units checked against exhaustive enumeration oracles."""
 
 import itertools
+import math
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from renforge import (InvalidParameterError, InvalidSpecError, Network,
                       NotFoundError, RefinedSpec, build_refined,
@@ -191,6 +194,68 @@ class TestEffectiveWeight:
         nested = RefinedSpec(125, 5, 4, 4, layers=2)
         with pytest.raises(NotFoundError):
             effective_weight(nested, [7, 0])  # unit 7 feeds unit 1, not 0
+
+
+@st.composite
+def small_specs(draw):
+    """Specs up to 10 inputs, 1-4 wide groups and 1-3 layers, remainders included."""
+    input_count = draw(st.integers(1, 10))
+    group_size = draw(st.integers(1, 4))
+    layers = draw(st.integers(1, 3))
+    top = input_count
+    for _ in range(layers):
+        top = -(-top // group_size)
+    return RefinedSpec(input_count, group_size, draw(st.integers(1, group_size)),
+                       draw(st.integers(1, top)), layers)
+
+
+def built_levels(net, inputs, intermediaries):
+    """The intermediary ids of each built layer, read from the wiring alone."""
+    levels, below = [], set(inputs)
+    remaining = list(intermediaries)
+    while remaining:
+        level = [nid for nid in remaining
+                 if {syn.pre for syn in net.incoming(nid)} <= below]
+        levels.append(level)
+        below = set(level)
+        remaining = [nid for nid in remaining if nid not in below]
+    return levels
+
+
+class TestBuiltNetworkAgainstSpec:
+    """The wired network agrees with the spec functions on small specs."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(small_specs())
+    def test_smallest_firing_subset(self, spec):
+        net = Network()
+        main, inputs, _ = build_refined(net, spec)
+        smallest = None
+        for mask in range(1, 1 << spec.input_count):
+            net.reset_dynamics()
+            fired = net.step([nid for i, nid in enumerate(inputs) if mask >> i & 1]).fired
+            for _ in range(spec.layers):
+                fired |= net.step().fired
+            if main in fired:
+                size = mask.bit_count()
+                smallest = size if smallest is None else min(smallest, size)
+        assert smallest == min_firing_set_size(spec)
+
+    @settings(max_examples=60, deadline=None)
+    @given(small_specs())
+    def test_effective_weight_is_built_thresholds(self, spec):
+        net = Network()
+        main, inputs, intermediaries = build_refined(net, spec)
+        levels = built_levels(net, inputs, intermediaries)
+        assert len(levels) == spec.layers
+        for path in itertools.product(*(range(len(level)) for level in levels)):
+            units = [level[index] for level, index in zip(levels, path)]
+            if all(net.synapse_between(pre, post) for pre, post in zip(units, units[1:])):
+                thresholds = [net.neurons[nid].threshold for nid in units]
+                assert effective_weight(spec, path) == 1 / Fraction(math.prod(thresholds))
+            else:
+                with pytest.raises(NotFoundError):
+                    effective_weight(spec, path)
 
 
 class TestExpandWeighted:

@@ -68,6 +68,16 @@ class TestPresentEvent:
         with pytest.raises(InvalidParameterError):
             ClusterNet().present_event(set())
 
+    @pytest.mark.parametrize("labels", [["a", 1], [1, 2], [["a"]], ["a", None]])
+    def test_non_string_labels_rejected_without_change(self, labels):
+        net = ClusterNet(decay=0.5)
+        net.present_event(["a", "b"])
+        before = net.to_json()
+        with pytest.raises(InvalidParameterError, match="event label must be a string"):
+            net.present_event(labels, fuzzy=True)
+        assert net.to_json() == before
+        assert net.present_event(["a", "b"]).index == 1
+
     @pytest.mark.parametrize("decay", [-0.1, math.nan, math.inf, True, "0.1", None])
     def test_bad_decay_rejected(self, decay):
         with pytest.raises(InvalidParameterError, match="decay must be a finite number"):
@@ -306,6 +316,17 @@ class TestSerialization:
         restored = ClusterNet.from_json(text)
         assert restored.to_json() == text
         assert restored.retrieve(0) == net.retrieve(0)
+
+    def test_unsorted_lists_load_and_write_sorted(self):
+        net = ClusterNet()
+        for event in FIG3_EVENTS:
+            net.present_event(event)
+        text = net.to_json()
+        doc = json.loads(text)
+        doc["base_concepts"].reverse()
+        for node in doc["hidden_nodes"]:
+            node["inputs"].reverse()
+        assert ClusterNet.from_json(json.dumps(doc)).to_json() == text
 
     @pytest.mark.parametrize("text", [
         "{not json",
