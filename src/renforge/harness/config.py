@@ -9,7 +9,6 @@ from dataclasses import dataclass, field
 
 from ..errors import ConfigurationError, check_int, check_number, check_str
 from ..growth import GrowthConfig
-from ..refined import RefinedSpec
 
 SEED_ENV_VAR = "RENFORGE_SEED"
 
@@ -21,7 +20,6 @@ class ExperimentConfig:
     seed: int = 0
     scenario: str = "fig2_growth"
     growth: GrowthConfig = field(default_factory=GrowthConfig)
-    refined_specs: list[RefinedSpec] = field(default_factory=list)
     schedule: str = "all_firing"
     schedule_probability: float = 0.5   # used by the random_subset schedule
     max_ticks: int = 500
@@ -32,17 +30,17 @@ class ExperimentConfig:
     def __post_init__(self):
         error = ConfigurationError
         check_int(self.seed, "seed", error)
+        check_str(self.scenario, "scenario", error)
         if self.schedule not in KNOWN_SCHEDULES:
             raise ConfigurationError(
                 f"unknown schedule {self.schedule!r}; expected one of {KNOWN_SCHEDULES}")
         check_number(self.schedule_probability, "schedule_probability", error, 0, 1)
         check_int(self.max_ticks, "max_ticks", error, 1)
-        check_str(self.output_dir, "output_dir", error)
+        if not check_str(self.output_dir, "output_dir", error) or "\0" in self.output_dir:
+            raise error(f"output_dir must be a non-empty string without NUL, "
+                        f"got {self.output_dir!r}")
         if not isinstance(self.growth, GrowthConfig):
             raise error(f"growth must be a GrowthConfig, got {self.growth!r}")
-        if (not isinstance(self.refined_specs, list)
-                or not all(isinstance(spec, RefinedSpec) for spec in self.refined_specs)):
-            raise error(f"refined_specs must be a list of RefinedSpec, got {self.refined_specs!r}")
         for name, values in (("sweep_inputs", self.sweep_inputs),
                              ("sweep_thresholds", self.sweep_thresholds)):
             if not isinstance(values, list) or not values:
@@ -74,8 +72,6 @@ def config_from_json(text: str) -> ExperimentConfig:
     try:
         if "growth" in doc:
             doc["growth"] = GrowthConfig(**doc["growth"])
-        if "refined_specs" in doc:
-            doc["refined_specs"] = [RefinedSpec(**d) for d in doc["refined_specs"]]
         return ExperimentConfig(**doc)
     except (TypeError, ValueError) as exc:
         raise ConfigurationError(f"bad configuration value: {exc}") from exc

@@ -44,8 +44,20 @@ FIG4_QUERY = "black cat drank milk"
 FIG3_EVENTS = [("c0", "c1", "c2"), ("c1", "c2", "c3"), ("c2", "c3", "c4")]
 
 
-def _run_growth_scenario(net, schedule, growth_cfg, max_ticks, outdir,
-                         original_synapses):
+def run_fig2_growth(config: ExperimentConfig, outdir: Path) -> dict:
+    net, inputs, main = build_direct_unit(3, 1.0)
+    original_synapses = [s.id for s in net.incoming(main)]
+    independent = inputs[2]
+    group = set(inputs)
+
+    def schedule(tick):
+        phase = tick % FIG2_PERIOD
+        if phase == 0:
+            return {independent}
+        if phase % 2 == 0:
+            return group
+        return frozenset()
+
     metrics_rows = []
     events_rows = []
     created = 0
@@ -60,41 +72,20 @@ def _run_growth_scenario(net, schedule, growth_cfg, max_ticks, outdir,
             events_rows.append([event.tick, event.kind,
                                 ";".join(str(i) for i in event.affected)])
 
-    report = run_until_balanced(net, schedule, growth_cfg, max_ticks,
+    report = run_until_balanced(net, schedule, FIG2_GROWTH, config.max_ticks,
                                 on_tick=on_tick)
     write_csv(outdir / "metrics.csv", METRICS_HEADER, metrics_rows)
     write_csv(outdir / "events.csv", EVENTS_HEADER, events_rows)
     write_text(outdir / "network.json", net.to_json() + "\n")
-    originals = [{"synapse": sid, "source": net.synapses[sid].pre,
-                  "open_fraction": net.synapses[sid].open_fraction}
-                 for sid in original_synapses]
-    return report, originals
-
-
-def run_fig2_growth(config: ExperimentConfig, outdir: Path) -> dict:
-    net, inputs, main = build_direct_unit(3, 1.0, rng_seed=config.seed)
-    original_synapses = [s.id for s in net.incoming(main)]
-    independent = inputs[2]
-    group = set(inputs)
-
-    def schedule(tick):
-        phase = tick % FIG2_PERIOD
-        if phase == 0:
-            return {independent}
-        if phase % 2 == 0:
-            return group
-        return frozenset()
-
-    report, originals = _run_growth_scenario(net, schedule, FIG2_GROWTH,
-                                             config.max_ticks, outdir,
-                                             original_synapses)
     return {
         "scenario": "fig2_growth",
         "seed": config.seed,
         "growth": dataclasses.asdict(FIG2_GROWTH),
         "main_neuron": main,
         "independent_input": independent,
-        "original_paths": originals,
+        "original_paths": [{"synapse": sid, "source": net.synapses[sid].pre,
+                            "open_fraction": net.synapses[sid].open_fraction}
+                           for sid in original_synapses],
         "balanced": report.ticks_to_balance is not None,
         **report.to_doc(),
     }

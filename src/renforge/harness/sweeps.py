@@ -54,8 +54,7 @@ def sweep(config: ExperimentConfig, n_samples: int) -> list[dict]:
         sample_seed = master.randrange(2 ** 63)
         n_inputs = config.sweep_inputs[index % len(config.sweep_inputs)]
         threshold = config.sweep_thresholds[index % len(config.sweep_thresholds)]
-        net, inputs, _main = build_direct_unit(n_inputs, threshold,
-                                               rng_seed=sample_seed)
+        net, inputs, _main = build_direct_unit(n_inputs, threshold)
         schedule = _sample_schedule(config, inputs, sample_seed)
         report = run_until_balanced(net, schedule, config.growth,
                                     config.max_ticks)

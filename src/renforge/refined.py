@@ -37,7 +37,11 @@ class RefinedSpec:
         for name in ("input_count", "group_size", "layers"):
             check_int(getattr(self, name), name, InvalidSpecError, 1)
         check_int(self.group_threshold, "group_threshold", InvalidSpecError, 1, self.group_size)
-        *_, top = _layers(self)
+        below = self.input_count
+        for top in _layers(self):
+            if len(top) == below:   # a layer that keeps its count: all above it do too
+                break
+            below = len(top)
         check_int(self.main_threshold, "main_threshold", InvalidSpecError, 1, len(top))
 
 

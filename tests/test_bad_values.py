@@ -124,12 +124,11 @@ CASES = [
     ("ExperimentConfig schedule_probability", 0.5, NUMBER,
      lambda v: ExperimentConfig(schedule_probability=v)),
     ("ExperimentConfig max_ticks", 2, INT, lambda v: ExperimentConfig(max_ticks=v)),
-    ("ExperimentConfig output_dir", "1", STR, lambda v: ExperimentConfig(output_dir=v)),
+    ("ExperimentConfig scenario", "1", STR, lambda v: ExperimentConfig(scenario=v)),
+    ("ExperimentConfig output_dir", "1", [*STR, "", "a\0b"],
+     lambda v: ExperimentConfig(output_dir=v)),
     ("ExperimentConfig growth", GrowthConfig(window=2), [None, 5, "1", {}],
      lambda v: ExperimentConfig(growth=v)),
-    ("ExperimentConfig refined_specs", [RefinedSpec(1, 1, 1, 1)],
-     [None, 5, (RefinedSpec(1, 1, 1, 1),), [None], [{}]],
-     lambda v: ExperimentConfig(refined_specs=v)),
     ("ExperimentConfig sweep_inputs", [10], [None, 5, "1", (10,)],
      lambda v: ExperimentConfig(sweep_inputs=v)),
     ("ExperimentConfig sweep_thresholds", [5.0], [None, 5.0, "1", (5.0,)],

@@ -1,11 +1,10 @@
 """Configuration, scenario artifacts, sweeps, and the command line."""
 
-import hashlib
 import json
 
 import pytest
 
-from renforge import ConfigurationError, GrowthConfig, InvalidParameterError, RefinedSpec
+from renforge import ConfigurationError, GrowthConfig, InvalidParameterError
 from renforge.cli import main
 from renforge.harness import (ALL_FIRING_GROWTH, ExperimentConfig,
                               config_from_json, config_to_json,
@@ -18,12 +17,10 @@ class TestConfig:
         config = config_from_json(default_config_json())
         assert config == ExperimentConfig()
 
-    def test_full_round_trip_with_specs(self):
+    def test_full_round_trip(self):
         config = ExperimentConfig(
             seed=42, scenario="fig4_trees",
             growth=GrowthConfig(bud_threshold=1.5, window=12),
-            refined_specs=[RefinedSpec(25, 5, 4, 4),
-                           RefinedSpec(125, 5, 4, 4, layers=2)],
             max_ticks=123, output_dir="elsewhere")
         assert config_from_json(config_to_json(config)) == config
 
@@ -57,6 +54,9 @@ class TestConfig:
         {"seed": [1]},
         {"seed": 1.0},
         {"output_dir": 5},
+        {"output_dir": ""},
+        {"output_dir": "a\0b"},
+        {"scenario": []},
     ])
     def test_invalid_values_rejected_when_built(self, kwargs):
         with pytest.raises(ConfigurationError):
@@ -190,12 +190,37 @@ class TestSweep:
 
 class TestCli:
     def test_config_print_defaults(self, capsys):
-        # Pinned by digest, not compared with default_config_json(), so a
-        # changed default fails here.
+        # Pinned as literal text, not compared with default_config_json(), so
+        # a changed default or field fails here and shows in the diff.
         assert main(["config", "--print-defaults"]) == 0
-        out = capsys.readouterr().out
-        assert hashlib.sha256(out.encode("utf-8")).hexdigest() == (
-            "043b8d043559df1e2ecbf5439ac9680df5e2ca39d97081149ffe7c4d16d3f6db")
+        assert capsys.readouterr().out == """\
+{
+  "seed": 0,
+  "scenario": "fig2_growth",
+  "growth": {
+    "bud_threshold": 3.0,
+    "window": 8,
+    "cofire_agreement": 0.9,
+    "offpattern_decay": 0.5,
+    "eps_balance": 0.2,
+    "force_per_segment": 0.1,
+    "close_cutoff": 0.05,
+    "threshold_policy": "all"
+  },
+  "schedule": "all_firing",
+  "schedule_probability": 0.5,
+  "max_ticks": 500,
+  "output_dir": "out",
+  "sweep_inputs": [
+    10,
+    25,
+    50
+  ],
+  "sweep_thresholds": [
+    5.0
+  ]
+}
+"""
 
     def test_config_without_flag_errors(self, capsys):
         assert main(["config"]) == 2
@@ -305,6 +330,12 @@ class TestCli:
          ["trees", "query", "--forest", "{path}", "--terms", "a"]),
         ("config.json", '{"refined_specs": [{"input_count": true, "group_size": 1, '
          '"group_threshold": 1, "main_threshold": 1}]}', ["run", "--config", "{path}"]),
+        ("config.json", '{"scenario": []}', ["run", "--config", "{path}"]),
+        ("config.json", '{"output_dir": "a\\u0000b"}', ["run", "--config", "{path}"]),
+        ("config.json", '{"output_dir": "a\\u0000b"}',
+         ["sweep", "--config", "{path}", "--samples", "1"]),
+        ("config.json", '{"output_dir": ""}',
+         ["sweep", "--config", "{path}", "--samples", "1"]),
     ])
     def test_malformed_input_exits_2(self, tmp_path, capsys, name, text, command):
         path = tmp_path / name

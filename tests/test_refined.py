@@ -166,6 +166,13 @@ class TestBuildRefined:
         with pytest.raises(InvalidSpecError):
             RefinedSpec(25, 5, 4, 4, layers=0)
 
+    @pytest.mark.parametrize("args, top", [((4, 2, 1), 1), ((3, 1, 1), 3)])
+    def test_deep_spec_checked_without_walking_every_layer(self, args, top):
+        # Past the first layer that keeps its unit count, every layer does.
+        assert RefinedSpec(*args, top, layers=10 ** 9).main_threshold == top
+        with pytest.raises(InvalidSpecError, match=rf"main_threshold .* \[1, {top}\]"):
+            RefinedSpec(*args, top + 1, layers=10 ** 9)
+
 
 class TestEffectiveWeight:
     def test_direct_input(self):
