@@ -8,10 +8,10 @@ import json
 import sys
 
 from .concept_forest import ConceptForest, tokenize
-from .errors import RenforgeError, reading_text
+from .errors import RenforgeError
 from .harness import (default_config_json, load_config, run_scenario, sweep,
                       verify)
-from .harness.artifacts import write_text
+from .harness.artifacts import read_lines, write_text
 from .symbolic_cluster import ClusterNet
 
 
@@ -81,7 +81,7 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_trees_ingest(args) -> int:
     forest = ConceptForest()
-    inserted = forest.ingest_corpus(args.corpus)
+    inserted = forest.ingest_lines(read_lines(args.corpus))
     write_text(args.out, forest.to_json() + "\n")
     print(f"ingested {inserted} sequences into {len(forest.trees)} trees "
           f"({len(forest.links)} links)")
@@ -89,8 +89,7 @@ def _cmd_trees_ingest(args) -> int:
 
 
 def _cmd_trees_query(args) -> int:
-    with reading_text(args.forest), open(args.forest, "r", encoding="utf-8") as handle:
-        forest = ConceptForest.from_json(handle.read())
+    forest = ConceptForest.from_json("".join(read_lines(args.forest)))
     paths = forest.search(tokenize(args.terms))
     doc = [{"segments": [[ti, list(labels)] for ti, labels in path.segments],
             "links_crossed": path.links_crossed,
@@ -102,7 +101,7 @@ def _cmd_trees_query(args) -> int:
 
 def _cmd_cluster(args) -> int:
     net = ClusterNet(decay=args.decay)
-    reports = net.ingest_events_file(args.events, fuzzy=args.fuzzy)
+    reports = net.ingest_events(read_lines(args.events), fuzzy=args.fuzzy)
     write_text(args.out, net.to_json() + "\n")
     print(f"clustered {len(reports)} events into {len(net.hidden)} hidden "
           f"nodes / {len(net.global_concepts)} global concepts")

@@ -14,7 +14,7 @@ from collections import deque
 from dataclasses import dataclass
 
 from .errors import (InvalidParameterError, NotFoundError, check_int, check_str,
-                     reading_document, reading_text)
+                     reading_document)
 
 LINK_LABEL = "M"
 
@@ -214,12 +214,8 @@ class ConceptForest:
                     events.append(self._detach(node, tree_index))
         return events
 
-    def ingest_corpus(self, path) -> int:
-        """Insert one whitespace-tokenized sequence per non-empty line."""
-        with reading_text(path), open(path, "r", encoding="utf-8") as handle:
-            return self.ingest_lines(handle)
-
     def ingest_lines(self, lines) -> int:
+        """Insert one whitespace-tokenized sequence per non-empty line."""
         inserted = 0
         for line in lines:
             toks = tokenize(line)

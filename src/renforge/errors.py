@@ -47,16 +47,6 @@ def reading_document(kind: str):
             f"malformed {kind} document: {type(exc).__name__}: {exc}") from exc
 
 
-@contextmanager
-def reading_text(path):
-    """Turn bytes of the file at ``path`` that do not decode as UTF-8 into
-    InvalidParameterError."""
-    try:
-        yield
-    except UnicodeDecodeError as exc:
-        raise InvalidParameterError(f"{path} is not UTF-8 text: {exc}") from exc
-
-
 # The checkers below share one rule: a bool is not a number, and a number
 # is a finite int or float.  Each returns ``value`` when it passes, and
 # otherwise raises ``error("{name} must be ..., got {value!r}")``.

@@ -9,6 +9,7 @@ from dataclasses import dataclass, field
 
 from ..errors import ConfigurationError, check_int, check_number, check_str
 from ..growth import GrowthConfig
+from .artifacts import read_lines
 
 SEED_ENV_VAR = "RENFORGE_SEED"
 
@@ -79,14 +80,7 @@ def config_from_json(text: str) -> ExperimentConfig:
 
 def load_config(path) -> ExperimentConfig:
     """Read a config file; the seed env var overrides the file's seed."""
-    try:
-        with open(path, "r", encoding="utf-8") as handle:
-            text = handle.read()
-    except OSError as exc:
-        raise ConfigurationError(f"cannot read config {path}: {exc}") from exc
-    except UnicodeDecodeError as exc:
-        raise ConfigurationError(f"config {path} is not UTF-8 text: {exc}") from exc
-    config = config_from_json(text)
+    config = config_from_json("".join(read_lines(path, ConfigurationError)))
     override = os.environ.get(SEED_ENV_VAR)
     if override is not None:
         try:

@@ -78,8 +78,6 @@ def run_fig2_growth(config: ExperimentConfig, outdir: Path) -> dict:
     write_csv(outdir / "events.csv", EVENTS_HEADER, events_rows)
     write_text(outdir / "network.json", net.to_json() + "\n")
     return {
-        "scenario": "fig2_growth",
-        "seed": config.seed,
         "growth": dataclasses.asdict(FIG2_GROWTH),
         "main_neuron": main,
         "independent_input": independent,
@@ -98,8 +96,6 @@ def run_fig4_trees(config: ExperimentConfig, outdir: Path) -> dict:
     write_text(outdir / "forest.json", forest.to_json() + "\n")
     paths = forest.search(tokenize(FIG4_QUERY))
     return {
-        "scenario": "fig4_trees",
-        "seed": config.seed,
         "corpus": FIG4_LINES,
         "trees": len(forest.trees),
         "links": [{"from": link.from_node.label, "to": link.to_root.label,
@@ -120,8 +116,6 @@ def run_fig3_cluster(config: ExperimentConfig, outdir: Path) -> dict:
     write_text(outdir / "cluster.json", net.to_json() + "\n")
     retrieval = [[sorted(inputs), weight] for inputs, weight in net.retrieve(0)]
     return {
-        "scenario": "fig3_cluster",
-        "seed": config.seed,
         "events": [sorted(e) for e in FIG3_EVENTS],
         "hidden_nodes": len(net.hidden),
         "global_concepts": len(net.global_concepts),
@@ -150,8 +144,6 @@ def run_fig6_stack(config: ExperimentConfig, outdir: Path) -> dict:
 
     retrieval = [[sorted(inputs), weight] for inputs, weight in cluster.retrieve(0)]
     return {
-        "scenario": "fig6_stack",
-        "seed": config.seed,
         "corpus": FIG4_LINES,
         "trees": len(forest.trees),
         "cluster_globals": len(cluster.global_concepts),
@@ -172,7 +164,8 @@ SCENARIOS = {
 
 
 def run_scenario(config: ExperimentConfig) -> dict:
-    """Execute a registered scenario and write its artifacts to disk."""
+    """Execute a registered scenario and write its artifacts to disk; the
+    summary gains the config's scenario name and seed."""
     runner = SCENARIOS.get(config.scenario)
     if runner is None:
         raise ConfigurationError(
@@ -180,6 +173,7 @@ def run_scenario(config: ExperimentConfig) -> dict:
             f"registered: {sorted(SCENARIOS)}")
     outdir = Path(config.output_dir)
     outdir.mkdir(parents=True, exist_ok=True)
-    summary = runner(config, outdir)
+    summary = {"scenario": config.scenario, "seed": config.seed,
+               **runner(config, outdir)}
     write_json_doc(outdir / "summary.json", summary)
     return summary

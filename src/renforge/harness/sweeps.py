@@ -48,6 +48,8 @@ def sweep(config: ExperimentConfig, n_samples: int) -> list[dict]:
     outcome, not an error.  Rows are ordered by sample index.
     """
     check_int(n_samples, "n_samples", InvalidParameterError, 1)
+    outdir = Path(config.output_dir)
+    outdir.mkdir(parents=True, exist_ok=True)
     master = random.Random(config.seed)
     results = []
     for index in range(n_samples):
@@ -68,8 +70,6 @@ def sweep(config: ExperimentConfig, n_samples: int) -> list[dict]:
                                  else report.ticks_to_balance),
             "intermediaries": report.intermediaries_created,
         })
-    outdir = Path(config.output_dir)
-    outdir.mkdir(parents=True, exist_ok=True)
     write_csv(outdir / "sweep.csv", SWEEP_HEADER,
                [[row[key] for key in SWEEP_HEADER] for row in results])
     return results

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from itertools import chain, combinations
 
 from .errors import (InvalidParameterError, NotFoundError, check_int, check_labels,
-                     check_number, check_str, reading_document, reading_text)
+                     check_number, check_str, reading_document)
 
 
 @dataclass
@@ -152,10 +152,6 @@ class ClusterNet:
                 raise InvalidParameterError(f"line {line_number}: event concept set is empty")
             reports.append(self.present_event(labels, fuzzy=fuzzy))
         return reports
-
-    def ingest_events_file(self, path, fuzzy: bool = False) -> list[EventReport]:
-        with reading_text(path), open(path, "r", encoding="utf-8") as handle:
-            return self.ingest_events(handle, fuzzy=fuzzy)
 
     # -- queries ---------------------------------------------------------------
 

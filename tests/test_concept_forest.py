@@ -15,6 +15,7 @@ from oracles import split_if_violates as oracle_split_if_violates
 from oracles import to_json as oracle_to_json
 from renforge import ConceptForest, InvalidParameterError, NotFoundError, tokenize
 from renforge.concept_forest import SearchPath
+from renforge.harness.artifacts import read_lines
 
 
 def snapshot(node):
@@ -225,7 +226,7 @@ class TestSerialization:
         corpus.write_text("black cat sat mat\nBLACK cat drank milk\n\n",
                           encoding="utf-8")
         forest = ConceptForest()
-        assert forest.ingest_corpus(corpus) == 2
+        assert forest.ingest_lines(read_lines(corpus)) == 2
         assert forest.trees[0].count == 2
 
 

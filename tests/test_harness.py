@@ -4,12 +4,14 @@ import json
 
 import pytest
 
-from renforge import ConfigurationError, GrowthConfig, InvalidParameterError
+from renforge import (ConfigurationError, GrowthConfig, InvalidParameterError,
+                      run_until_balanced)
 from renforge.cli import main
 from renforge.harness import (ALL_FIRING_GROWTH, ExperimentConfig,
                               config_from_json, config_to_json,
                               default_config_json, load_config, run_scenario,
-                              sweep)
+                              sweep, sweeps)
+from renforge.harness.artifacts import read_lines
 
 
 class TestConfig:
@@ -81,6 +83,23 @@ class TestConfig:
         path.write_bytes(b"\xff\xfe{}")
         with pytest.raises(ConfigurationError, match="not UTF-8 text"):
             load_config(path)
+
+
+class TestReadLines:
+    @pytest.mark.parametrize("error, kwargs", [
+        (InvalidParameterError, {}),
+        (ConfigurationError, {"error": ConfigurationError}),
+    ])
+    def test_messages_and_line_ends(self, tmp_path, error, kwargs):
+        for path in (tmp_path / "absent.txt", tmp_path):
+            with pytest.raises(error, match="cannot read"):
+                list(read_lines(path, **kwargs))
+        path = tmp_path / "text.txt"
+        path.write_bytes(b"\xff\xfe")
+        with pytest.raises(error, match="not UTF-8 text"):
+            list(read_lines(path, **kwargs))
+        path.write_bytes(b"a b\r\nc\r\n")
+        assert list(read_lines(path, **kwargs)) == ["a b\n", "c\n"]
 
 
 class TestRunScenario:
@@ -180,6 +199,25 @@ class TestSweep:
                                       sweep_inputs=[10], max_ticks=120)
             results.append(sweep(config, 2))
         assert results[0] == results[1]
+
+    def test_bad_output_dir_fails_before_the_first_sample(self, tmp_path, monkeypatch,
+                                                          capsys):
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return run_until_balanced(*args, **kwargs)
+
+        monkeypatch.setattr(sweeps, "run_until_balanced", counted)
+        (tmp_path / "file").write_text("", encoding="utf-8")
+        config = ExperimentConfig(output_dir=str(tmp_path / "file" / "sub"))
+        with pytest.raises(OSError):
+            sweep(config, 2)
+        config_path = tmp_path / "config.json"
+        config_path.write_text(config_to_json(config), encoding="utf-8")
+        assert main(["sweep", "--config", str(config_path), "--samples", "2"]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert calls == []
 
     @pytest.mark.parametrize("n_samples", [0, True, 2.5])
     def test_sample_count_validated(self, tmp_path, n_samples):

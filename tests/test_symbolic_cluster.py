@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 import oracles
 from renforge import ClusterNet, InvalidParameterError, NotFoundError
+from renforge.harness.artifacts import read_lines
 
 FIG3_EVENTS = [("c0", "c1", "c2"), ("c1", "c2", "c3"), ("c2", "c3", "c4")]
 
@@ -283,7 +284,7 @@ class TestIngestEvents:
         path = tmp_path / "events.tsv"
         path.write_text("0\ta,b\n1\tb,c\n", encoding="utf-8")
         net = ClusterNet()
-        net.ingest_events_file(path)
+        net.ingest_events(read_lines(path))
         assert len(net.hidden) == 2
 
 
