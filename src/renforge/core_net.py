@@ -208,6 +208,8 @@ class Network:
         ``reset_dynamics`` drop only ``Network._fingerprint``, so any other
         ``build`` must read the topology alone, not the firing state.  The
         caller must not mutate the returned value: later callers share it.
+        One view is filled by its owner after it is built: the seed memo
+        of ``resonance.resonate``, built empty and filled per seed.
         """
         try:
             return self._derived[build]

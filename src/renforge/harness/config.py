@@ -15,6 +15,10 @@ SEED_ENV_VAR = "RENFORGE_SEED"
 
 KNOWN_SCHEDULES = ("all_firing", "random_subset")
 
+# A direct unit takes about 0.5-0.6 KB per input, so a sweep of this many
+# inputs holds some 0.6 GB; a larger entry would allocate until it fails.
+MAX_SWEEP_INPUTS = 10 ** 6
+
 
 @dataclass
 class ExperimentConfig:
@@ -47,7 +51,7 @@ class ExperimentConfig:
             if not isinstance(values, list) or not values:
                 raise error(f"{name} must be a non-empty list, got {values!r}")
         for i, count in enumerate(self.sweep_inputs):
-            check_int(count, f"sweep_inputs[{i}]", error, 1)
+            check_int(count, f"sweep_inputs[{i}]", error, 1, MAX_SWEEP_INPUTS)
         for i, threshold in enumerate(self.sweep_thresholds):
             check_number(threshold, f"sweep_thresholds[{i}]", error, 0, brackets="(]")
 

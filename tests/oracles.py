@@ -289,18 +289,16 @@ def _open_successors(network: Network) -> dict[int, tuple[int, ...]]:
     return successors
 
 
-def adjacency(network: Network) -> tuple[dict, dict]:
-    """Per node, its open ``((pre, post), post)`` successors and its open
-    ``((pre, post), pre)`` predecessors in synapse-id order; nodes without
-    an open synapse on a side are left out of that side."""
-    successors, predecessors = {}, {}
+def adjacency(network: Network) -> tuple[list, list]:
+    """Per node id, a tuple of its open outgoing and one of its open
+    incoming ``(pre, post)`` edges in synapse-id order; ``()`` where it has
+    none."""
+    successors, predecessors = [], []
     for nid in network.neurons:
-        ahead = [((nid, s.post), s.post) for s in network.outgoing(nid) if s.open_fraction > 0.0]
-        behind = [((s.pre, nid), s.pre) for s in network.incoming(nid) if s.open_fraction > 0.0]
-        if ahead:
-            successors[nid] = ahead
-        if behind:
-            predecessors[nid] = behind
+        successors.append(tuple((nid, s.post) for s in network.outgoing(nid)
+                                if s.open_fraction > 0.0))
+        predecessors.append(tuple((s.pre, nid) for s in network.incoming(nid)
+                                  if s.open_fraction > 0.0))
     return successors, predecessors
 
 

@@ -133,7 +133,7 @@ CASES = [
      lambda v: ExperimentConfig(sweep_inputs=v)),
     ("ExperimentConfig sweep_thresholds", [5.0], [None, 5.0, "1", (5.0,)],
      lambda v: ExperimentConfig(sweep_thresholds=v)),
-    ("ExperimentConfig sweep_inputs entry", 2, INT,
+    ("ExperimentConfig sweep_inputs entry", 10 ** 6, [*INT, 10 ** 6 + 1, 10 ** 9],
      lambda v: ExperimentConfig(sweep_inputs=[10, v])),
     ("ExperimentConfig sweep_thresholds entry", 0.5, NUMBER,
      lambda v: ExperimentConfig(sweep_thresholds=[5.0, v])),

@@ -1,6 +1,10 @@
 """Configuration, scenario artifacts, sweeps, and the command line."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -51,6 +55,7 @@ class TestConfig:
         {"sweep_inputs": ["a"]},
         {"sweep_inputs": [0]},
         {"sweep_inputs": [10, -5]},
+        {"sweep_inputs": [10 ** 9]},
         {"sweep_thresholds": [0.0]},
         {"sweep_thresholds": [-1.0]},
         {"seed": [1]},
@@ -374,6 +379,9 @@ class TestCli:
          ["sweep", "--config", "{path}", "--samples", "1"]),
         ("config.json", '{"output_dir": ""}',
          ["sweep", "--config", "{path}", "--samples", "1"]),
+        ("config.json", '{"sweep_inputs": [1000000000]}',
+         ["sweep", "--config", "{path}", "--samples", "1"]),
+        ("config.json", '{"sweep_inputs": [1000001]}', ["run", "--config", "{path}"]),
     ])
     def test_malformed_input_exits_2(self, tmp_path, capsys, name, text, command):
         path = tmp_path / name
@@ -381,3 +389,26 @@ class TestCli:
         argv = [arg.format(path=path, out=tmp_path / "out.json") for arg in command]
         assert main(argv) == 2
         assert capsys.readouterr().err.startswith("error: ")
+
+
+class TestDeterminismAcrossProcesses:
+    @pytest.mark.parametrize("scenario", ["fig6_stack", "fig2_growth"])
+    def test_run_bytes_do_not_depend_on_the_hash_seed(self, tmp_path, scenario):
+        # Iteration orders that followed str hashes would differ between
+        # interpreters started with different PYTHONHASHSEED values.
+        src = Path(__file__).resolve().parent.parent / "src"
+        outputs = []
+        for hash_seed in ("1", "2"):
+            workdir = tmp_path / hash_seed
+            workdir.mkdir()
+            (workdir / "config.json").write_text(
+                config_to_json(ExperimentConfig(scenario=scenario)), encoding="utf-8")
+            env = dict(os.environ, PYTHONPATH=str(src), PYTHONHASHSEED=hash_seed)
+            proc = subprocess.run(
+                [sys.executable, "-m", "renforge.cli", "run", "--config", "config.json"],
+                cwd=workdir, env=env, capture_output=True, timeout=60, check=False)
+            assert proc.returncode == 0, proc.stderr.decode("utf-8", "replace")
+            files = {path.name: path.read_bytes() for path in (workdir / "out").iterdir()}
+            assert files
+            outputs.append((proc.stdout, files))
+        assert outputs[0] == outputs[1]

@@ -15,7 +15,8 @@ from renforge import (InvalidCombinationError, InvalidParameterError, Network,
                       NotFoundError, combine_searches, find_terminals,
                       network_fingerprint, report_csv_rows, report_to_json,
                       resonate)
-from renforge.resonance import _adjacency, _terminals
+from renforge.resonance import (DEFAULT_MAX_DEPTH, SEED_MEMO_LIMIT, _adjacency,
+                                _SeedMemo, _terminals)
 
 
 def chain(length):
@@ -82,8 +83,10 @@ class TestDerivedViews:
     def test_ticks_keep_topology_views_and_mutators_drop_them(self):
         # A tick changes only the firing state, and only the fingerprint reads it.
         net, ids = chain(3)
-        builders = (_adjacency, _terminals, Network._open_input_counts)
+        resonate(net, {ids[0]})     # fills the seed memo
+        builders = (_adjacency, _terminals, Network._open_input_counts, _SeedMemo)
         views = [net.derived(build) for build in builders]
+        assert views[-1]
         for tick in (lambda: net.step([]), lambda: net.step([ids[0]]), net.reset_dynamics):
             network_fingerprint(net)
             tick()
@@ -103,12 +106,13 @@ class TestDerivedViews:
         net.add_synapse(b, c)
         net.add_synapse(a, b)
         successors, predecessors = net.derived(_adjacency)
-        assert successors == {a: [((a, c), c), ((a, b), b)], b: [((b, c), c)]}
-        assert predecessors == {c: [((a, c), a), ((b, c), b)], b: [((a, b), a)]}
-        assert successors[a][0][0] is predecessors[c][0][0]   # one shared edge tuple
+        assert successors == [((a, c), (a, b)), ((b, c),), ()]
+        assert predecessors == [(), ((a, b),), ((a, c), (b, c))]
+        # Both sides share the network's own key tuple for each edge.
+        assert successors[a][0] is predecessors[c][0] is next(iter(net._edges))
         net.set_open_fraction(0, 0.0)
         assert net.derived(_adjacency) == oracles.adjacency(net)
-        assert net.derived(_adjacency)[1][c] == [((b, c), b)]
+        assert net.derived(_adjacency)[1][c] == ((b, c),)
         net.set_open_fraction(0, 0.5)
         assert net.derived(_adjacency) == (successors, predecessors)
 
@@ -246,6 +250,91 @@ class TestResonateMatchesOracle:
             combined = combine_searches(combined, report)
             expected = oracles.combine_searches(expected, oracle_report)
             assert_same_report(combined, expected)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_repeated_queries_between_ticks_and_mutations(self, data):
+        # Few seeds and depths, so queries meet memo entries that earlier
+        # queries, ticks and topology changes left behind.
+        size = data.draw(st.integers(2, 8))
+        net = Network()
+        for _ in range(size):
+            net.add_neuron(1.0)
+        ids = st.integers(0, size - 1)
+        pairs = st.tuples(ids, ids).filter(lambda e: e[0] != e[1])
+        fractions = st.sampled_from([0.0, 0.5, 1.0])
+        for pre, post in data.draw(st.lists(pairs, max_size=20, unique=True)):
+            net.add_synapse(pre, post, data.draw(fractions))
+        for _ in range(data.draw(st.integers(1, 10))):
+            op = data.draw(st.sampled_from(["query", "query", "step", "synapse", "fraction"]))
+            if op == "step":
+                net.step(data.draw(st.sets(ids)))
+            elif op == "synapse":
+                pre, post = data.draw(pairs)
+                if net.synapse_between(pre, post) is None:
+                    net.add_synapse(pre, post, data.draw(fractions))
+            elif op == "fraction" and net.synapses:
+                net.set_open_fraction(data.draw(st.integers(0, len(net.synapses) - 1)),
+                                      data.draw(fractions))
+            seeds = data.draw(st.sets(ids, min_size=1, max_size=4))
+            depth = data.draw(st.sampled_from([1, 2, 3, DEFAULT_MAX_DEPTH]))
+            flag = data.draw(st.booleans())
+            assert_same_report(resonate(net, seeds, depth, reflect_refractory=flag),
+                               oracles.resonate(net, seeds, depth, reflect_refractory=flag))
+
+
+class TestSeedMemo:
+    def test_separable_and_non_separable_pairs(self):
+        # a and b reach t over their own branches, and d reaches u apart.
+        # a's backward wave from t crosses into x only over a's edges; once
+        # b joins, t's reflection also flows back into b's branch, so the
+        # pair's backward wave is not the sum of its seeds'.  p and q sit on
+        # one cycle, so their waves cross the same edges and do add up.
+        net = Network()
+        a, b, c, d, x, t, u, p, q, r = (net.add_neuron(1.0) for _ in range(10))
+        for pre, post in ((a, x), (x, t), (b, t), (c, u), (d, c), (p, q), (q, p), (q, r)):
+            net.add_synapse(pre, post)
+        alone = {seed: resonate(net, {seed}) for seed in (a, b, d, p, q)}
+        joint = resonate(net, {a, b})
+        assert joint.backward_visits == {(x, t): 2, (a, x): 2, (b, t): 2}
+        assert alone[a].backward_visits[(a, x)] + alone[b].backward_visits.get((a, x), 0) == 1
+        for seeds in ({a, b}, {a, d}, {p, q}):
+            report = resonate(net, seeds)
+            assert_same_report(report, oracles.resonate(net, seeds))
+            if seeds != {a, b}:
+                assert all(report.backward_visits[edge] == sum(
+                    alone[seed].backward_visits.get(edge, 0) for seed in seeds)
+                    for edge in report.backward_visits)
+
+    @pytest.mark.parametrize("seeds", [{0}, {0, 3}, {0, 1}])
+    def test_mutating_a_report_leaves_the_next_one_alone(self, seeds):
+        net = Network()
+        for _ in range(6):
+            net.add_neuron(1.0)
+        for pre, post in ((0, 1), (1, 2), (0, 4), (3, 4), (4, 5)):
+            net.add_synapse(pre, post)
+        first = resonate(net, seeds)
+        for counts in (first.forward_visits, first.backward_visits, first.resonance):
+            for edge in counts:
+                counts[edge] = 99
+            counts[(5, 0)] = 7
+        assert_same_report(resonate(net, seeds), oracles.resonate(net, seeds))
+
+    def test_memo_empties_at_its_bound(self):
+        net, ids = chain(10)
+        limit = SEED_MEMO_LIMIT * (len(net.synapses) + 1)
+        held = emptied = 0
+        for seed in ids:
+            report = resonate(net, {seed})
+            assert_same_report(report, oracles.resonate(net, {seed}))
+            cost = len(report.forward_visits) + 1
+            if held + cost > limit:
+                held, emptied = 0, emptied + 1
+            held += cost
+            memo = net.derived(_SeedMemo)
+            assert sum(len(waves.forward) + 1 for waves in memo.values()) == held <= limit
+            assert (seed, DEFAULT_MAX_DEPTH) in memo
+        assert emptied
 
 
 class TestCombineSearches:
