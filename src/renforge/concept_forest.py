@@ -350,11 +350,19 @@ class ConceptForest:
                         parent.children.append(node)
                     nodes_with.setdefault(label, []).append(node)
                     stack.extend((child, node) for child in reversed(entry["children"]))
+            # A split links a node to a new root, so no link leads into its
+            # own tree and no node links twice into one tree.
+            linked = set()
             for link_doc in doc["links"]:
-                node = at(forest.trees, link_doc["from_tree"])
+                root = node = at(forest.trees, link_doc["from_tree"])
                 for index in link_doc["from_path"]:
                     node = at(node.children, index)
                 label = check_str(link_doc["label"], "link label", error)
-                forest.links.append(DynamicLink(node, at(forest.trees, link_doc["to_tree"]),
-                                                label))
+                to_root = at(forest.trees, link_doc["to_tree"])
+                if to_root is root:
+                    raise error(f"link {link_doc!r} leads into its own tree")
+                if (node, to_root) in linked:
+                    raise error(f"link {link_doc!r} repeats an earlier link")
+                linked.add((node, to_root))
+                forest.links.append(DynamicLink(node, to_root, label))
         return forest

@@ -9,14 +9,13 @@ in proportion to how often they met rejection.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from functools import reduce
 from itertools import chain
 from operator import add
 
 from .core_net import HISTORY_LIMIT, FiringRecord, Network
-from .errors import InvalidParameterError, check_int, check_number, check_str
+from .errors import InvalidParameterError, check_int, check_number
 from .feedback import DEFAULT_EPS_BALANCE, is_balanced, repulsion_at
 
 BUD_SPAWNED = "bud_spawned"
@@ -41,6 +40,8 @@ class GrowthConfig:
     """Tunable constants of the growth process.
 
     The defaults are starting points; the experiment harness sweeps them.
+    An intermediary's threshold is not among them: it is always the size
+    of its joined group (see ``spawn_and_join``).
     """
 
     bud_threshold: float = 3.0        # accumulated turbulence that spawns a bud
@@ -50,7 +51,6 @@ class GrowthConfig:
     eps_balance: float = DEFAULT_EPS_BALANCE
     force_per_segment: float = 0.1    # opposing forward force per backward segment
     close_cutoff: float = 0.05        # open fractions below this snap to zero
-    threshold_policy: str = "all"     # "all" or "fraction:<f>" of the group size
 
     def __post_init__(self):
         error = InvalidParameterError
@@ -62,32 +62,6 @@ class GrowthConfig:
         check_number(self.eps_balance, "eps_balance", error, 0)
         check_number(self.force_per_segment, "force_per_segment", error, 0)
         check_number(self.close_cutoff, "close_cutoff", error, 0, 1)
-        if check_str(self.threshold_policy, "threshold_policy", error) != "all":
-            self._policy_fraction()
-
-    def _policy_fraction(self) -> float:
-        """The f of a ``fraction:<f>`` policy; raises unless f lies in (0, 1]."""
-        kind, _, text = self.threshold_policy.partition(":")
-        try:
-            fraction = float(text)
-        except ValueError:
-            fraction = math.nan
-        if kind != "fraction" or not 0 < fraction <= 1:
-            raise InvalidParameterError(
-                f"threshold_policy must be 'all' or 'fraction:<f>' with f in (0, 1], "
-                f"got {self.threshold_policy!r}")
-        return fraction
-
-    def intermediary_threshold(self, group_size: int) -> int:
-        """Threshold for a new intermediary over ``group_size`` joined inputs.
-
-        The default demands the whole group, so the combined inputs produce
-        one unit output again.
-        """
-        if self.threshold_policy == "all":
-            return group_size
-        fraction = self._policy_fraction()
-        return max(1, min(group_size, math.ceil(fraction * group_size)))
 
 
 @dataclass(frozen=True)
@@ -284,7 +258,9 @@ def spawn_and_join(network: Network, state: TurbulenceState,
     """Spawn buds on over-pressured synapses and join co-firing buds.
 
     A joined group of size >= 2 gets one intermediary neuron fed by the
-    group's sources, with a unit synapse onward to the shared target.  A
+    group's sources, with a unit synapse onward to the shared target.  Its
+    threshold is the group's size: it demands the whole group, so the
+    joined inputs give one unit output again.  A
     source group that already produced an intermediary into the same target
     never produces a second one; it is reported as joined again so the
     proportional closure step can keep relieving the path.
@@ -312,8 +288,7 @@ def spawn_and_join(network: Network, state: TurbulenceState,
             key = (target, sources)
             if key not in state.groups_created:
                 state.groups_created.add(key)
-                threshold = cfg.intermediary_threshold(len(group))
-                intermediary = network.add_neuron(float(threshold))
+                intermediary = network.add_neuron(float(len(group)))
                 for src in sorted(sources):
                     network.add_synapse(src, intermediary, 1.0, 1)
                 network.add_synapse(intermediary, target, 1.0, 1)

@@ -74,9 +74,14 @@ def config_from_json(text: str) -> ExperimentConfig:
     unknown = set(doc) - {f.name for f in dataclasses.fields(ExperimentConfig)}
     if unknown:
         raise ConfigurationError(f"unknown configuration keys: {sorted(unknown)}")
+    growth = doc.get("growth", {})
+    if not isinstance(growth, dict):
+        raise ConfigurationError("growth must be a JSON object")
+    unknown = set(growth) - {f.name for f in dataclasses.fields(GrowthConfig)}
+    if unknown:
+        raise ConfigurationError(f"unknown growth keys: {sorted(unknown)}")
     try:
-        if "growth" in doc:
-            doc["growth"] = GrowthConfig(**doc["growth"])
+        doc["growth"] = GrowthConfig(**growth)
         return ExperimentConfig(**doc)
     except (TypeError, ValueError) as exc:
         raise ConfigurationError(f"bad configuration value: {exc}") from exc

@@ -78,7 +78,8 @@ def run_fig2_growth(config: ExperimentConfig, outdir: Path) -> dict:
     write_csv(outdir / "events.csv", EVENTS_HEADER, events_rows)
     write_text(outdir / "network.json", net.to_json() + "\n")
     return {
-        "growth": dataclasses.asdict(FIG2_GROWTH),
+        # Kept so the summary's bytes hold: an intermediary demands its whole group.
+        "growth": {**dataclasses.asdict(FIG2_GROWTH), "threshold_policy": "all"},
         "main_neuron": main,
         "independent_input": independent,
         "original_paths": [{"synapse": sid, "source": net.synapses[sid].pre,

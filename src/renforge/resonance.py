@@ -46,11 +46,6 @@ def _adjacency(network: Network) -> tuple[list, list]:
     return side(network._outgoing), side(network._incoming)
 
 
-def _terminals(network: Network) -> frozenset[int]:
-    successors = network.derived(_adjacency)[0]
-    return frozenset(nid for nid in network.neurons if not successors[nid])
-
-
 def network_fingerprint(network: Network) -> str:
     """Stable digest of the network snapshot a report was computed over.
 
@@ -62,7 +57,8 @@ def network_fingerprint(network: Network) -> str:
 
 def find_terminals(network: Network) -> frozenset[int]:
     """Nodes with zero open outgoing synapses; cycles have none."""
-    return network.derived(_terminals)
+    successors = network.derived(_adjacency)[0]
+    return frozenset(nid for nid in network.neurons if not successors[nid])
 
 
 @dataclass(frozen=True)
@@ -117,10 +113,9 @@ class _SeedMemo(dict):
 
 def _seed_waves(network: Network, seed: int, max_depth: int) -> _Waves:
     successors, predecessors = network.derived(_adjacency)
-    forward, arrivals = _wave({seed: 1}, successors, 1, find_terminals(network),
-                              max_depth)
+    forward, arrivals = _wave({seed: 1}, successors, 1, max_depth)
     boundary: set = set()
-    backward, _ = _wave(arrivals, predecessors, 0, (), max_depth, forward, boundary)
+    backward, _ = _wave(arrivals, predecessors, 0, max_depth, forward, boundary)
     if len(backward) == len(forward) and all(
             backward[edge] >= count for edge, count in forward.items()):
         resonance = forward
@@ -129,20 +124,18 @@ def _seed_waves(network: Network, seed: int, max_depth: int) -> _Waves:
     return _Waves(forward, arrivals, backward, resonance, frozenset(boundary))
 
 
-def resonate(network: Network, seeds, max_depth: int = DEFAULT_MAX_DEPTH,
-             reflect_refractory: bool = False) -> ResonanceReport:
+def resonate(network: Network, seeds,
+             max_depth: int = DEFAULT_MAX_DEPTH) -> ResonanceReport:
     """Run one forward/backward search wave from ``seeds``.
 
     Visit counts are additive wave flows: each seed injects one unit, which
     copies down every open outgoing edge per depth layer, so two flows
     through a shared channel count twice.  The backward pass starts from
-    each reflector with the total forward signal that arrived there and
-    travels only over forward-visited edges.  With ``reflect_refractory``
-    currently refractory neurons also act as reflectors (blocking nodes).
+    each terminal the forward wave reached, with the total signal that
+    arrived there, and travels only over forward-visited edges.
 
-    Without ``reflect_refractory`` the waves are summed from each seed's
-    own, which the network keeps until its topology changes; see the
-    README's resonance section.
+    The waves are summed from each seed's own, which the network keeps
+    until its topology changes; see the README's resonance section.
     """
     seed_set = frozenset(seeds)
     if not seed_set:
@@ -153,32 +146,24 @@ def resonate(network: Network, seeds, max_depth: int = DEFAULT_MAX_DEPTH,
     check_int(max_depth, "max_depth", InvalidParameterError, 1)
 
     network_hash = network_fingerprint(network)
-    successors, predecessors = network.derived(_adjacency)
-    if reflect_refractory:
-        reflectors = find_terminals(network).union(network.refractory_ids())
-        forward, arrivals = _wave({nid: 1 for nid in sorted(seed_set)}, successors, 1,
-                                  reflectors, max_depth)
-    else:
-        memo = network.derived(_SeedMemo)
-        parts = [memo.waves(network, nid, max_depth) for nid in sorted(seed_set)]
-        forward, shared = _merge([waves.forward for waves in parts])
-        arrivals, _ = _merge([waves.arrivals for waves in parts])
-        if all(forward.keys().isdisjoint(waves.boundary) for waves in parts):
-            # Each backward wave crosses the same edges inside the union as
-            # alone, so the backward flows add up, and only an edge two
-            # forward waves share can resonate with other than its one
-            # seed's count.
-            backward, _ = _merge([waves.backward for waves in parts])
-            resonance: dict = {}
-            for waves in parts:
-                resonance.update(waves.resonance)
-            for edge in shared:
-                count, ahead = backward.get(edge, 0), forward[edge]
-                resonance[edge] = count if count < ahead else ahead
-            return ResonanceReport(forward, backward, resonance, frozenset(backward),
-                                   frozenset(arrivals), seed_set, max_depth,
-                                   network_hash)
-    backward, _ = _wave(arrivals, predecessors, 0, (), max_depth, forward)
+    memo = network.derived(_SeedMemo)
+    parts = [memo.waves(network, nid, max_depth) for nid in sorted(seed_set)]
+    forward, shared = _merge([waves.forward for waves in parts])
+    arrivals, _ = _merge([waves.arrivals for waves in parts])
+    if all(forward.keys().isdisjoint(waves.boundary) for waves in parts):
+        # Each backward wave crosses the same edges inside the union as
+        # alone, so the backward flows add up, and only an edge two forward
+        # waves share can resonate with other than its one seed's count.
+        backward, _ = _merge([waves.backward for waves in parts])
+        resonance: dict = {}
+        for waves in parts:
+            resonance.update(waves.resonance)
+        for edge in shared:
+            count, ahead = backward.get(edge, 0), forward[edge]
+            resonance[edge] = count if count < ahead else ahead
+        return ResonanceReport(forward, backward, resonance, frozenset(backward),
+                               frozenset(arrivals), seed_set, max_depth, network_hash)
+    backward, _ = _wave(arrivals, network.derived(_adjacency)[1], 0, max_depth, forward)
     return _finish(forward, backward, frozenset(arrivals), seed_set, max_depth,
                    network_hash)
 
@@ -198,16 +183,16 @@ def _merge(counts: list[dict]) -> tuple[dict, set]:
     return total, shared
 
 
-def _wave(start, edges_from, ahead, stop, max_depth, within=None, skipped=None):
+def _wave(start, edges_from, ahead, max_depth, within=None, skipped=None):
     """Spread integer flows from ``start`` for up to ``max_depth`` layers.
 
-    Each node of a layer either ends the wave (it is in ``stop``) or copies
-    its flow down every edge of ``edges_from`` to the edge's end at index
-    ``ahead``, or down those edges in ``within`` when that is given; the
-    set ``skipped``, when given, collects the edges left out for not being
-    in ``within``.  Flows that meet at a node add up.  Sums do not depend
-    on order, so no layer is sorted.  Returns the flow over each edge and
-    the flow that ended at each stop node.
+    Each node of a layer either ends the wave (it has no edge in
+    ``edges_from``) or copies its flow down every edge of ``edges_from`` to
+    the edge's end at index ``ahead``, or down those edges in ``within``
+    when that is given; the set ``skipped``, when given, collects the edges
+    left out for not being in ``within``.  Flows that meet at a node add
+    up.  Sums do not depend on order, so no layer is sorted.  Returns the
+    flow over each edge and the flow that ended at each node without edges.
     """
     flows: dict = {}
     ended: dict = {}
@@ -217,10 +202,11 @@ def _wave(start, edges_from, ahead, stop, max_depth, within=None, skipped=None):
             break
         next_layer: dict = {}
         for nid, flow in layer.items():
-            if nid in stop:
+            edges = edges_from[nid]
+            if not edges:
                 ended[nid] = ended.get(nid, 0) + flow
             elif layers_left:
-                for edge in edges_from[nid]:
+                for edge in edges:
                     if within is None or edge in within:
                         flows[edge] = flows.get(edge, 0) + flow
                         nxt = edge[ahead]

@@ -254,8 +254,7 @@ def spawn_and_join(network: Network, state: EagerTurbulenceState,
             key = (target, sources)
             if key not in state.groups_created:
                 state.groups_created.add(key)
-                threshold = cfg.intermediary_threshold(len(group))
-                intermediary = network.add_neuron(float(threshold))
+                intermediary = network.add_neuron(float(len(group)))
                 for src in sorted(sources):
                     network.add_synapse(src, intermediary, 1.0, 1)
                 network.add_synapse(intermediary, target, 1.0, 1)
@@ -302,16 +301,15 @@ def adjacency(network: Network) -> tuple[list, list]:
     return successors, predecessors
 
 
-def resonate(network: Network, seeds, max_depth: int = DEFAULT_MAX_DEPTH,
-             reflect_refractory: bool = False) -> ResonanceReport:
+def resonate(network: Network, seeds,
+             max_depth: int = DEFAULT_MAX_DEPTH) -> ResonanceReport:
     """Run one forward/backward search wave from ``seeds``.
 
     Visit counts are additive wave flows: each seed injects one unit, which
     copies down every open outgoing edge per depth layer, so two flows
     through a shared channel count twice.  The backward pass starts from
-    each reflector with the total forward signal that arrived there and
-    travels only over forward-visited edges.  With ``reflect_refractory``
-    currently refractory neurons also act as reflectors (blocking nodes).
+    each terminal with the total forward signal that arrived there and
+    travels only over forward-visited edges.
     """
     seed_set = frozenset(seeds)
     if not seed_set:
@@ -323,9 +321,6 @@ def resonate(network: Network, seeds, max_depth: int = DEFAULT_MAX_DEPTH,
         raise InvalidParameterError(f"max_depth must be >= 1, got {max_depth}")
 
     reflectors = find_terminals(network)
-    if reflect_refractory:
-        reflectors |= {nid for nid in network.neurons
-                       if nid in network.refractory_ids()}
     successors = network.derived(_open_successors)
 
     forward: dict[tuple[int, int], int] = {}

@@ -110,8 +110,6 @@ CASES = [
       for name in ("bud_threshold", "cofire_agreement", "offpattern_decay",
                    "eps_balance", "force_per_segment", "close_cutoff")),
     ("GrowthConfig window", 2, INT, lambda v: GrowthConfig(window=v)),
-    ("GrowthConfig threshold_policy", "fraction:0.5", [*STR, "1"],
-     lambda v: GrowthConfig(threshold_policy=v)),
     *((f"RefinedSpec {name}", 1, INT,
        lambda v, name=name: RefinedSpec(**dict(dict.fromkeys(
            ("input_count", "group_size", "group_threshold", "main_threshold"), 1),
@@ -162,7 +160,8 @@ CASES = [
     ("ConceptForest.from_json from_tree", 0, INT, forest_doc("links", 0, "from_tree")),
     ("ConceptForest.from_json from_path index", 0, INT,
      forest_doc("links", 0, "from_path", 0)),
-    ("ConceptForest.from_json to_tree", 0, INT, forest_doc("links", 0, "to_tree")),
+    # Tree 0 holds the link's from node, and no link leads into its own tree.
+    ("ConceptForest.from_json to_tree", 1, [*INT, 0], forest_doc("links", 0, "to_tree")),
     ("ConceptForest.from_json link label", "x", STR, forest_doc("links", 0, "label")),
     # Tree 1 exists, so True would otherwise name it.
     ("ConceptForest.terminal_nodes tree_index", 1, INT,

@@ -42,19 +42,11 @@ class TestGrowthConfig:
         assert cfg.offpattern_decay == 0.5
         assert cfg.eps_balance == 0.2
 
-    def test_intermediary_threshold_policies(self):
-        assert GrowthConfig().intermediary_threshold(5) == 5
-        fractional = GrowthConfig(threshold_policy="fraction:0.8")
-        assert fractional.intermediary_threshold(5) == 4
-        assert fractional.intermediary_threshold(1) == 1
-
     @pytest.mark.parametrize("kwargs", [
         {"bud_threshold": 0}, {"window": 0}, {"cofire_agreement": 0},
         {"cofire_agreement": 1.5}, {"offpattern_decay": 1.0},
-        {"threshold_policy": "bogus"}, {"threshold_policy": "fraction:abc"},
-        {"threshold_policy": "fraction:0"}, {"threshold_policy": "fraction:1.5"},
         {"eps_balance": -0.1}, {"close_cutoff": -0.01}, {"close_cutoff": 1.5},
-        {"window": 257}, {"threshold_policy": 5}, {"force_per_segment": -0.1},
+        {"window": 257}, {"force_per_segment": -0.1},
         {"offpattern_decay": False},
     ])
     def test_validation(self, kwargs):
@@ -155,6 +147,8 @@ class TestSpawnAndJoin:
             events.extend(tick_events)
         created = [e for e in events if e.kind == INTERMEDIARY_CREATED]
         assert len(created) == 1
+        # The intermediary demands its whole group of four.
+        assert net.neurons[created[0].affected[0]].threshold == 4.0
         assert net.open_input_count(main) == 1  # only the intermediary remains
 
     def test_single_bud_without_partner_persists(self):

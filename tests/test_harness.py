@@ -42,6 +42,20 @@ class TestConfig:
         with pytest.raises(ConfigurationError):
             config_from_json('{"growth": {"bud_threshold": -1}}')
 
+    @pytest.mark.parametrize("text, message", [
+        ('{"growth": {"threshold_policy": "all"}}', "unknown growth keys: ['threshold_policy']"),
+        (default_config_json().replace('"close_cutoff": 0.05',
+                                       '"close_cutoff": 0.05, "threshold_policy": "all"'),
+         "unknown growth keys: ['threshold_policy']"),
+        ('{"growth": {"window": 4, "bogus": 1}}', "unknown growth keys: ['bogus']"),
+        ('{"growth": null}', "growth must be a JSON object"),
+        ('{"growth": [["window", 4]]}', "growth must be a JSON object"),
+    ])
+    def test_growth_must_be_an_object_of_known_keys(self, text, message):
+        with pytest.raises(ConfigurationError) as caught:
+            config_from_json(text)
+        assert str(caught.value) == message
+
     def test_unknown_schedule_rejected(self):
         with pytest.raises(ConfigurationError):
             config_from_json('{"schedule": "sometimes"}')
@@ -247,8 +261,7 @@ class TestCli:
     "offpattern_decay": 0.5,
     "eps_balance": 0.2,
     "force_per_segment": 0.1,
-    "close_cutoff": 0.05,
-    "threshold_policy": "all"
+    "close_cutoff": 0.05
   },
   "schedule": "all_firing",
   "schedule_probability": 0.5,
@@ -364,12 +377,23 @@ class TestCli:
          ["sweep", "--config", "{path}", "--samples", "1"]),
         ("config.json", '{"growth": {"threshold_policy": 5}}',
          ["run", "--config", "{path}"]),
+        ("config.json", '{"growth": {"threshold_policy": "all"}}',
+         ["sweep", "--config", "{path}", "--samples", "1"]),
+        ("config.json", '{"growth": null}', ["run", "--config", "{path}"]),
         ("config.json", '{"output_dir": 5}', ["run", "--config", "{path}"]),
         ("config.json", '{"growth": {"eps_balance": Infinity}}',
          ["sweep", "--config", "{path}", "--samples", "1"]),
         ("config.json", '{"schedule_probability": true}', ["run", "--config", "{path}"]),
         ("forest.json", '{"trees": [{"label": "a", "count": 1, "children": []}], '
          '"links": [{"from_tree": 0, "from_path": [], "to_tree": 0, "label": 5}]}',
+         ["trees", "query", "--forest", "{path}", "--terms", "a"]),
+        ("forest.json", '{"trees": [{"label": "a", "count": 1, "children": []}], '
+         '"links": [{"from_tree": 0, "from_path": [], "to_tree": 0, "label": "M"}]}',
+         ["trees", "query", "--forest", "{path}", "--terms", "a"]),
+        ("forest.json", '{"trees": [{"label": "a", "count": 1, "children": []}, '
+         '{"label": "b", "count": 1, "children": []}], "links": ['
+         '{"from_tree": 0, "from_path": [], "to_tree": 1, "label": "M"}, '
+         '{"from_tree": 0, "from_path": [], "to_tree": 1, "label": "M"}]}',
          ["trees", "query", "--forest", "{path}", "--terms", "a"]),
         ("config.json", '{"refined_specs": [{"input_count": true, "group_size": 1, '
          '"group_threshold": 1, "main_threshold": 1}]}', ["run", "--config", "{path}"]),

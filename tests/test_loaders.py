@@ -11,13 +11,14 @@ import math
 import os
 import tempfile
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from renforge import ClusterNet, ConceptForest, Network, RenforgeError
+from renforge import ClusterNet, ConceptForest, InvalidParameterError, Network, RenforgeError
 from renforge.cli import main
 from renforge.harness import (ExperimentConfig, build_direct_unit, config_from_json,
-                              config_to_json)
+                              config_to_json, network_from_forest)
 
 # A replaced value is one of these; 10**30 is an int no float holds exactly.
 VALUES = [None, True, 2.5, math.nan, 1e308, 10**30, "", [], {}]
@@ -104,6 +105,7 @@ def _check_fixed_point(cls, doc):
     if loaded is not None:
         text = loaded.to_json()
         assert cls.from_json(text).to_json() == text
+    return loaded
 
 
 def _check_cli(doc, name, argv):
@@ -133,7 +135,9 @@ def test_network_loader(doc):
 @settings(max_examples=300, deadline=None)
 @given(mutated(_forest_doc()))
 def test_forest_loader(doc):
-    _check_fixed_point(ConceptForest, doc)
+    forest = _check_fixed_point(ConceptForest, doc)
+    if forest is not None:
+        network_from_forest(forest)     # a forest that loads maps onto a network
     _check_cli(doc, "forest.json",
                ["trees", "query", "--forest", "forest.json", "--terms", "black cat"])
 
@@ -152,3 +156,33 @@ def test_config_loader(doc):
         text = config_to_json(config)
         assert config_to_json(config_from_json(text)) == text
     _check_cli(doc, "config.json", ["run", "--config", "config.json"])
+
+
+def _linked_forest(links):
+    """Trees a(b), c and d as JSON, with one link per ``(from_tree,
+    from_path, to_tree)``."""
+    leaf = {"label": "b", "count": 1, "children": []}
+    return json.dumps({
+        "trees": [{"label": "a", "count": 1, "children": [leaf]},
+                  {"label": "c", "count": 1, "children": []},
+                  {"label": "d", "count": 1, "children": []}],
+        "links": [{"from_tree": tree, "from_path": path, "to_tree": to, "label": "M"}
+                  for tree, path, to in links]})
+
+
+@pytest.mark.parametrize("links, message", [
+    ([(0, [], 0)], "leads into its own tree"),
+    ([(0, [0], 0)], "leads into its own tree"),
+    ([(0, [0], 1), (1, [], 2), (0, [0], 1)], "repeats an earlier link"),
+])
+def test_forest_links_no_split_makes_are_rejected(links, message):
+    # Each split links a node to a new root, so no link leads into its own
+    # tree and no node links twice into one tree.
+    with pytest.raises(InvalidParameterError, match=message):
+        ConceptForest.from_json(_linked_forest(links))
+
+
+def test_forest_links_splits_can_make_load_and_map():
+    forest = ConceptForest.from_json(_linked_forest([(0, [0], 1), (1, [], 2), (0, [], 2)]))
+    net, _, _ = network_from_forest(forest)
+    assert len(net.synapses) == 4

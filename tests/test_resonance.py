@@ -15,8 +15,7 @@ from renforge import (InvalidCombinationError, InvalidParameterError, Network,
                       NotFoundError, combine_searches, find_terminals,
                       network_fingerprint, report_csv_rows, report_to_json,
                       resonate)
-from renforge.resonance import (DEFAULT_MAX_DEPTH, SEED_MEMO_LIMIT, _adjacency,
-                                _SeedMemo, _terminals)
+from renforge.resonance import DEFAULT_MAX_DEPTH, SEED_MEMO_LIMIT, _adjacency, _SeedMemo
 
 
 def chain(length):
@@ -75,16 +74,15 @@ class TestDerivedViews:
             assert all(net.open_input_count(nid) == oracles.open_input_count(net, nid)
                        for nid in net.neurons)
             seeds = data.draw(st.sets(st.integers(0, len(net.neurons) - 1), min_size=1))
-            flag = data.draw(st.booleans())
             restored = Network.from_json(net.to_json())
-            assert (report_to_json(resonate(net, seeds, reflect_refractory=flag))
-                    == report_to_json(resonate(restored, seeds, reflect_refractory=flag)))
+            assert (report_to_json(resonate(net, seeds))
+                    == report_to_json(resonate(restored, seeds)))
 
     def test_ticks_keep_topology_views_and_mutators_drop_them(self):
         # A tick changes only the firing state, and only the fingerprint reads it.
         net, ids = chain(3)
         resonate(net, {ids[0]})     # fills the seed memo
-        builders = (_adjacency, _terminals, Network._open_input_counts, _SeedMemo)
+        builders = (_adjacency, Network._open_input_counts, _SeedMemo)
         views = [net.derived(build) for build in builders]
         assert views[-1]
         for tick in (lambda: net.step([]), lambda: net.step([ids[0]]), net.reset_dynamics):
@@ -171,14 +169,16 @@ class TestResonate:
         assert report.forward_visits == {}
         assert report.recognized_path == frozenset()
 
-    def test_refractory_reflector_flag(self):
+    def test_refractory_neurons_do_not_reflect(self):
+        # Only terminals reflect, so a tick changes the snapshot's hash alone.
         net, ids = chain(4)
+        quiet = resonate(net, {ids[0]})
         net.step([ids[1]])
-        blocked = resonate(net, {ids[0]}, reflect_refractory=True)
-        assert blocked.terminals_hit == {ids[2]}
-        assert (ids[2], ids[3]) not in blocked.forward_visits
-        plain = resonate(net, {ids[0]})
-        assert plain.terminals_hit == {ids[3]}
+        assert ids[2] in net.refractory_ids()
+        driven = resonate(net, {ids[0]})
+        assert driven.network_hash != quiet.network_hash
+        assert dataclasses.replace(driven, network_hash=quiet.network_hash) == quiet
+        assert driven.terminals_hit == {ids[3]}
 
     def test_adding_a_seed_never_decreases_resonance(self):
         net = Network()
@@ -213,7 +213,7 @@ class TestResonateMatchesOracle:
     @given(st.data())
     def test_random_graphs(self, data):
         # Random digraphs with closed synapses and cycles; steps leave
-        # neurons refractory, which reflect_refractory turns into reflectors.
+        # neurons refractory, which the search must not read.
         size = data.draw(st.integers(2, 12))
         net = Network()
         for _ in range(size):
@@ -240,9 +240,8 @@ class TestResonateMatchesOracle:
                 net = Network.from_json(net.to_json())
             seeds = data.draw(st.sets(ids, min_size=1, max_size=4))
             depth = data.draw(st.integers(1, 12))
-            flag = data.draw(st.booleans())
-            report = resonate(net, seeds, depth, reflect_refractory=flag)
-            expected = oracles.resonate(twin, seeds, depth, reflect_refractory=flag)
+            report = resonate(net, seeds, depth)
+            expected = oracles.resonate(twin, seeds, depth)
             assert_same_report(report, expected)
             reports.append((report, expected))
         combined, expected = reports[0]
@@ -278,9 +277,8 @@ class TestResonateMatchesOracle:
                                       data.draw(fractions))
             seeds = data.draw(st.sets(ids, min_size=1, max_size=4))
             depth = data.draw(st.sampled_from([1, 2, 3, DEFAULT_MAX_DEPTH]))
-            flag = data.draw(st.booleans())
-            assert_same_report(resonate(net, seeds, depth, reflect_refractory=flag),
-                               oracles.resonate(net, seeds, depth, reflect_refractory=flag))
+            assert_same_report(resonate(net, seeds, depth),
+                               oracles.resonate(net, seeds, depth))
 
 
 class TestSeedMemo:
