@@ -93,9 +93,10 @@ class ConceptForest:
     """Ordered collection of counted trees plus their dynamic links.
 
     Nodes and trees enter only through ``insert_sequence``, ``from_json``
-    and ``split_if_violates``.  Treat ``trees`` and ``links`` as read-only;
-    a count may be edited in place, after which ``split_if_violates``
-    restores the count rule.
+    and ``split_if_violates``.  Each tree has at most one link into it, and
+    ``links`` is in the order of those trees.  Treat ``trees`` and ``links``
+    as read-only; a count may be edited in place, after which
+    ``split_if_violates`` restores the count rule.
     """
 
     def __init__(self):
@@ -350,19 +351,20 @@ class ConceptForest:
                         parent.children.append(node)
                     nodes_with.setdefault(label, []).append(node)
                     stack.extend((child, node) for child in reversed(entry["children"]))
-            # A split links a node to a new root, so no link leads into its
-            # own tree and no node links twice into one tree.
-            linked = set()
+            # A split appends a new tree and the one link into it, so a live
+            # forest holds its links in the order of the trees they enter.
+            into: dict[int, DynamicLink] = {}
             for link_doc in doc["links"]:
                 root = node = at(forest.trees, link_doc["from_tree"])
                 for index in link_doc["from_path"]:
                     node = at(node.children, index)
                 label = check_str(link_doc["label"], "link label", error)
-                to_root = at(forest.trees, link_doc["to_tree"])
+                to_tree = check_int(link_doc["to_tree"], "to_tree", error, 0)
+                to_root = forest.trees[to_tree]
                 if to_root is root:
                     raise error(f"link {link_doc!r} leads into its own tree")
-                if (node, to_root) in linked:
-                    raise error(f"link {link_doc!r} repeats an earlier link")
-                linked.add((node, to_root))
-                forest.links.append(DynamicLink(node, to_root, label))
+                if to_tree in into:
+                    raise error(f"link {link_doc!r} is a second link into tree {to_tree}")
+                into[to_tree] = DynamicLink(node, to_root, label)
+            forest.links = [into[to_tree] for to_tree in sorted(into)]
         return forest

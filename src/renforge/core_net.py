@@ -66,10 +66,9 @@ class Synapse:
 class FiringRecord:
     """Outcome of one synchronous tick.
 
-    ``input_sums`` is sparse: it holds, in ascending id order, each neuron
-    whose input sum is nonzero plus each neuron that fired (a neuron whose
-    threshold is within ``FIRING_TOLERANCE`` of 0 fires on a 0.0 sum).  A
-    neuron it leaves out had a sum of 0.0 and did not fire.
+    ``input_sums`` is sparse: it holds, in ascending id order, exactly the
+    nonzero input sums.  A neuron it leaves out had a sum of 0.0, so it did
+    not fire: every threshold exceeds ``FIRING_TOLERANCE``.
 
     The record shares its source sets instead of copying them:
     ``refractory`` is the previous tick's ``fired`` set, and ``externals``
@@ -131,12 +130,13 @@ class Network:
     # -- construction -----------------------------------------------------
 
     def add_neuron(self, threshold: float) -> int:
-        """Add a neuron; ids are dense integers assigned in creation order."""
+        """Add a neuron, which fires only on input: its threshold exceeds
+        ``FIRING_TOLERANCE``.  Ids are dense integers in creation order."""
         # Inline, not check_number: the call made build_direct_unit a fifth slower.
         if (type(threshold) is not float and type(threshold) is not int
-                or not 0.0 < threshold < math.inf):
+                or not FIRING_TOLERANCE < threshold < math.inf):
             raise InvalidParameterError(
-                f"threshold must be a finite number > 0, got {threshold!r}")
+                f"threshold must be a finite number > {FIRING_TOLERANCE}, got {threshold!r}")
         nid = len(self.neurons)
         self.neurons[nid] = Neuron(id=nid, threshold=float(threshold))
         self._derived.clear()
@@ -197,10 +197,6 @@ class Network:
         sid = self._edges.get((pre, post))
         return None if sid is None else self.synapses[sid]
 
-    def refractory_ids(self) -> frozenset[int]:
-        """Ids of the neurons that cannot fire now: those that fired last tick."""
-        return self._last_fired
-
     def derived(self, build):
         """``build(self)``, built at most once between two changes that drop it.
 
@@ -238,7 +234,7 @@ class Network:
         incoming synapses whose source fired last tick or is externally
         driven this tick.  A neuron that fired last tick cannot fire; the
         per-input excess of every fired neuron is recorded as its rejection.
-        The record keeps the nonzero sums and those of the fired neurons.
+        The record keeps the nonzero sums, the only ones that reach a threshold.
         """
         externals = frozenset(external_inputs)
         for nid in externals:
@@ -258,16 +254,14 @@ class Network:
             for syn in incoming.get(nid, ()):
                 if syn.pre in sources:
                     total += syn.delivery
-            if nid not in refractory and total >= neuron.threshold - FIRING_TOLERANCE:
+            if total:
                 input_sums[nid] = total
-                fired.append(nid)
-                if open_counts is None:
-                    open_counts = self.derived(Network._open_input_counts)
-                open_inputs = open_counts.get(nid, 0)
-                if open_inputs >= 1:
-                    rejections[nid] = (total - neuron.threshold) / open_inputs
-            elif total:
-                input_sums[nid] = total
+                if nid not in refractory and total >= neuron.threshold - FIRING_TOLERANCE:
+                    fired.append(nid)
+                    if open_counts is None:
+                        open_counts = self.derived(Network._open_input_counts)
+                    # A nonzero sum came through an open synapse, so the count is >= 1.
+                    rejections[nid] = (total - neuron.threshold) / open_counts[nid]
 
         record = FiringRecord(tick=self.tick, fired=frozenset(fired),
                               input_sums=input_sums, rejections=rejections,

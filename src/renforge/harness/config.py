@@ -7,6 +7,7 @@ import json
 import os
 from dataclasses import dataclass, field
 
+from ..core_net import FIRING_TOLERANCE
 from ..errors import ConfigurationError, check_int, check_number, check_str
 from ..growth import GrowthConfig
 from .artifacts import read_lines
@@ -53,7 +54,8 @@ class ExperimentConfig:
         for i, count in enumerate(self.sweep_inputs):
             check_int(count, f"sweep_inputs[{i}]", error, 1, MAX_SWEEP_INPUTS)
         for i, threshold in enumerate(self.sweep_thresholds):
-            check_number(threshold, f"sweep_thresholds[{i}]", error, 0, brackets="(]")
+            check_number(threshold, f"sweep_thresholds[{i}]", error, FIRING_TOLERANCE,
+                         brackets="(]")
 
 
 def config_to_json(config: ExperimentConfig) -> str:

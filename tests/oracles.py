@@ -161,10 +161,9 @@ def step(network: Network, refractory: dict[int, int],
 
 
 def sparse_input_sums(record: FiringRecord) -> dict[int, float]:
-    """The entries of ``record.input_sums`` that are nonzero or fired, in
-    its order: what a library record keeps of the oracle's dense sums."""
-    return {nid: total for nid, total in record.input_sums.items()
-            if total or nid in record.fired}
+    """The entries of ``record.input_sums`` that are nonzero, in its order:
+    what a library record keeps of the oracle's dense sums."""
+    return {nid: total for nid, total in record.input_sums.items() if total}
 
 
 def open_input_count(network: Network, neuron_id: int) -> int:

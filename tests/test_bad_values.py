@@ -5,9 +5,9 @@ import math
 
 import pytest
 
-from renforge import (ClusterNet, ConceptForest, ConfigurationError, GrowthConfig,
-                      InvalidParameterError, InvalidSpecError, Network, NotFoundError,
-                      RefinedSpec, average_excess, effective_weight, expand_weighted,
+from renforge import (FIRING_TOLERANCE, ClusterNet, ConceptForest, ConfigurationError,
+                      GrowthConfig, InvalidParameterError, InvalidSpecError, Network,
+                      NotFoundError, RefinedSpec, average_excess, effective_weight, expand_weighted,
                       is_balanced, repulsion_at, resistance_profile, resonate,
                       run_until_balanced)
 from renforge.errors import check_int, check_labels, check_number, check_str
@@ -18,6 +18,8 @@ from renforge.harness import ExperimentConfig, sweep
 # and nothing is not anything.  A string is bad only where no string is wanted.
 NUMBER = [True, math.nan, math.inf, "1", None]
 INT = [2.5, *NUMBER]
+# A 0.0 sum would reach a threshold at or below the firing tolerance.
+THRESHOLD = [*NUMBER, 1e-10, FIRING_TOLERANCE]
 STR = [True, 2.5, math.nan, math.inf, None]
 
 
@@ -77,7 +79,7 @@ def forest_doc(*path):
 # (entry point and argument, a value it accepts, the bad values, the call
 # with the value in that place)
 CASES = [
-    ("Network.add_neuron threshold", 0.5, NUMBER, lambda v: Network().add_neuron(v)),
+    ("Network.add_neuron threshold", 0.5, THRESHOLD, lambda v: Network().add_neuron(v)),
     ("Network.add_synapse open_fraction", 0.5, NUMBER,
      lambda v: two_neurons().add_synapse(0, 1, v)),
     ("Network.add_synapse distance", 2, INT, lambda v: two_neurons().add_synapse(0, 1, 1.0, v)),
@@ -89,7 +91,7 @@ CASES = [
     ("Network.add_synapse post", 1, INT, lambda v: two_neurons().add_synapse(0, v)),
     ("Network.set_open_fraction synapse_id", 1, INT,
      lambda v: two_synapses().set_open_fraction(v, 0.5)),
-    ("Network.from_json threshold", 0.5, NUMBER, network_doc("neurons", 0, "threshold")),
+    ("Network.from_json threshold", 0.5, THRESHOLD, network_doc("neurons", 0, "threshold")),
     ("Network.from_json refractory", 1, INT, network_doc("neurons", 0, "refractory")),
     ("Network.from_json open_fraction", 0.5, NUMBER,
      network_doc("synapses", 0, "open_fraction")),
@@ -133,7 +135,7 @@ CASES = [
      lambda v: ExperimentConfig(sweep_thresholds=v)),
     ("ExperimentConfig sweep_inputs entry", 10 ** 6, [*INT, 10 ** 6 + 1, 10 ** 9],
      lambda v: ExperimentConfig(sweep_inputs=[10, v])),
-    ("ExperimentConfig sweep_thresholds entry", 0.5, NUMBER,
+    ("ExperimentConfig sweep_thresholds entry", 0.5, THRESHOLD,
      lambda v: ExperimentConfig(sweep_thresholds=[5.0, v])),
     ("ClusterNet decay", 0.5, NUMBER, lambda v: ClusterNet(decay=v)),
     ("ClusterNet.prune threshold", 0.5, NUMBER, lambda v: ClusterNet().prune(v)),

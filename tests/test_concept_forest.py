@@ -16,6 +16,7 @@ from oracles import to_json as oracle_to_json
 from renforge import ConceptForest, InvalidParameterError, NotFoundError, tokenize
 from renforge.concept_forest import SearchPath
 from renforge.harness.artifacts import read_lines
+from renforge.harness.builders import network_from_forest
 
 
 def snapshot(node):
@@ -341,14 +342,17 @@ def _assert_index_kept(forest):
 
 def _check_stream(forest, oracle, stream):
     """Insert each sentence into both forests and compare them, reloading
-    ``forest`` where the stream says so."""
+    ``forest`` where the stream says so; a reload keeps the network the
+    forest maps onto."""
     for sentence, reload in stream:
         assert forest.insert_sequence(sentence) == oracle_insert_sequence(oracle, sentence)
         assert forest.to_json() == oracle_to_json(oracle)
         _assert_index_kept(forest)
         if reload:
+            mapped = network_from_forest(forest)[0].to_json()
             forest = ConceptForest.from_json(forest.to_json())
             _assert_index_kept(forest)
+            assert network_from_forest(forest)[0].to_json() == mapped
 
 
 wide_tree_shapes = st.recursive(

@@ -6,8 +6,8 @@ import random
 import pytest
 
 import oracles
-from renforge import (DuplicateEdgeError, InvalidParameterError, Network,
-                      NotFoundError, RefinedSpec, build_refined)
+from renforge import (FIRING_TOLERANCE, DuplicateEdgeError, InvalidParameterError,
+                      Network, NotFoundError, RefinedSpec, build_refined)
 
 
 class TestFires:
@@ -96,13 +96,6 @@ class TestStep:
         record = net.step(inputs)
         assert record.rejections[main] == pytest.approx(0.8)
 
-    def test_threshold_within_tolerance_fires_on_no_input(self):
-        # A threshold at or below FIRING_TOLERANCE is reached by a 0.0 sum,
-        # so a neuron nothing drives fires whenever it is not refractory.
-        net = Network()
-        net.add_neuron(1e-10)
-        assert [sorted(net.step().fired) for _ in range(4)] == [[0], [], [0], []]
-
     @pytest.mark.parametrize("nid", [7, True, 1.0])
     def test_unknown_external_input(self, nid):
         net = Network()
@@ -120,15 +113,16 @@ class TestStep:
 
 
 class TestSparseRecord:
-    def test_input_sums_hold_nonzero_and_fired_in_id_order(self):
+    def test_input_sums_hold_the_nonzero_sums_in_id_order(self):
         net = Network()
-        a, b, c, d = (net.add_neuron(t) for t in (1.0, 2.0, 1e-10, 1.0))
+        a, b, c, d = (net.add_neuron(t) for t in (1.0, 2.0, 1.0, 1.0))
         net.add_synapse(a, b, 1.0)
+        net.add_synapse(a, c, 1.0)
         net.add_synapse(a, d, 0.0)
         record = net.step([a])
-        # b is reached but stays below threshold and c fires on a 0.0 sum;
-        # the driven a has no input and d's only synapse is closed.
-        assert list(record.input_sums.items()) == [(b, 1.0), (c, 0.0)]
+        # b is reached but stays below threshold and c fires; the driven a
+        # has no input and d's only synapse is closed.
+        assert list(record.input_sums.items()) == [(b, 1.0), (c, 1.0)]
         assert record.fired == {c}
 
     def test_externals_is_the_callers_frozenset(self):
@@ -195,9 +189,13 @@ class TestMutations:
         with pytest.raises(InvalidParameterError):
             net.add_synapse(0, 0)
 
-    @pytest.mark.parametrize("threshold", [0, -1.0, math.nan, math.inf, -math.inf, True, False])
+    # A 0.0 sum would reach a threshold within FIRING_TOLERANCE of 0, so such
+    # a threshold is rejected: a neuron fires only on input.
+    @pytest.mark.parametrize("threshold", [0, -1.0, 1e-10, FIRING_TOLERANCE, math.nan, math.inf,
+                                           -math.inf, True, False])
     def test_bad_threshold_rejected(self, threshold):
-        with pytest.raises(InvalidParameterError, match="threshold must be a finite number > 0"):
+        with pytest.raises(InvalidParameterError,
+                           match="threshold must be a finite number > 1e-09"):
             Network().add_neuron(threshold)
 
     @pytest.mark.parametrize("kwargs", [
@@ -321,7 +319,7 @@ class TestSerialization:
         net, inputs, main = build_fan_in(2, 1.0)
         net.step(inputs)
         restored = Network.from_json(net.to_json())
-        assert main in restored.refractory_ids()
+        assert restored.step().refractory == {main}
 
     def test_saved_signal_resumes_after_loading(self):
         # b fired on the saved tick, so the loaded copy both blocks b and
@@ -332,8 +330,8 @@ class TestSerialization:
         net.add_synapse(b, c)
         net.step([a])
         restored = Network.from_json(net.to_json())
-        assert restored.refractory_ids() == {b}
         resumed, original = restored.step([a]), net.step([a])
+        assert resumed.refractory == original.refractory == {b}
         assert resumed.fired == original.fired == {c}
         assert resumed.sources == original.sources == {a, b}
 

@@ -268,7 +268,7 @@ class TestTickMatchesOracle:
                 record = net.step(external)
                 accumulate_turbulence(net, record, state)
                 events = expected_events = []
-            # The library keeps only the oracle's nonzero or fired sums.
+            # The library keeps only the oracle's nonzero sums.
             expected = dataclasses.replace(
                 expected, input_sums=oracles.sparse_input_sums(expected))
             assert dataclasses.replace(record, tick=expected.tick) == expected

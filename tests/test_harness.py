@@ -406,6 +406,8 @@ class TestCli:
         ("config.json", '{"sweep_inputs": [1000000000]}',
          ["sweep", "--config", "{path}", "--samples", "1"]),
         ("config.json", '{"sweep_inputs": [1000001]}', ["run", "--config", "{path}"]),
+        ("config.json", '{"sweep_thresholds": [1e-10]}',
+         ["sweep", "--config", "{path}", "--samples", "1"]),
     ])
     def test_malformed_input_exits_2(self, tmp_path, capsys, name, text, command):
         path = tmp_path / name

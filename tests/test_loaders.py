@@ -173,16 +173,19 @@ def _linked_forest(links):
 @pytest.mark.parametrize("links, message", [
     ([(0, [], 0)], "leads into its own tree"),
     ([(0, [0], 0)], "leads into its own tree"),
-    ([(0, [0], 1), (1, [], 2), (0, [0], 1)], "repeats an earlier link"),
+    ([(0, [0], 1), (1, [], 2), (0, [0], 1)], "second link into tree 1"),
+    ([(0, [0], 1), (1, [], 2), (0, [], 2)], "second link into tree 2"),
 ])
 def test_forest_links_no_split_makes_are_rejected(links, message):
     # Each split links a node to a new root, so no link leads into its own
-    # tree and no node links twice into one tree.
+    # tree and no tree has two links into it.
     with pytest.raises(InvalidParameterError, match=message):
         ConceptForest.from_json(_linked_forest(links))
 
 
 def test_forest_links_splits_can_make_load_and_map():
-    forest = ConceptForest.from_json(_linked_forest([(0, [0], 1), (1, [], 2), (0, [], 2)]))
+    # Splits made b -> c, then a -> d; the document sorts them the other way.
+    forest = ConceptForest.from_json(_linked_forest([(0, [], 2), (0, [0], 1)]))
+    assert [forest.tree_index_of(link.to_root) for link in forest.links] == [1, 2]
     net, _, _ = network_from_forest(forest)
-    assert len(net.synapses) == 4
+    assert [(s.pre, s.post) for s in net.synapses.values()] == [(0, 1), (1, 2), (0, 3)]
