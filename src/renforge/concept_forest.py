@@ -13,8 +13,8 @@ import math
 from collections import deque
 from dataclasses import dataclass
 
-from .errors import (InvalidParameterError, NotFoundError, check_int, check_str,
-                     reading_document)
+from .errors import (InvalidParameterError, NotFoundError, check_int, check_not_str,
+                     check_str, reading_document)
 
 LINK_LABEL = "M"
 
@@ -134,7 +134,8 @@ class ConceptForest:
         outcount its parent; it is then split off.  Returns the split
         events, at most one.
         """
-        toks = [check_str(tok, "token", InvalidParameterError) for tok in tokens]
+        toks = [check_str(tok, "token", InvalidParameterError)
+                for tok in check_not_str(tokens, "tokens", InvalidParameterError)]
         if not toks:
             raise InvalidParameterError("token sequence is empty")
         nodes_with = self._nodes_with
@@ -234,7 +235,7 @@ class ConceptForest:
         crossed when the linked root matches the next token.  A path that
         consumes every token is complete.
         """
-        q = list(query)
+        q = list(check_not_str(query, "query", InvalidParameterError))
         if not q:
             raise InvalidParameterError("query is empty")
         # Depth-first over an explicit stack, so a long query cannot reach

@@ -87,6 +87,14 @@ def check_str(value, name: str, error) -> str:
     raise error(f"{name} must be a string, got {value!r}")
 
 
+def check_not_str(value, name: str, error):
+    """``value`` when it is not one string, which would be read as its
+    characters where a collection of strings is wanted."""
+    if isinstance(value, str):
+        raise error(f"{name} must be a collection of strings, not one string, got {value!r}")
+    return value
+
+
 def check_labels(value, name: str, error) -> list:
     """``value`` when it is a list of distinct strings."""
     if (type(value) is list and all(type(label) is str for label in value)

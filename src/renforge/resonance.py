@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cached_property
 from typing import NamedTuple
 
 from .core_net import Network
@@ -63,24 +64,37 @@ def find_terminals(network: Network) -> frozenset[int]:
 
 @dataclass(frozen=True)
 class ResonanceReport:
+    """What one search measured; ``resonance`` and ``recognized_path`` are
+    read from its two waves on first use."""
     forward_visits: dict
     backward_visits: dict
-    resonance: dict
-    recognized_path: frozenset
     terminals_hit: frozenset
     seeds: frozenset
     max_depth: int
     network_hash: str
 
+    @cached_property
+    def resonance(self) -> dict:
+        """Per forward edge, in ``forward_visits`` order, min(forward, backward)."""
+        backward = self.backward_visits
+        return {edge: min(count, backward.get(edge, 0))
+                for edge, count in self.forward_visits.items()}
+
+    @cached_property
+    def recognized_path(self) -> frozenset:
+        """The backward edges: the backward wave crosses only forward edges
+        and carries at least 1 wherever it goes, so these are exactly the
+        edges that resonate."""
+        return frozenset(self.backward_visits)
+
 
 class _Waves(NamedTuple):
-    """One seed's search alone.  ``resonance`` is ``forward`` itself when
-    the two are equal; ``boundary`` holds the open edges the backward wave
-    reached but did not cross, since they are not in ``forward``."""
+    """One seed's search alone.  ``boundary`` holds the open edges the
+    backward wave reached but did not cross, since they are not in
+    ``forward``."""
     forward: dict
     arrivals: dict
     backward: dict
-    resonance: dict
     boundary: frozenset
 
 
@@ -116,12 +130,7 @@ def _seed_waves(network: Network, seed: int, max_depth: int) -> _Waves:
     forward, arrivals = _wave({seed: 1}, successors, 1, max_depth)
     boundary: set = set()
     backward, _ = _wave(arrivals, predecessors, 0, max_depth, forward, boundary)
-    if len(backward) == len(forward) and all(
-            backward[edge] >= count for edge, count in forward.items()):
-        resonance = forward
-    else:
-        resonance = _resonance(forward, backward)
-    return _Waves(forward, arrivals, backward, resonance, frozenset(boundary))
+    return _Waves(forward, arrivals, backward, frozenset(boundary))
 
 
 def resonate(network: Network, seeds,
@@ -148,39 +157,28 @@ def resonate(network: Network, seeds,
     network_hash = network_fingerprint(network)
     memo = network.derived(_SeedMemo)
     parts = [memo.waves(network, nid, max_depth) for nid in sorted(seed_set)]
-    forward, shared = _merge([waves.forward for waves in parts])
-    arrivals, _ = _merge([waves.arrivals for waves in parts])
+    forward = _merge([waves.forward for waves in parts])
+    arrivals = _merge([waves.arrivals for waves in parts])
     if all(forward.keys().isdisjoint(waves.boundary) for waves in parts):
         # Each backward wave crosses the same edges inside the union as
-        # alone, so the backward flows add up, and only an edge two forward
-        # waves share can resonate with other than its one seed's count.
-        backward, _ = _merge([waves.backward for waves in parts])
-        resonance: dict = {}
-        for waves in parts:
-            resonance.update(waves.resonance)
-        for edge in shared:
-            count, ahead = backward.get(edge, 0), forward[edge]
-            resonance[edge] = count if count < ahead else ahead
-        return ResonanceReport(forward, backward, resonance, frozenset(backward),
-                               frozenset(arrivals), seed_set, max_depth, network_hash)
-    backward, _ = _wave(arrivals, network.derived(_adjacency)[1], 0, max_depth, forward)
-    return _finish(forward, backward, frozenset(arrivals), seed_set, max_depth,
-                   network_hash)
+        # alone, so the backward flows add up.
+        backward = _merge([waves.backward for waves in parts])
+    else:
+        backward, _ = _wave(arrivals, network.derived(_adjacency)[1], 0, max_depth, forward)
+    return ResonanceReport(forward, backward, frozenset(arrivals), seed_set, max_depth,
+                           network_hash)
 
 
-def _merge(counts: list[dict]) -> tuple[dict, set]:
+def _merge(counts: list[dict]) -> dict:
     """The edgewise sum of ``counts``, which keeps each key where it first
-    appears, and the keys that more than one of them holds."""
+    appears."""
     total = dict(counts[0])
-    shared: set = set()
     for more in counts[1:]:
-        common = total.keys() & more.keys()
-        prior = [(key, total[key]) for key in common]
+        prior = [(key, total[key]) for key in total.keys() & more.keys()]
         total.update(more)
         for key, count in prior:
             total[key] += count
-        shared |= common
-    return total, shared
+    return total
 
 
 def _wave(start, edges_from, ahead, max_depth, within=None, skipped=None):
@@ -217,40 +215,18 @@ def _wave(start, edges_from, ahead, max_depth, within=None, skipped=None):
     return flows, ended
 
 
-def _resonance(forward: dict, backward: dict) -> dict:
-    """Per forward edge, min(forward, backward).
-
-    The backward wave crosses only forward edges and carries at least 1
-    wherever it goes, so its edges are exactly those that resonate; every
-    other forward edge resonates with 0.
-    """
-    resonance = dict.fromkeys(forward, 0)
-    for edge, count in backward.items():
-        ahead = forward[edge]
-        resonance[edge] = count if count < ahead else ahead
-    return resonance
-
-
-def _finish(forward, backward, terminals_hit, seeds, max_depth,
-            network_hash) -> ResonanceReport:
-    """Report over the wave counts; ``recognized_path`` is the backward edges."""
-    return ResonanceReport(forward, backward, _resonance(forward, backward),
-                           frozenset(backward), terminals_hit, seeds, max_depth,
-                           network_hash)
-
-
 def combine_searches(report_a: ResonanceReport,
                      report_b: ResonanceReport) -> ResonanceReport:
     """Edgewise sum of two searches over the same network snapshot."""
     if report_a.network_hash != report_b.network_hash:
         raise InvalidCombinationError(
             "reports were computed over different network snapshots")
-    return _finish(_merge([report_a.forward_visits, report_b.forward_visits])[0],
-                   _merge([report_a.backward_visits, report_b.backward_visits])[0],
-                   report_a.terminals_hit | report_b.terminals_hit,
-                   report_a.seeds | report_b.seeds,
-                   max(report_a.max_depth, report_b.max_depth),
-                   report_a.network_hash)
+    return ResonanceReport(_merge([report_a.forward_visits, report_b.forward_visits]),
+                           _merge([report_a.backward_visits, report_b.backward_visits]),
+                           report_a.terminals_hit | report_b.terminals_hit,
+                           report_a.seeds | report_b.seeds,
+                           max(report_a.max_depth, report_b.max_depth),
+                           report_a.network_hash)
 
 
 _EDGE = ('{"pre": %d, "post": %d, "forward": %d, "backward": %d, "resonance": %d, '
@@ -265,12 +241,12 @@ def _edge_rows(report: ResonanceReport) -> list[list]:
     Counts are the waves' integer flows; a report holding any other count
     is rejected, since the writers format integers.
     """
-    forward, backward, resonance = (report.forward_visits, report.backward_visits,
-                                    report.resonance)
-    for counts in (forward, backward, resonance):
+    forward, backward = report.forward_visits, report.backward_visits
+    for counts in (forward, backward):
         if {*map(type, counts.values())} - {int}:
             bad = next(value for value in counts.values() if type(value) is not int)
             raise ValueError(f"edge count {bad!r} is not JSON compliant: counts are integers")
+    resonance = report.resonance
     return [[edge[0], edge[1], forward[edge], backward.get(edge, 0), resonance[edge]]
             for edge in sorted(forward)]
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from itertools import chain, combinations
 
 from .errors import (InvalidParameterError, NotFoundError, check_int, check_labels,
-                     check_number, check_str, reading_document)
+                     check_not_str, check_number, check_str, reading_document)
 
 
 @dataclass
@@ -65,8 +65,9 @@ class ClusterNet:
         subset of the presentation is reinforced as well.  Non-reinforced
         nodes decay by the configured amount (default none).
         """
-        concept_set = frozenset(check_str(label, "event label", InvalidParameterError)
-                                for label in concepts)
+        concept_set = frozenset(
+            check_str(label, "event label", InvalidParameterError)
+            for label in check_not_str(concepts, "event", InvalidParameterError))
         if not concept_set:
             raise InvalidParameterError("event concept set is empty")
         new_bases = tuple(sorted(concept_set - self.base_concepts))

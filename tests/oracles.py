@@ -20,6 +20,8 @@ by scanning, as ``tree_index_of`` once did, so it writes a forest that the
 oracles here mutated without keeping its index.
 ``global_concepts`` recomputes a cluster's overlap closure on every read,
 so a net whose events ``present_event`` here presented needs no lookups.
+``ResonanceReport`` is a search report as the library once stored it, with
+the resonance and recognized path that ``_finish`` computes from the waves.
 Differential tests check that the optimised path returns the same result on
 randomized inputs.
 """
@@ -28,6 +30,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+from dataclasses import dataclass
 
 from renforge import growth
 from renforge.concept_forest import (ConceptForest, ConceptNode, DynamicLink,
@@ -38,7 +41,7 @@ from renforge.errors import (InvalidCombinationError, InvalidParameterError,
 from renforge.feedback import repulsion_at
 from renforge.growth import (BUD_SPAWNED, INTERMEDIARY_CREATED, NEURONS_JOINED,
                              GrowthEvent, TurbulenceState)
-from renforge.resonance import DEFAULT_MAX_DEPTH, ResonanceReport
+from renforge.resonance import DEFAULT_MAX_DEPTH
 from renforge.symbolic_cluster import (ClusterNet, EventReport, GlobalConcept,
                                        HiddenNode)
 
@@ -298,6 +301,20 @@ def adjacency(network: Network) -> tuple[list, list]:
         predecessors.append(tuple((s.pre, nid) for s in network.incoming(nid)
                                   if s.open_fraction > 0.0))
     return successors, predecessors
+
+
+@dataclass(frozen=True)
+class ResonanceReport:
+    """A search report as the library's once was: both waves, and the
+    resonance and recognized path ``_finish`` computed from them."""
+    forward_visits: dict
+    backward_visits: dict
+    resonance: dict
+    recognized_path: frozenset
+    terminals_hit: frozenset
+    seeds: frozenset
+    max_depth: int
+    network_hash: str
 
 
 def resonate(network: Network, seeds,

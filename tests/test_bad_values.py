@@ -10,7 +10,7 @@ from renforge import (FIRING_TOLERANCE, ClusterNet, ConceptForest, Configuration
                       NotFoundError, RefinedSpec, average_excess, effective_weight, expand_weighted,
                       is_balanced, repulsion_at, resistance_profile, resonate,
                       run_until_balanced)
-from renforge.errors import check_int, check_labels, check_number, check_str
+from renforge.errors import check_int, check_labels, check_not_str, check_number, check_str
 from renforge.harness import ExperimentConfig, sweep
 
 # Each bad value is a case one of the checkers' rules names: a bool is not a
@@ -153,6 +153,13 @@ CASES = [
      cluster_doc("hidden_nodes", 0, "created_at")),
     ("ClusterNet.from_json global_concepts", [{"members": [0], "id": 0}], [*STR, "1"],
      cluster_doc("global_concepts")),
+    # One string is not a list of labels: it would be read as its characters.
+    ("ConceptForest.insert_sequence tokens", ["c", "a", "t"], ["cat", "c"],
+     lambda v: ConceptForest().insert_sequence(v)),
+    ("ConceptForest.search query", ["a", "b"], ["ab", "a"],
+     lambda v: ConceptForest.from_json(json.dumps(FOREST_DOC)).search(v)),
+    ("ClusterNet.present_event concepts", ["c", "0"], ["c0", "c"],
+     lambda v: ClusterNet().present_event(v)),
     ("ConceptForest.from_json label", "x", STR, forest_doc("trees", 0, "label")),
     ("ConceptForest.from_json child label", "x", STR,
      forest_doc("trees", 0, "children", 0, "label")),
@@ -221,6 +228,8 @@ class TestCheckers:
         (check_str, (5, "label"), "label must be a string, got 5"),
         (check_labels, (["a", "a"], "inputs"),
          "inputs must be a list of distinct strings, got ['a', 'a']"),
+        (check_not_str, ("cat", "tokens"),
+         "tokens must be a collection of strings, not one string, got 'cat'"),
     ])
     def test_message_names_the_value_and_its_bounds(self, checker, args, message):
         value, name, *bounds = args
@@ -233,6 +242,7 @@ class TestCheckers:
         (check_number, (0.5, 0, 1, "()")), (check_number, (-0.0, 0, 1, "[)")),
         (check_number, (10 ** 400, 0)), (check_int, (10 ** 400, 0)),
         (check_str, ("",)), (check_labels, ([],)), (check_labels, (["b", "a"],)),
+        (check_not_str, (["cat"],)), (check_not_str, ({"c", "0"},)),
     ])
     def test_accepted_value_is_returned_as_is(self, checker, args):
         value, *bounds = args

@@ -202,8 +202,11 @@ class TestResonate:
 
 
 def assert_same_report(report, expected):
-    for field in dataclasses.fields(report):
+    # The oracle's record stores all eight names; the library reads
+    # resonance and recognized_path from its waves.
+    for field in dataclasses.fields(expected):
         assert getattr(report, field.name) == getattr(expected, field.name), field.name
+    assert list(report.resonance) == list(report.forward_visits)
     assert report_to_json(report) == oracles.report_to_json(expected)
     assert report_csv_rows(report) == oracles.report_csv_rows(expected)
 
@@ -335,6 +338,30 @@ class TestSeedMemo:
         assert emptied
 
 
+class TestDerivedFields:
+    def test_replaced_waves_are_read_afresh(self):
+        net, ids = chain(3)
+        report = resonate(net, {ids[0]})
+        assert report.resonance == {(ids[0], ids[1]): 1, (ids[1], ids[2]): 1}
+        assert report.recognized_path == {(ids[0], ids[1]), (ids[1], ids[2])}
+        last = (ids[1], ids[2])
+        replaced = dataclasses.replace(report, backward_visits={last: 1})
+        assert replaced.resonance == {(ids[0], ids[1]): 0, last: 1}
+        assert replaced.recognized_path == {last}
+        assert report.resonance[(ids[0], ids[1])] == 1
+
+    def test_reading_before_combining_leaves_the_sum_alone(self):
+        net = Network()
+        a, b, shared, terminal = (net.add_neuron(1.0) for _ in range(4))
+        for pre, post in ((a, shared), (b, shared), (shared, terminal)):
+            net.add_synapse(pre, post)
+        ra, rb = resonate(net, {a}), resonate(net, {b})
+        assert ra.resonance[(shared, terminal)] == rb.resonance[(shared, terminal)] == 1
+        assert ra.recognized_path and rb.recognized_path
+        assert_same_report(combine_searches(ra, rb), oracles.combine_searches(
+            oracles.resonate(net, {a}), oracles.resonate(net, {b})))
+
+
 class TestCombineSearches:
     def test_identity_with_empty_report(self):
         net = Network()
@@ -410,8 +437,9 @@ class TestReportEmission:
     def test_non_finite_value_is_not_written(self):
         net, ids = chain(3)
         report = resonate(net, {ids[0]})
-        edge = next(iter(report.resonance))
-        forced = dataclasses.replace(report, resonance={**report.resonance, edge: math.inf})
+        edge = next(iter(report.forward_visits))
+        forced = dataclasses.replace(
+            report, forward_visits={**report.forward_visits, edge: math.inf})
         with pytest.raises(ValueError, match="not JSON compliant"):
             report_to_json(forced)
 
