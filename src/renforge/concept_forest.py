@@ -235,7 +235,8 @@ class ConceptForest:
         crossed when the linked root matches the next token.  A path that
         consumes every token is complete.
         """
-        q = list(check_not_str(query, "query", InvalidParameterError))
+        q = [check_str(tok, "token", InvalidParameterError)
+             for tok in check_not_str(query, "query", InvalidParameterError)]
         if not q:
             raise InvalidParameterError("query is empty")
         # Depth-first over an explicit stack, so a long query cannot reach

@@ -89,13 +89,13 @@ class ResonanceReport:
 
 
 class _Waves(NamedTuple):
-    """One seed's search alone.  ``boundary`` holds the open edges the
-    backward wave reached but did not cross, since they are not in
-    ``forward``."""
+    """One seed's search alone.  ``crossings`` holds an
+    ``(edge, layers_left, flow)`` per open edge outside ``forward`` that its
+    backward wave reached with ``layers_left`` layers to go and left out."""
     forward: dict
-    arrivals: dict
+    terminals: frozenset
     backward: dict
-    boundary: frozenset
+    crossings: tuple
 
 
 class _SeedMemo(dict):
@@ -128,9 +128,9 @@ class _SeedMemo(dict):
 def _seed_waves(network: Network, seed: int, max_depth: int) -> _Waves:
     successors, predecessors = network.derived(_adjacency)
     forward, arrivals = _wave({seed: 1}, successors, 1, max_depth)
-    boundary: set = set()
-    backward, _ = _wave(arrivals, predecessors, 0, max_depth, forward, boundary)
-    return _Waves(forward, arrivals, backward, frozenset(boundary))
+    crossings: list = []
+    backward, _ = _wave(arrivals, predecessors, 0, max_depth, forward, crossings)
+    return _Waves(forward, frozenset(arrivals), backward, tuple(crossings))
 
 
 def resonate(network: Network, seeds,
@@ -144,7 +144,10 @@ def resonate(network: Network, seeds,
     arrived there, and travels only over forward-visited edges.
 
     The waves are summed from each seed's own, which the network keeps
-    until its topology changes; see the README's resonance section.
+    until its topology changes.  Where a seed's backward wave stopped at
+    an edge that another seed's forward wave crossed, its flow goes on
+    from there over the summed forward edges; see the README's resonance
+    section.
     """
     seed_set = frozenset(seeds)
     if not seed_set:
@@ -158,15 +161,15 @@ def resonate(network: Network, seeds,
     memo = network.derived(_SeedMemo)
     parts = [memo.waves(network, nid, max_depth) for nid in sorted(seed_set)]
     forward = _merge([waves.forward for waves in parts])
-    arrivals = _merge([waves.arrivals for waves in parts])
-    if all(forward.keys().isdisjoint(waves.boundary) for waves in parts):
-        # Each backward wave crosses the same edges inside the union as
-        # alone, so the backward flows add up.
-        backward = _merge([waves.backward for waves in parts])
-    else:
-        backward, _ = _wave(arrivals, network.derived(_adjacency)[1], 0, max_depth, forward)
-    return ResonanceReport(forward, backward, frozenset(arrivals), seed_set, max_depth,
-                           network_hash)
+    backward = _merge([waves.backward for waves in parts])
+    predecessors = network.derived(_adjacency)[1]
+    for waves in parts:
+        for edge, layers_left, flow in waves.crossings:
+            if edge in forward:
+                backward[edge] = backward.get(edge, 0) + flow
+                _wave({edge[0]: flow}, predecessors, 0, layers_left - 1, forward, flows=backward)
+    terminals = frozenset().union(*[waves.terminals for waves in parts])
+    return ResonanceReport(forward, backward, terminals, seed_set, max_depth, network_hash)
 
 
 def _merge(counts: list[dict]) -> dict:
@@ -181,18 +184,19 @@ def _merge(counts: list[dict]) -> dict:
     return total
 
 
-def _wave(start, edges_from, ahead, max_depth, within=None, skipped=None):
+def _wave(start, edges_from, ahead, max_depth, within=None, crossings=None, flows=None):
     """Spread integer flows from ``start`` for up to ``max_depth`` layers.
 
     Each node of a layer either ends the wave (it has no edge in
     ``edges_from``) or copies its flow down every edge of ``edges_from`` to
     the edge's end at index ``ahead``, or down those edges in ``within``
-    when that is given; the set ``skipped``, when given, collects the edges
-    left out for not being in ``within``.  Flows that meet at a node add
-    up.  Sums do not depend on order, so no layer is sorted.  Returns the
-    flow over each edge and the flow that ended at each node without edges.
+    when that is given; the list ``crossings``, when given, collects
+    ``(edge, layers_left, flow)`` for each edge left out of ``within``.
+    Flows that meet at a node add up, into ``flows`` when given.  Sums do
+    not depend on order, so no layer is sorted.  Returns the flow over each
+    edge and the flow that ended at each node without edges.
     """
-    flows: dict = {}
+    flows = {} if flows is None else flows
     ended: dict = {}
     layer = start
     for layers_left in range(max_depth, -1, -1):
@@ -209,8 +213,8 @@ def _wave(start, edges_from, ahead, max_depth, within=None, skipped=None):
                         flows[edge] = flows.get(edge, 0) + flow
                         nxt = edge[ahead]
                         next_layer[nxt] = next_layer.get(nxt, 0) + flow
-                    elif skipped is not None:
-                        skipped.add(edge)
+                    elif crossings is not None:
+                        crossings.append((edge, layers_left, flow))
         layer = next_layer
     return flows, ended
 

@@ -156,7 +156,7 @@ CASES = [
     # One string is not a list of labels: it would be read as its characters.
     ("ConceptForest.insert_sequence tokens", ["c", "a", "t"], ["cat", "c"],
      lambda v: ConceptForest().insert_sequence(v)),
-    ("ConceptForest.search query", ["a", "b"], ["ab", "a"],
+    ("ConceptForest.search query", ["a", "b"], ["ab", "a", [1, None], ["a", 2]],
      lambda v: ConceptForest.from_json(json.dumps(FOREST_DOC)).search(v)),
     ("ClusterNet.present_event concepts", ["c", "0"], ["c0", "c"],
      lambda v: ClusterNet().present_event(v)),

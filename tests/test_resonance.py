@@ -1,5 +1,6 @@
 """Forward/backward wave search: terminals, resonance, and combination."""
 
+import copy
 import dataclasses
 import json
 import math
@@ -11,10 +12,11 @@ from hypothesis import strategies as st
 import oracles
 from oracles import find_terminals as oracle_find_terminals
 from oracles import network_fingerprint as oracle_network_fingerprint
-from renforge import (InvalidCombinationError, InvalidParameterError, Network,
-                      NotFoundError, combine_searches, find_terminals,
+from renforge import (ConceptForest, InvalidCombinationError, InvalidParameterError,
+                      Network, NotFoundError, combine_searches, find_terminals,
                       network_fingerprint, report_csv_rows, report_to_json,
                       resonate)
+from renforge.harness.builders import network_from_forest
 from renforge.resonance import DEFAULT_MAX_DEPTH, SEED_MEMO_LIMIT, _adjacency, _SeedMemo
 
 
@@ -283,6 +285,26 @@ class TestResonateMatchesOracle:
             assert_same_report(resonate(net, seeds, depth),
                                oracles.resonate(net, seeds, depth))
 
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_forest_networks_queried_from_their_roots(self, data):
+        # The benchmark's traffic: a corpus into a forest, the forest into
+        # a network, then queries from sets of roots.  Splits link one tree
+        # into another, so a seed's backward wave can stop where another
+        # seed's forward wave came in.
+        words = st.sampled_from("abcdef")
+        corpus = data.draw(st.lists(st.lists(words, min_size=1, max_size=6),
+                                    min_size=1, max_size=30))
+        forest = ConceptForest()
+        for tokens in corpus:
+            forest.insert_sequence(tokens)
+        net, _labels, roots = network_from_forest(forest)
+        for _ in range(data.draw(st.integers(1, 6))):
+            seeds = data.draw(st.sets(st.sampled_from(roots), min_size=1, max_size=4))
+            depth = data.draw(st.sampled_from([1, 2, 3, DEFAULT_MAX_DEPTH]))
+            assert_same_report(resonate(net, seeds, depth),
+                               oracles.resonate(net, seeds, depth))
+
 
 class TestSeedMemo:
     def test_separable_and_non_separable_pairs(self):
@@ -306,6 +328,73 @@ class TestSeedMemo:
                 assert all(report.backward_visits[edge] == sum(
                     alone[seed].backward_visits.get(edge, 0) for seed in seeds)
                     for edge in report.backward_visits)
+
+    def test_crossing_at_the_last_layer(self):
+        # a's backward wave reaches x with one layer left and stops at
+        # (c, x), which c's forward wave crossed.  In the union the flow
+        # crosses it and stops at c, though (y, c) is a forward edge too.
+        net = Network()
+        a, c, x, y, t = (net.add_neuron(1.0) for _ in range(5))
+        for pre, post in ((a, x), (x, t), (c, x), (c, y), (y, c)):
+            net.add_synapse(pre, post)
+        report = resonate(net, {a, c}, 2)
+        memo = net.derived(_SeedMemo)
+        assert memo[(a, 2)].crossings == (((c, x), 1, 1),)
+        assert memo[(c, 2)].crossings == (((a, x), 1, 1),)
+        assert (y, c) in report.forward_visits
+        assert report.backward_visits == {(x, t): 2, (a, x): 2, (c, x): 2}
+        assert_same_report(report, oracles.resonate(net, {a, c}, 2))
+
+    @pytest.mark.parametrize("depth, flow", [(4, 2), (5, 3), (DEFAULT_MAX_DEPTH, 3)])
+    def test_continuation_runs_on_into_a_third_seeds_tree(self, depth, flow):
+        # Three trees linked into a chain, as splits link them: r1 -> n1
+        # -> r2 -> n2 -> r3 -> n3.  r3's backward wave stops at (n2, r3);
+        # its continuation climbs through r2's tree into r1's, as far as
+        # its layers reach.  At depth 4 r1's wave does not reach n3.
+        net = Network()
+        r1, n1, r2, n2, r3, n3 = (net.add_neuron(1.0) for _ in range(6))
+        chain_edges = ((r1, n1), (n1, r2), (r2, n2), (n2, r3), (r3, n3))
+        for pre, post in chain_edges:
+            net.add_synapse(pre, post)
+        report = resonate(net, {r1, r2, r3}, depth)
+        memo = net.derived(_SeedMemo)
+        assert memo[(r3, depth)].backward == {(r3, n3): 1}
+        assert memo[(r3, depth)].crossings == (((n2, r3), depth - 1, 1),)
+        reached = chain_edges[max(0, 5 - depth):]
+        assert report.backward_visits == dict.fromkeys(reached, flow)
+        assert_same_report(report, oracles.resonate(net, {r1, r2, r3}, depth))
+
+    def test_memo_records_each_crossing_with_its_layer_and_flow(self):
+        # a reaches t over two paths, so its backward flow is 2; b and c
+        # come in at t and at x, one layer apart.
+        net = Network()
+        a, b, c, x, y, t = (net.add_neuron(1.0) for _ in range(6))
+        for pre, post in ((a, x), (a, y), (x, t), (y, t), (b, t), (c, x)):
+            net.add_synapse(pre, post)
+        assert resonate(net, {a}, 3).backward_visits == {(x, t): 2, (y, t): 2,
+                                                         (a, x): 2, (a, y): 2}
+        memo = net.derived(_SeedMemo)
+        assert memo[(a, 3)].crossings == (((b, t), 3, 2), ((c, x), 2, 2))
+        assert memo[(a, 3)].terminals == {t}
+        for seeds in ({a, b}, {a, c}, {a, b, c}):
+            assert_same_report(resonate(net, seeds, 3), oracles.resonate(net, seeds, 3))
+
+    def test_no_query_writes_into_a_memo_dict(self):
+        net = Network()
+        a, c, x, y, t = (net.add_neuron(1.0) for _ in range(5))
+        for pre, post in ((a, x), (x, t), (c, x), (c, y), (y, c)):
+            net.add_synapse(pre, post)
+        for seeds in ({a}, {c}):
+            resonate(net, seeds)
+        memo = net.derived(_SeedMemo)
+        held = {key: copy.deepcopy(waves) for key, waves in memo.items()}
+        for seeds in ({a, c}, {a}, {c}, {a, c}):
+            report = resonate(net, seeds)
+            assert_same_report(report, oracles.resonate(net, seeds))
+            assert all(counts is not waves.forward and counts is not waves.backward
+                       for counts in (report.forward_visits, report.backward_visits)
+                       for waves in memo.values())
+        assert memo == held
 
     @pytest.mark.parametrize("seeds", [{0}, {0, 3}, {0, 1}])
     def test_mutating_a_report_leaves_the_next_one_alone(self, seeds):
