@@ -189,10 +189,6 @@ class Network:
         """A new list of the synapses into ``neuron_id``, in id order."""
         return list(self._incoming.get(neuron_id, ()))
 
-    def outgoing(self, neuron_id: int) -> list[Synapse]:
-        """A new list of the synapses out of ``neuron_id``, in id order."""
-        return list(self._outgoing.get(neuron_id, ()))
-
     def synapse_between(self, pre: int, post: int) -> Synapse | None:
         sid = self._edges.get((pre, post))
         return None if sid is None else self.synapses[sid]
@@ -213,12 +209,8 @@ class Network:
             view = self._derived[build] = build(self)
             return view
 
-    def open_input_count(self, neuron_id: int) -> int:
-        """Number of open direct unit inputs (multiplicity counted)."""
-        return self.derived(Network._open_input_counts).get(neuron_id, 0)
-
     def _open_input_counts(self) -> dict[int, int]:
-        """Per neuron with an open incoming synapse, its open input count."""
+        """Per neuron with an open incoming synapse, its open unit inputs."""
         counts: dict[int, int] = {}
         for syn in self.synapses.values():
             if syn.open_fraction > 0.0:

@@ -250,12 +250,8 @@ def render_report(results) -> str:
     return "\n".join(lines)
 
 
-def verify(stream=None) -> int:
-    """Run the acceptance suite; returns 0 when every criterion passes."""
+def verify() -> int:
+    """Print the acceptance report; returns 0 when every criterion passes."""
     results = run_acceptance()
-    report = render_report(results)
-    if stream is None:
-        print(report)
-    else:
-        stream.write(report + "\n")
+    print(render_report(results))
     return 0 if all(r.passed for r in results) else 1

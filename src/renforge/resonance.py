@@ -20,10 +20,10 @@ from .errors import (InvalidCombinationError, InvalidParameterError, NotFoundErr
 
 DEFAULT_MAX_DEPTH = 32
 
-# The seed memo holds at most this many forward edges per synapse, plus one
-# per entry, before it empties: on the benchmark's `stack` queries it peaks
-# near 2.3, and without a bound querying every seed of a dense network
-# would hold neurons x synapses edges.
+# The seed memo holds at most this many items per synapse before it empties,
+# an entry counting its forward edges, its crossings and one more: on the
+# benchmark's `stack` queries it peaks near 2.4, and without a bound querying
+# every seed of a dense network would hold neurons x synapses edges.
 SEED_MEMO_LIMIT = 4
 
 
@@ -103,8 +103,9 @@ class _SeedMemo(dict):
 
     The one view ``resonate`` fills after ``Network.derived`` builds it
     empty.  It reads the topology alone, so ticks keep it.  It empties
-    itself when the next entry would take its forward edges, plus one per
-    entry, past ``SEED_MEMO_LIMIT`` times the synapses plus one.
+    itself when the next entry would take the items it holds past
+    ``SEED_MEMO_LIMIT`` times the synapses plus one, an entry counting its
+    forward edges, its crossings and one more.
     """
 
     def __init__(self, network: Network):
@@ -116,7 +117,7 @@ class _SeedMemo(dict):
         waves = self.get(key)
         if waves is None:
             waves = _seed_waves(network, seed, max_depth)
-            cost = len(waves.forward) + 1
+            cost = len(waves.forward) + len(waves.crossings) + 1
             if cost > self.room:
                 self.clear()
                 self.room = self.limit

@@ -38,11 +38,9 @@ class GlobalConcept:
 
 @dataclass(frozen=True)
 class EventReport:
-    index: int
     created: int | None
     reinforced: tuple[int, ...]
     decayed: tuple[int, ...]
-    new_bases: tuple[str, ...]
 
 
 class ClusterNet:
@@ -70,7 +68,6 @@ class ClusterNet:
             for label in check_not_str(concepts, "event", InvalidParameterError))
         if not concept_set:
             raise InvalidParameterError("event concept set is empty")
-        new_bases = tuple(sorted(concept_set - self.base_concepts))
         self.base_concepts |= concept_set
 
         hidden, live, exact = self.hidden, self._live, self._exact
@@ -123,8 +120,7 @@ class ClusterNet:
             self._join(created)
 
         self.event_count += 1
-        return EventReport(self.event_count - 1, created, tuple(reinforced),
-                           tuple(decayed), new_bases)
+        return EventReport(created, tuple(reinforced), tuple(decayed))
 
     def ingest_events(self, lines, fuzzy: bool = False) -> list[EventReport]:
         """Parse ``time<TAB>label,label,...`` lines; times are finite and rise strictly."""

@@ -274,17 +274,28 @@ def network_fingerprint(network: Network) -> str:
     return hashlib.sha256(network.to_json().encode("utf-8")).hexdigest()
 
 
+def _outgoing(network: Network) -> dict[int, list]:
+    """Per neuron, the synapses out of it in id order, read from
+    ``network.synapses``: the network has no query for them."""
+    outgoing: dict[int, list] = {nid: [] for nid in network.neurons}
+    for syn in network.synapses.values():
+        outgoing[syn.pre].append(syn)
+    return outgoing
+
+
 def find_terminals(network: Network) -> frozenset[int]:
     """Nodes with zero open outgoing synapses; cycles have none."""
+    outgoing = _outgoing(network)
     return frozenset(nid for nid in network.neurons
-                     if not any(s.open_fraction > 0.0 for s in network.outgoing(nid)))
+                     if not any(s.open_fraction > 0.0 for s in outgoing[nid]))
 
 
 def _open_successors(network: Network) -> dict[int, tuple[int, ...]]:
     """Per source with an open outgoing synapse, its targets in synapse-id order."""
     successors = {}
+    outgoing = _outgoing(network)
     for nid in network.neurons:
-        posts = tuple(s.post for s in network.outgoing(nid) if s.open_fraction > 0.0)
+        posts = tuple(s.post for s in outgoing[nid] if s.open_fraction > 0.0)
         if posts:
             successors[nid] = posts
     return successors
@@ -295,8 +306,9 @@ def adjacency(network: Network) -> tuple[list, list]:
     incoming ``(pre, post)`` edges in synapse-id order; ``()`` where it has
     none."""
     successors, predecessors = [], []
+    outgoing = _outgoing(network)
     for nid in network.neurons:
-        successors.append(tuple((nid, s.post) for s in network.outgoing(nid)
+        successors.append(tuple((nid, s.post) for s in outgoing[nid]
                                 if s.open_fraction > 0.0))
         predecessors.append(tuple((s.pre, nid) for s in network.incoming(nid)
                                   if s.open_fraction > 0.0))
@@ -612,7 +624,6 @@ def present_event(net: ClusterNet, concepts, fuzzy: bool = False) -> EventReport
     concept_set = frozenset(concepts)
     if not concept_set:
         raise InvalidParameterError("event concept set is empty")
-    new_bases = tuple(sorted(concept_set - net.base_concepts))
     net.base_concepts |= concept_set
 
     reinforced: list[int] = []
@@ -642,9 +653,7 @@ def present_event(net: ClusterNet, concepts, fuzzy: bool = False) -> EventReport
                 decayed.append(node.id)
 
     net.event_count += 1
-    return EventReport(net.event_count - 1, created,
-                       tuple(sorted(reinforced)), tuple(sorted(decayed)),
-                       new_bases)
+    return EventReport(created, tuple(sorted(reinforced)), tuple(sorted(decayed)))
 
 
 def global_concepts(net: ClusterNet) -> list[GlobalConcept]:

@@ -4,8 +4,6 @@ Each test prints one pass/fail line; run with ``pytest -s`` to see them, or
 use ``renforge verify`` for the standalone table.
 """
 
-import io
-
 import pytest
 
 from renforge.harness import render_report, run_acceptance, verify
@@ -34,8 +32,9 @@ def test_report_covers_all_criteria(results):
     assert f"{len(CRITERION_IDS)}/{len(CRITERION_IDS)} criteria passed" in report
 
 
-def test_verify_report_is_reproducible():
-    first, second = io.StringIO(), io.StringIO()
-    assert verify(first) == 0
-    assert verify(second) == 0
-    assert first.getvalue() == second.getvalue()
+def test_verify_report_is_reproducible(capsys):
+    assert verify() == 0
+    first = capsys.readouterr().out
+    assert verify() == 0
+    assert capsys.readouterr().out == first
+    assert first.endswith("criteria passed\n")

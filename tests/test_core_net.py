@@ -217,19 +217,23 @@ class TestMutations:
             net.add_synapse(0, 9)
 
     def test_set_open_fraction(self):
-        net, _inputs, main = build_fan_in(2, 1.0)
+        # A rejection is excess per open input, so it reads the open input count.
+        net, inputs, main = build_fan_in(2, 0.5)
         net.set_open_fraction(1, 0.25)
         assert net.synapses[1].open_fraction == 0.25
-        assert net.open_input_count(main) == 2
+        assert net.step(inputs).rejections[main] == (1.25 - 0.5) / 2
         net.set_open_fraction(1, 0)
         assert net.synapses[1].open_fraction == 0.0
-        assert net.open_input_count(main) == 1
+        net.reset_dynamics()
+        assert net.step(inputs).rejections[main] == (1.0 - 0.5) / 1
 
     def test_open_input_count_follows_new_synapses(self):
-        net, _inputs, main = build_fan_in(2, 1.0)
-        assert net.open_input_count(main) == 2
+        net, inputs, main = build_fan_in(2, 1.0)
+        assert net.step(inputs).rejections[main] == (2.0 - 1.0) / 2
         net.add_synapse(net.add_neuron(1.0), main, 0.5, 1, multiplicity=3)
-        assert net.open_input_count(main) == 5
+        net.reset_dynamics()
+        assert net.step(inputs).rejections[main] == (2.0 - 1.0) / 5
+        assert net.derived(Network._open_input_counts) == {main: 5}
 
     def test_delivery_follows_open_fraction_and_multiplicity(self):
         net, _inputs, main = build_fan_in(2, 1.0, open_fraction=0.3)
@@ -252,7 +256,7 @@ class TestMutations:
             with pytest.raises(AttributeError):
                 obj.extra = 1
 
-    def test_incoming_and_outgoing_are_fresh_lists_in_id_order(self):
+    def test_incoming_is_a_fresh_list_in_id_order(self):
         rng = random.Random(5)
         net = Network()
         ids = [net.add_neuron(1.0) for _ in range(8)]
@@ -261,13 +265,12 @@ class TestMutations:
             if net.synapse_between(pre, post) is None:
                 net.add_synapse(pre, post, rng.choice([0.0, 0.5, 1.0]))
         for nid in ids:
-            for query, end in ((net.incoming, "post"), (net.outgoing, "pre")):
-                expected = [s for s in net.synapses.values() if getattr(s, end) == nid]
-                listed = query(nid)
-                assert listed == expected
-                assert all(a is b for a, b in zip(listed, expected))
-                listed.clear()
-                assert query(nid) == expected and query(nid) is not query(nid)
+            expected = [s for s in net.synapses.values() if s.post == nid]
+            listed = net.incoming(nid)
+            assert listed == expected
+            assert all(a is b for a, b in zip(listed, expected))
+            listed.clear()
+            assert net.incoming(nid) == expected and net.incoming(nid) is not net.incoming(nid)
 
     @pytest.mark.parametrize("sid, fraction, error", [
         (0, 1.5, InvalidParameterError), (0, -0.1, InvalidParameterError),

@@ -149,7 +149,8 @@ class TestSpawnAndJoin:
         assert len(created) == 1
         # The intermediary demands its whole group of four.
         assert net.neurons[created[0].affected[0]].threshold == 4.0
-        assert net.open_input_count(main) == 1  # only the intermediary remains
+        # Only the intermediary remains open.
+        assert net.derived(Network._open_input_counts)[main] == 1
 
     def test_single_bud_without_partner_persists(self):
         net = Network()

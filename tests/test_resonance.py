@@ -6,17 +6,18 @@ import json
 import math
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import oracles
 from oracles import find_terminals as oracle_find_terminals
 from oracles import network_fingerprint as oracle_network_fingerprint
-from renforge import (ConceptForest, InvalidCombinationError, InvalidParameterError,
-                      Network, NotFoundError, combine_searches, find_terminals,
+from renforge import (ConceptForest, GrowthConfig, InvalidCombinationError,
+                      InvalidParameterError, Network, NotFoundError, RefinedSpec,
+                      build_refined, combine_searches, find_terminals,
                       network_fingerprint, report_csv_rows, report_to_json,
-                      resonate)
-from renforge.harness.builders import network_from_forest
+                      resonate, run_until_balanced)
+from renforge.harness.builders import build_direct_unit, network_from_forest
 from renforge.resonance import DEFAULT_MAX_DEPTH, SEED_MEMO_LIMIT, _adjacency, _SeedMemo
 
 
@@ -73,7 +74,8 @@ class TestDerivedViews:
             assert network_fingerprint(net) == oracle_network_fingerprint(net)
             assert find_terminals(net) == oracle_find_terminals(net)
             assert net.derived(_adjacency) == oracles.adjacency(net)
-            assert all(net.open_input_count(nid) == oracles.open_input_count(net, nid)
+            counts = net.derived(Network._open_input_counts)
+            assert all(counts.get(nid, 0) == oracles.open_input_count(net, nid)
                        for nid in net.neurons)
             seeds = data.draw(st.sets(st.integers(0, len(net.neurons) - 1), min_size=1))
             restored = Network.from_json(net.to_json())
@@ -306,6 +308,50 @@ class TestResonateMatchesOracle:
                                oracles.resonate(net, seeds, depth))
 
 
+def _query_many(net, data):
+    # Depths come from a short list and large seed sets overlap, so later
+    # queries meet memo entries that earlier ones filled; the first query
+    # runs again last, from a full memo.
+    ids = st.sampled_from(sorted(net.neurons))
+    depths = st.sampled_from([1, 2, 3, DEFAULT_MAX_DEPTH])
+    size = min(64, len(net.neurons))
+    queries = data.draw(st.lists(st.tuples(st.sets(ids, min_size=1, max_size=size), depths),
+                                 min_size=1, max_size=4))
+    for seeds, depth in [*queries, queries[0]]:
+        assert_same_report(resonate(net, seeds, depth), oracles.resonate(net, seeds, depth))
+
+
+class TestConvergentNetworksMatchOracle:
+    # Nodes with several incoming edges: a seed's backward wave leaves a
+    # crossing at every other seed's way in, unlike on a forest.
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_refined_units(self, data):
+        net = Network()
+        for _ in range(data.draw(st.integers(1, 2))):
+            group_size = data.draw(st.integers(2, 5))
+            build_refined(net, RefinedSpec(
+                input_count=data.draw(st.integers(2, 80)), group_size=group_size,
+                group_threshold=data.draw(st.integers(1, group_size)), main_threshold=1,
+                layers=data.draw(st.integers(1, 2))))
+        _query_many(net, data)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_direct_units_grown_to_balance(self, data):
+        count = data.draw(st.integers(8, 64))
+        net, inputs, _main = build_direct_unit(count, data.draw(st.integers(2, count // 4)))
+        extra = data.draw(st.lists(st.sets(st.sampled_from(inputs), min_size=1), max_size=3))
+        grown = run_until_balanced(net, [inputs, *extra], GrowthConfig(bud_threshold=1.0), 200)
+        assume(grown.intermediaries_created)
+        _query_many(net, data)
+
+
+def _held(memo):
+    """The items a seed memo holds by its own count."""
+    return sum(len(waves.forward) + len(waves.crossings) + 1 for waves in memo.values())
+
+
 class TestSeedMemo:
     def test_separable_and_non_separable_pairs(self):
         # a and b reach t over their own branches, and d reaches u apart.
@@ -411,20 +457,34 @@ class TestSeedMemo:
         assert_same_report(resonate(net, seeds), oracles.resonate(net, seeds))
 
     def test_memo_empties_at_its_bound(self):
+        # Past the first seed, each seed's backward wave stops at the edge
+        # into it: one crossing per entry.
         net, ids = chain(10)
         limit = SEED_MEMO_LIMIT * (len(net.synapses) + 1)
         held = emptied = 0
         for seed in ids:
             report = resonate(net, {seed})
             assert_same_report(report, oracles.resonate(net, {seed}))
-            cost = len(report.forward_visits) + 1
+            memo = net.derived(_SeedMemo)
+            waves = memo[(seed, DEFAULT_MAX_DEPTH)]
+            assert len(waves.crossings) == (seed > 0)
+            cost = len(waves.forward) + len(waves.crossings) + 1
             if held + cost > limit:
                 held, emptied = 0, emptied + 1
             held += cost
-            memo = net.derived(_SeedMemo)
-            assert sum(len(waves.forward) + 1 for waves in memo.values()) == held <= limit
-            assert (seed, DEFAULT_MAX_DEPTH) in memo
+            assert _held(memo) == held <= limit
         assert emptied
+
+    def test_memo_bound_counts_crossings(self):
+        # Every input of a direct unit feeds the main neuron, so an input's
+        # entry holds one forward edge and a crossing per other input.
+        net, inputs, _main = build_direct_unit(500, 5.0)
+        for seed in inputs:
+            report = resonate(net, {seed})
+            assert_same_report(report, oracles.resonate(net, {seed}))
+            memo = net.derived(_SeedMemo)
+            assert len(memo[(seed, DEFAULT_MAX_DEPTH)].crossings) == 499
+            assert _held(memo) <= memo.limit == SEED_MEMO_LIMIT * (len(net.synapses) + 1)
 
 
 class TestDerivedFields:

@@ -61,9 +61,11 @@ class TestPresentEvent:
 
     def test_new_bases_recorded(self):
         net = ClusterNet()
-        report = net.present_event({"b", "a"})
-        assert report.new_bases == ("a", "b")
-        assert net.present_event({"a", "c"}).new_bases == ("c",)
+        net.present_event({"b", "a"})
+        assert net.base_concepts == {"a", "b"}
+        net.present_event({"a", "c"})
+        assert net.base_concepts == {"a", "b", "c"}
+        assert net.event_count == 2
 
     def test_empty_event_rejected(self):
         with pytest.raises(InvalidParameterError):
@@ -77,7 +79,8 @@ class TestPresentEvent:
         with pytest.raises(InvalidParameterError, match="event label must be a string"):
             net.present_event(labels, fuzzy=True)
         assert net.to_json() == before
-        assert net.present_event(["a", "b"]).index == 1
+        net.present_event(["a", "b"])
+        assert net.event_count == 2
 
     @pytest.mark.parametrize("decay", [-0.1, math.nan, math.inf, True, "0.1", None])
     def test_bad_decay_rejected(self, decay):
