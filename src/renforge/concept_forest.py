@@ -217,10 +217,11 @@ class ConceptForest:
         return events
 
     def ingest_lines(self, lines) -> int:
-        """Insert one whitespace-tokenized sequence per non-empty line."""
+        """Insert one whitespace-tokenized sequence per non-empty line of
+        ``lines``, a collection of strings, not one string."""
         inserted = 0
-        for line in lines:
-            toks = tokenize(line)
+        for line in check_not_str(lines, "lines", InvalidParameterError):
+            toks = tokenize(check_str(line, "line", InvalidParameterError))
             if toks:
                 self.insert_sequence(toks)
                 inserted += 1

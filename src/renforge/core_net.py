@@ -111,7 +111,8 @@ class Network:
     its one cache.  The topology mutators (``add_neuron``, ``add_synapse``,
     ``set_open_fraction``) drop every view.  A tick or ``reset_dynamics``
     changes only the firing state, so it drops only the fingerprint, the
-    one view that reads it; the rest outlive ticks.
+    one view that reads it, and only when the set of neurons that fired
+    last changes; the rest outlive ticks.
     """
 
     def __init__(self, rng_seed: int = 0):
@@ -185,19 +186,28 @@ class Network:
 
     # -- queries ----------------------------------------------------------
 
+    def _neuron_id(self, nid) -> int:
+        """``nid`` when it is the int id of a neuron; a bool or float is not."""
+        if type(nid) is not int or nid not in self.neurons:
+            raise NotFoundError(f"unknown neuron id {nid!r}")
+        return nid
+
     def incoming(self, neuron_id: int) -> list[Synapse]:
         """A new list of the synapses into ``neuron_id``, in id order."""
-        return list(self._incoming.get(neuron_id, ()))
+        return list(self._incoming.get(self._neuron_id(neuron_id), ()))
 
     def synapse_between(self, pre: int, post: int) -> Synapse | None:
-        sid = self._edges.get((pre, post))
+        """The synapse ``pre`` -> ``post``, or None when the two neurons
+        have none."""
+        sid = self._edges.get((self._neuron_id(pre), self._neuron_id(post)))
         return None if sid is None else self.synapses[sid]
 
     def derived(self, build):
         """``build(self)``, built at most once between two changes that drop it.
 
         The topology mutators drop every view; ``step`` and
-        ``reset_dynamics`` drop only ``Network._fingerprint``, so any other
+        ``reset_dynamics`` drop only ``Network._fingerprint``, when they
+        change the set of neurons that fired last, so any other
         ``build`` must read the topology alone, not the firing state.  The
         caller must not mutate the returned value: later callers share it.
         One view is filled by its owner after it is built: the seed memo
@@ -260,7 +270,8 @@ class Network:
                               refractory=refractory, externals=externals)
         self.tick += 1
         self._last_fired = record.fired
-        self._derived.pop(Network._fingerprint, None)
+        if record.fired != refractory:
+            self._derived.pop(Network._fingerprint, None)
         self.history.append(record)
         return record
 
@@ -268,8 +279,9 @@ class Network:
         """Clear firing state (tick, history, refractory) but keep topology."""
         self.tick = 0
         self.history.clear()
-        self._last_fired = frozenset()
-        self._derived.pop(Network._fingerprint, None)
+        if self._last_fired:
+            self._last_fired = frozenset()
+            self._derived.pop(Network._fingerprint, None)
 
     # -- serialization ----------------------------------------------------
 

@@ -1,6 +1,6 @@
 """Experiment harness: configuration, scripted scenarios, sweeps, acceptance."""
 
-from .acceptance import CriterionResult, render_report, run_acceptance, verify
+from .acceptance import verify
 from .builders import build_direct_unit, network_from_forest
 from .config import (ExperimentConfig, SEED_ENV_VAR, config_from_json,
                      config_to_json, default_config_json, load_config)
@@ -9,7 +9,6 @@ from .sweeps import ALL_FIRING_GROWTH, sweep
 
 __all__ = [
     "ALL_FIRING_GROWTH",
-    "CriterionResult",
     "ExperimentConfig",
     "SCENARIOS",
     "SEED_ENV_VAR",
@@ -19,8 +18,6 @@ __all__ = [
     "default_config_json",
     "load_config",
     "network_from_forest",
-    "render_report",
-    "run_acceptance",
     "run_scenario",
     "sweep",
     "verify",

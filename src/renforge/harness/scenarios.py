@@ -92,8 +92,7 @@ def run_fig2_growth(config: ExperimentConfig, outdir: Path) -> dict:
 
 def run_fig4_trees(config: ExperimentConfig, outdir: Path) -> dict:
     forest = ConceptForest()
-    for line in FIG4_LINES:
-        forest.insert_sequence(tokenize(line))
+    forest.ingest_lines(FIG4_LINES)
     write_text(outdir / "forest.json", forest.to_json() + "\n")
     paths = forest.search(tokenize(FIG4_QUERY))
     return {

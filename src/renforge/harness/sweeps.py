@@ -29,8 +29,7 @@ ALL_FIRING_GROWTH = GrowthConfig(bud_threshold=2.5, offpattern_decay=0.95)
 
 def _sample_schedule(config: ExperimentConfig, input_ids, sample_seed: int):
     if config.schedule == "all_firing":
-        ids = frozenset(input_ids)
-        return lambda tick: ids
+        return frozenset(input_ids)
     rng = random.Random(sample_seed)
     probability = config.schedule_probability
     ordered = sorted(input_ids)

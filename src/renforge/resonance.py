@@ -51,7 +51,7 @@ def network_fingerprint(network: Network) -> str:
     """Stable digest of the network snapshot a report was computed over.
 
     The SHA-256 of ``network.to_json()``, computed once per change to the
-    network, ticks included.
+    network, ticks that change the fired set included.
     """
     return network.derived(Network._fingerprint)
 

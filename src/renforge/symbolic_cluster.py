@@ -123,11 +123,13 @@ class ClusterNet:
         return EventReport(created, tuple(reinforced), tuple(decayed))
 
     def ingest_events(self, lines, fuzzy: bool = False) -> list[EventReport]:
-        """Parse ``time<TAB>label,label,...`` lines; times are finite and rise strictly."""
+        """Parse ``time<TAB>label,label,...`` lines, a collection of strings,
+        not one string; times are finite and rise strictly."""
         reports = []
         last_time = None
-        for line_number, raw in enumerate(lines, 1):
-            line = raw.rstrip("\n")
+        for line_number, raw in enumerate(
+                check_not_str(lines, "lines", InvalidParameterError), 1):
+            line = check_str(raw, "line", InvalidParameterError).rstrip("\n")
             if not line.strip():
                 continue
             time_part, sep, label_part = line.partition("\t")

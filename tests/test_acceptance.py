@@ -1,40 +1,32 @@
 """Acceptance gate: every criterion at its stated tolerance.
 
 Each test prints one pass/fail line; run with ``pytest -s`` to see them, or
-use ``renforge verify`` for the standalone table.
+use ``renforge verify`` for the standalone report.
 """
+
+import hashlib
 
 import pytest
 
-from renforge.harness import render_report, run_acceptance, verify
+from renforge.harness import verify
 from renforge.harness.acceptance import CRITERIA
 
-CRITERION_IDS = [criterion for criterion, _, _ in CRITERIA]
+# The SHA-256 of the whole ``renforge verify`` report.  Every criterion's
+# detail, A10's artifact sha included, is in it, so this pins the report
+# across versions, not only between two runs of one version.
+VERIFY_REPORT_SHA256 = "ee326ecf7c19b0e0ef370026a36a65509c5c463783854e01c7a5a07d94feb750"
 
 
-@pytest.fixture(scope="module")
-def results():
-    return {result.criterion: result for result in run_acceptance()}
+@pytest.mark.parametrize("criterion, description, check", CRITERIA,
+                         ids=[criterion for criterion, _, _ in CRITERIA])
+def test_criterion(criterion, description, check):
+    passed, detail = check()
+    print(f"{criterion} {'PASS' if passed else 'FAIL'} {description}: {detail}")
+    assert passed, f"{criterion} {description}: {detail}"
 
 
-@pytest.mark.parametrize("criterion", CRITERION_IDS)
-def test_criterion(results, criterion):
-    result = results[criterion]
-    status = "PASS" if result.passed else "FAIL"
-    print(f"{criterion} {status} {result.description}: {result.detail}")
-    assert result.passed, f"{criterion} {result.description}: {result.detail}"
-
-
-def test_report_covers_all_criteria(results):
-    report = render_report(list(results.values()))
-    for criterion in CRITERION_IDS:
-        assert criterion in report
-    assert f"{len(CRITERION_IDS)}/{len(CRITERION_IDS)} criteria passed" in report
-
-
-def test_verify_report_is_reproducible(capsys):
+def test_verify_report_is_pinned(capsys):
     assert verify() == 0
-    first = capsys.readouterr().out
-    assert verify() == 0
-    assert capsys.readouterr().out == first
-    assert first.endswith("criteria passed\n")
+    report = capsys.readouterr().out
+    assert report.endswith(f"result: {len(CRITERIA)}/{len(CRITERIA)} criteria passed\n")
+    assert hashlib.sha256(report.encode("utf-8")).hexdigest() == VERIFY_REPORT_SHA256

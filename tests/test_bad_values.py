@@ -91,6 +91,12 @@ CASES = [
     ("Network.add_synapse post", 1, INT, lambda v: two_neurons().add_synapse(0, v)),
     ("Network.set_open_fraction synapse_id", 1, INT,
      lambda v: two_synapses().set_open_fraction(v, 0.5)),
+    # Neuron 1 exists, so True or 1.0 would otherwise name it; 2 does not.
+    ("Network.incoming neuron_id", 1, [*INT, 1.0, 2], lambda v: two_neurons().incoming(v)),
+    ("Network.synapse_between pre", 1, [*INT, 1.0, 2],
+     lambda v: two_synapses().synapse_between(v, 0)),
+    ("Network.synapse_between post", 1, [*INT, 1.0, 2],
+     lambda v: two_synapses().synapse_between(0, v)),
     ("Network.from_json threshold", 0.5, THRESHOLD, network_doc("neurons", 0, "threshold")),
     ("Network.from_json refractory", 1, INT, network_doc("neurons", 0, "refractory")),
     ("Network.from_json open_fraction", 0.5, NUMBER,
@@ -160,6 +166,10 @@ CASES = [
      lambda v: ConceptForest.from_json(json.dumps(FOREST_DOC)).search(v)),
     ("ClusterNet.present_event concepts", ["c", "0"], ["c0", "c"],
      lambda v: ClusterNet().present_event(v)),
+    ("ConceptForest.ingest_lines lines", ["black cat"], ["black cat", [5], ["a b", None]],
+     lambda v: ConceptForest().ingest_lines(v)),
+    ("ClusterNet.ingest_events lines", ["0\ta,b"], ["0\ta,b", [5], ["0\ta,b", None]],
+     lambda v: ClusterNet().ingest_events(v)),
     ("ConceptForest.from_json label", "x", STR, forest_doc("trees", 0, "label")),
     ("ConceptForest.from_json child label", "x", STR,
      forest_doc("trees", 0, "children", 0, "label")),
@@ -191,6 +201,7 @@ CASES = [
 # the rest raise InvalidParameterError.
 ERRORS = {"ExperimentConfig": ConfigurationError, "RefinedSpec": InvalidSpecError,
           "ConceptForest.terminal_nodes": NotFoundError, "effective_weight": NotFoundError,
+          "Network.incoming": NotFoundError, "Network.synapse_between": NotFoundError,
           **dict.fromkeys(("Network.add_synapse pre", "Network.add_synapse post",
                            "Network.set_open_fraction synapse_id"), NotFoundError)}
 
