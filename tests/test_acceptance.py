@@ -13,7 +13,8 @@ from renforge.harness.acceptance import CRITERIA
 
 # The SHA-256 of the whole ``renforge verify`` report.  Every criterion's
 # detail, A10's artifact sha included, is in it, so this pins the report
-# across versions, not only between two runs of one version.
+# across Python versions (the same on 3.10 to 3.13), not only between two
+# runs of one interpreter.
 VERIFY_REPORT_SHA256 = "ee326ecf7c19b0e0ef370026a36a65509c5c463783854e01c7a5a07d94feb750"
 
 

@@ -101,24 +101,6 @@ class TestDerivedViews:
             mutate()
             assert net._derived == {}
 
-    def test_a_tick_keeps_the_fingerprint_while_to_json_holds(self):
-        # to_json reads only the set that fired last, so a tick or reset that
-        # leaves that set as it was keeps the fingerprint object itself.
-        net, ids = chain(3)
-        ticks = [lambda: net.step([]), lambda: net.step([]), lambda: net.step([ids[0]]),
-                 lambda: net.step([]), lambda: net.step([]), lambda: net.step([]),
-                 net.reset_dynamics, lambda: net.step([ids[1]]), net.reset_dynamics,
-                 net.reset_dynamics]
-        kept = 0
-        for tick in ticks:
-            before, text = network_fingerprint(net), net.to_json()
-            tick()
-            after = network_fingerprint(net)
-            assert after == oracle_network_fingerprint(net)
-            assert (after is before) == (net.to_json() == text)
-            kept += after is before
-        assert kept == 5
-
     def test_adjacency_follows_closing_and_reopening(self):
         net = Network()
         a, b, c = (net.add_neuron(1.0) for _ in range(3))
