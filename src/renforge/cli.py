@@ -9,8 +9,8 @@ import sys
 
 from .concept_forest import ConceptForest, tokenize
 from .errors import RenforgeError
-from .harness import (default_config_json, load_config, run_scenario, sweep,
-                      verify)
+from .harness import (ExperimentConfig, config_to_json, load_config, run_scenario,
+                      sweep, verify)
 from .harness.artifacts import read_lines, write_text
 from .symbolic_cluster import ClusterNet
 
@@ -59,7 +59,7 @@ def _build_parser() -> argparse.ArgumentParser:
         handler=lambda args: verify())
 
     config_parser = sub.add_parser("config", help="configuration helpers")
-    config_parser.add_argument("--print-defaults", action="store_true",
+    config_parser.add_argument("--print-defaults", action="store_true", required=True,
                                help="print the default config JSON")
     config_parser.set_defaults(handler=_cmd_config)
     return parser
@@ -109,10 +109,7 @@ def _cmd_cluster(args) -> int:
 
 
 def _cmd_config(args) -> int:
-    if not args.print_defaults:
-        print("usage: renforge config --print-defaults", file=sys.stderr)
-        return 2
-    print(default_config_json(), end="")
+    print(config_to_json(ExperimentConfig()), end="")
     return 0
 
 

@@ -119,6 +119,27 @@ class ConceptForest:
         self._root_index[root] = index
         return index
 
+    def _new_node(self, label: str, parent: ConceptNode | None,
+                  count: int = 0) -> ConceptNode:
+        """Create a node as the last child of ``parent`` (a new tree if
+        None) and index it by label."""
+        node = ConceptNode(label, count, parent)
+        if parent is None:
+            self._add_root(node)
+        else:
+            parent.children.append(node)
+        self._nodes_with.setdefault(label, []).append(node)
+        return node
+
+    def _address(self, node: ConceptNode) -> tuple[int, list[int]]:
+        """(tree index, child-index path) of ``node``."""
+        path = []
+        while node.parent is not None:
+            path.append(node.parent.children.index(node))
+            node = node.parent
+        path.reverse()
+        return self.tree_index_of(node), path
+
     # -- mutation ----------------------------------------------------------
 
     def insert_sequence(self, tokens) -> list[SplitEvent]:
@@ -138,12 +159,9 @@ class ConceptForest:
                 for tok in check_not_str(tokens, "tokens", InvalidParameterError)]
         if not toks:
             raise InvalidParameterError("token sequence is empty")
-        nodes_with = self._nodes_with
         tree_index, attached = self._attachment_point(toks[0])
         if attached is None:
-            attached = ConceptNode(toks[0])
-            self._add_root(attached)
-            nodes_with.setdefault(attached.label, []).append(attached)
+            attached = self._new_node(toks[0], None)
         node = attached
         node.count += 1
         for tok in toks[1:]:
@@ -151,9 +169,7 @@ class ConceptForest:
                 if child.label == tok:
                     break
             else:
-                child = ConceptNode(tok, parent=node)
-                node.children.append(child)
-                nodes_with.setdefault(tok, []).append(child)
+                child = self._new_node(tok, node)
             child.count += 1
             node = child
         parent = attached.parent
@@ -183,7 +199,7 @@ class ConceptForest:
                 best.append(node)
         if not best:
             return -1, None
-        return best_key[0], min(best, key=self._node_path)
+        return best_key[0], min(best, key=self._address)
 
     def _detach(self, node: ConceptNode, tree_index: int) -> SplitEvent:
         """Make ``node``, held by tree ``tree_index``, the base of a new tree
@@ -291,19 +307,6 @@ class ConceptForest:
 
     # -- serialization -------------------------------------------------------
 
-    def _node_path(self, node: ConceptNode) -> list[int]:
-        path = []
-        while node.parent is not None:
-            path.append(node.parent.children.index(node))
-            node = node.parent
-        path.reverse()
-        return path
-
-    def _tree_of(self, node: ConceptNode) -> int:
-        while node.parent is not None:
-            node = node.parent
-        return self.tree_index_of(node)
-
     def to_json(self) -> str:
         """Nested JSON form; raises InvalidParameterError for a forest too
         deep for the JSON encoder to nest."""
@@ -311,13 +314,11 @@ class ConceptForest:
             return {"label": node.label, "count": node.count,
                     "children": [node_doc(c) for c in node.children]}
 
-        link_docs = sorted(
-            ({"from_tree": self._tree_of(link.from_node),
-              "from_path": self._node_path(link.from_node),
-              "to_tree": self.tree_index_of(link.to_root),
-              "label": link.label}
-             for link in self.links),
-            key=lambda d: (d["from_tree"], d["from_path"], d["to_tree"]))
+        # One link enters each tree, so ``to_tree`` settles every tie.
+        link_docs = [{"from_tree": tree, "from_path": path, "to_tree": to_tree, "label": label}
+                     for tree, path, to_tree, label in sorted(
+                         (*self._address(link.from_node), self.tree_index_of(link.to_root),
+                          link.label) for link in self.links)]
         try:
             return json.dumps({"trees": [node_doc(r) for r in self.trees],
                                "links": link_docs}, allow_nan=False)
@@ -331,7 +332,6 @@ class ConceptForest:
     @classmethod
     def from_json(cls, text: str) -> "ConceptForest":
         forest = cls()
-        nodes_with = forest._nodes_with
         error = InvalidParameterError
 
         def at(items, index):
@@ -347,12 +347,7 @@ class ConceptForest:
                     label = check_str(entry["label"], "label", error)
                     limit = math.inf if parent is None else parent.count
                     count = check_int(entry["count"], f"count of {label!r}", error, 1, limit)
-                    node = ConceptNode(label, count, parent)
-                    if parent is None:
-                        forest._add_root(node)
-                    else:
-                        parent.children.append(node)
-                    nodes_with.setdefault(label, []).append(node)
+                    node = forest._new_node(label, parent, count)
                     stack.extend((child, node) for child in reversed(entry["children"]))
             # A split appends a new tree and the one link into it, so a live
             # forest holds its links in the order of the trees they enter.

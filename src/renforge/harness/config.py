@@ -4,15 +4,12 @@ from __future__ import annotations
 
 import dataclasses
 import json
-import os
 from dataclasses import dataclass, field
 
 from ..core_net import FIRING_TOLERANCE
 from ..errors import ConfigurationError, check_int, check_number, check_str
 from ..growth import GrowthConfig
 from .artifacts import read_lines
-
-SEED_ENV_VAR = "RENFORGE_SEED"
 
 KNOWN_SCHEDULES = ("all_firing", "random_subset")
 
@@ -21,7 +18,7 @@ KNOWN_SCHEDULES = ("all_firing", "random_subset")
 MAX_SWEEP_INPUTS = 10 ** 6
 
 
-@dataclass
+@dataclass(frozen=True)
 class ExperimentConfig:
     seed: int = 0
     scenario: str = "fig2_growth"
@@ -62,10 +59,6 @@ def config_to_json(config: ExperimentConfig) -> str:
     return json.dumps(dataclasses.asdict(config), indent=2, allow_nan=False) + "\n"
 
 
-def default_config_json() -> str:
-    return config_to_json(ExperimentConfig())
-
-
 def config_from_json(text: str) -> ExperimentConfig:
     try:
         doc = json.loads(text)
@@ -90,13 +83,5 @@ def config_from_json(text: str) -> ExperimentConfig:
 
 
 def load_config(path) -> ExperimentConfig:
-    """Read a config file; the seed env var overrides the file's seed."""
-    config = config_from_json("".join(read_lines(path, ConfigurationError)))
-    override = os.environ.get(SEED_ENV_VAR)
-    if override is not None:
-        try:
-            config.seed = int(override)
-        except ValueError as exc:
-            raise ConfigurationError(
-                f"{SEED_ENV_VAR} must be an integer, got {override!r}") from exc
-    return config
+    """Read a config file; the file alone sets the run."""
+    return config_from_json("".join(read_lines(path, ConfigurationError)))

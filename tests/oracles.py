@@ -482,14 +482,18 @@ def to_json(forest: ConceptForest) -> str:
         return {"label": node.label, "count": node.count,
                 "children": [node_doc(c) for c in node.children]}
 
-    def tree_of(node):
-        while node.parent is not None:
-            node = node.parent
-        return tree_index_of(forest, node)
+    # Every node's (tree index, child-index path), found top-down.
+    address = {}
+    for index, root in enumerate(forest.trees):
+        stack = [(root, [])]
+        while stack:
+            node, path = stack.pop()
+            address[id(node)] = index, path
+            stack.extend((child, path + [i]) for i, child in enumerate(node.children))
 
     link_docs = sorted(
-        ({"from_tree": tree_of(link.from_node),
-          "from_path": forest._node_path(link.from_node),
+        ({"from_tree": address[id(link.from_node)][0],
+          "from_path": address[id(link.from_node)][1],
           "to_tree": tree_index_of(forest, link.to_root),
           "label": link.label}
          for link in forest.links),

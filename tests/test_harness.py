@@ -1,5 +1,6 @@
 """Configuration, scenario artifacts, sweeps, and the command line."""
 
+import dataclasses
 import json
 import os
 import subprocess
@@ -12,15 +13,14 @@ from renforge import (ConfigurationError, GrowthConfig, InvalidParameterError,
                       run_until_balanced)
 from renforge.cli import main
 from renforge.harness import (ALL_FIRING_GROWTH, ExperimentConfig,
-                              config_from_json, config_to_json,
-                              default_config_json, load_config, run_scenario,
-                              sweep, sweeps)
+                              config_from_json, config_to_json, load_config,
+                              run_scenario, sweep, sweeps)
 from renforge.harness.artifacts import read_lines
 
 
 class TestConfig:
     def test_defaults_round_trip(self):
-        config = config_from_json(default_config_json())
+        config = config_from_json(config_to_json(ExperimentConfig()))
         assert config == ExperimentConfig()
 
     def test_full_round_trip(self):
@@ -44,8 +44,8 @@ class TestConfig:
 
     @pytest.mark.parametrize("text, message", [
         ('{"growth": {"threshold_policy": "all"}}', "unknown growth keys: ['threshold_policy']"),
-        (default_config_json().replace('"close_cutoff": 0.05',
-                                       '"close_cutoff": 0.05, "threshold_policy": "all"'),
+        (config_to_json(ExperimentConfig()).replace(
+            '"close_cutoff": 0.05', '"close_cutoff": 0.05, "threshold_policy": "all"'),
          "unknown growth keys: ['threshold_policy']"),
         ('{"growth": {"window": 4, "bogus": 1}}', "unknown growth keys: ['bogus']"),
         ('{"growth": null}', "growth must be a JSON object"),
@@ -83,15 +83,21 @@ class TestConfig:
         with pytest.raises(ConfigurationError):
             ExperimentConfig(**kwargs)
 
-    def test_seed_env_override(self, tmp_path, monkeypatch):
+    def test_seed_comes_from_the_file_alone(self, tmp_path, monkeypatch):
+        # sweep.csv records no master seed, so a variable that set one would
+        # change the artifacts while the config file said otherwise.
         path = tmp_path / "config.json"
         path.write_text(config_to_json(ExperimentConfig(seed=1)), encoding="utf-8")
-        assert load_config(path).seed == 1
         monkeypatch.setenv("RENFORGE_SEED", "77")
-        assert load_config(path).seed == 77
-        monkeypatch.setenv("RENFORGE_SEED", "nope")
-        with pytest.raises(ConfigurationError):
-            load_config(path)
+        assert load_config(path) == ExperimentConfig(seed=1)
+
+    @pytest.mark.parametrize("name, value", [
+        ("seed", 5), ("sweep_inputs", [10 ** 9]), ("max_ticks", 0)])
+    def test_built_config_is_frozen(self, name, value):
+        config = ExperimentConfig()
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(config, name, value)
+        assert config == ExperimentConfig()
 
     def test_unreadable_config(self, tmp_path):
         with pytest.raises(ConfigurationError):
@@ -247,7 +253,7 @@ class TestSweep:
 
 class TestCli:
     def test_config_print_defaults(self, capsys):
-        # Pinned as literal text, not compared with default_config_json(), so
+        # Pinned as literal text, not compared with config_to_json(), so
         # a changed default or field fails here and shows in the diff.
         assert main(["config", "--print-defaults"]) == 0
         assert capsys.readouterr().out == """\
@@ -279,7 +285,10 @@ class TestCli:
 """
 
     def test_config_without_flag_errors(self, capsys):
-        assert main(["config"]) == 2
+        with pytest.raises(SystemExit) as caught:
+            main(["config"])
+        assert caught.value.code == 2
+        assert "--print-defaults" in capsys.readouterr().err
 
     def test_trees_ingest_and_query(self, tmp_path, capsys):
         corpus = tmp_path / "corpus.txt"
