@@ -9,13 +9,13 @@ in proportion to how often they met rejection.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from functools import reduce
 from itertools import chain
 from operator import add
 
 from .core_net import HISTORY_LIMIT, FiringRecord, Network
-from .errors import InvalidParameterError, check_int, check_number
+from .errors import InvalidParameterError, NotFoundError, check_int, check_number
 from .feedback import DEFAULT_EPS_BALANCE, is_balanced, repulsion_at
 
 BUD_SPAWNED = "bud_spawned"
@@ -71,57 +71,55 @@ class GrowthEvent:
     affected: tuple[int, ...]
 
 
+@dataclass(slots=True)
 class _SynapseStats:
     # carried and rejected hold one flag per recent tick, newest in bit 0; both
     # take a flag every tick, so one length counts the ticks they hold.  The
     # flags are folded in up to accumulate call ``seen``; the ticks after it
-    # carried nothing, and catch_up shifts in their zero flags.
-    __slots__ = ("accumulator", "carried", "rejected", "length", "budded", "seen")
-
-    def __init__(self, seen: int):
-        self.accumulator = 0.0
-        self.carried = 0
-        self.rejected = 0
-        self.length = 0
-        self.budded = False
-        self.seen = seen
-
-    def catch_up(self, calls: int, window: int) -> None:
-        """Fold in zero flags for the accumulate calls after ``seen`` up to ``calls``."""
-        missed = calls - self.seen
-        if missed:
-            keep = (1 << window) - 1
-            self.carried = self.carried << missed & keep
-            self.rejected = self.rejected << missed & keep
-            self.length = min(window, self.length + missed)
-            self.seen = calls
+    # carried nothing, and stats_for shifts in their zero flags.
+    seen: int
+    accumulator: float = 0.0
+    carried: int = 0
+    rejected: int = 0
+    length: int = 0
+    budded: bool = False
 
 
 class TurbulenceState:
     """Per-synapse turbulence accumulators and sliding activity windows.
 
-    ``calls`` counts the ``accumulate_turbulence`` calls folded in.  A
-    synapse's stats change only on the calls where it carries signal, and
-    ``stats_for`` brings its window up to date when read, so read the stats
+    ``calls`` counts the ``accumulate_turbulence`` calls folded in; each
+    gives the synapses added since the last one their stats.  A synapse's
+    stats change only on the calls where it carries signal, and
+    ``stats_for`` brings its window up to date when read, so read them
     through it.
     """
 
     def __init__(self, config: GrowthConfig | None = None):
-        self.config = config or GrowthConfig()
+        if not isinstance(config, (GrowthConfig, type(None))):
+            raise InvalidParameterError(f"config must be a GrowthConfig or None, got {config!r}")
+        self.config = GrowthConfig() if config is None else config
         self.stats: dict[int, _SynapseStats] = {}
         self.calls = 0
         # (target, frozenset of sources) pairs that already own an intermediary
         self.groups_created: set[tuple[int, frozenset[int]]] = set()
-        self._registered = 0          # synapse ids below this have stats
         self._crossed: set[int] = set()   # may have reached bud_threshold since spawn
         self._budded: set[int] = set()
 
     def stats_for(self, synapse_id: int) -> _SynapseStats:
-        stats = self.stats.get(synapse_id)
+        """The stats of ``synapse_id``, the calls it missed shifted in."""
+        stats = self.stats.get(synapse_id) if type(synapse_id) is int else None
         if stats is None:
-            stats = self.stats[synapse_id] = _SynapseStats(self.calls)
-        elif stats.seen != self.calls:
-            stats.catch_up(self.calls, self.config.window)
+            raise NotFoundError(f"no stats for synapse id {synapse_id!r}: accumulate_turbulence "
+                                f"registers new synapses on its next call")
+        missed = self.calls - stats.seen
+        if missed:
+            window = self.config.window
+            keep = (1 << window) - 1
+            stats.carried = stats.carried << missed & keep
+            stats.rejected = stats.rejected << missed & keep
+            stats.length = min(window, stats.length + missed)
+            stats.seen = self.calls
         return stats
 
     def total_turbulence(self) -> float:
@@ -147,10 +145,8 @@ def accumulate_turbulence(network: Network, record: FiringRecord,
     stats_map, synapses = state.stats, network.synapses
     # New synapses join in id order, so ``stats`` keeps the order in which
     # an eager pass over every synapse would have met them.
-    for sid in range(state._registered, len(synapses)):
-        if sid not in stats_map:
-            stats_map[sid] = _SynapseStats(call - 1)
-    state._registered = len(synapses)
+    for sid in range(len(stats_map), len(synapses)):
+        stats_map[sid] = _SynapseStats(call - 1)
     rejecting = {nid: excess for nid, excess in record.rejections.items()
                  if excess > cfg.eps_balance}
     gains: dict[tuple[int, int], float] = {}
@@ -162,8 +158,8 @@ def accumulate_turbulence(network: Network, record: FiringRecord,
             if syn.open_fraction <= 0.0:
                 continue
             stats = stats_map[syn.id]
-            # catch_up inlined and fused with this call's flags: a method
-            # call per carried synapse made the loop about a third slower.
+            # stats_for's shift inlined and fused with this call's flags: a
+            # method call per carried synapse made the loop about a third slower.
             missed = call - stats.seen
             stats.seen = call
             carried, rejected = stats.carried << missed | 1, stats.rejected << missed
@@ -362,30 +358,31 @@ class ConvergenceReport:
     events: tuple[GrowthEvent, ...] = field(default_factory=tuple)
 
     def to_doc(self) -> dict:
-        return {"ticks_to_balance": self.ticks_to_balance,
-                "intermediaries_created": self.intermediaries_created,
-                "final_total_excess": self.final_total_excess,
-                "initial_max_excess": self.initial_max_excess,
-                "final_max_excess": self.final_max_excess,
-                "ticks_run": self.ticks_run,
+        return {**{f.name: getattr(self, f.name) for f in fields(self) if f.name != "events"},
                 "events_total": len(self.events)}
 
 
 def _as_schedule(input_schedule):
     """Normalize a schedule to a tick -> ids callable.
 
-    Accepts a callable, a constant id set, or a per-tick sequence of id
-    collections (cycled when the run outlasts it).
+    Accepts a callable, a constant id set, or a per-tick list or tuple of
+    id collections (cycled when the run outlasts it).  One string is none
+    of these: it would be read as its characters.
     """
     if callable(input_schedule):
         return input_schedule
     if isinstance(input_schedule, (set, frozenset)):
         ids = frozenset(input_schedule)
         return lambda tick: ids
-    steps = [frozenset(step) for step in input_schedule]
-    if not steps:
-        return lambda tick: frozenset()
-    return lambda tick: steps[tick % len(steps)]
+    if isinstance(input_schedule, (list, tuple)) and not any(
+            isinstance(step, str) for step in input_schedule):
+        try:
+            steps = [frozenset(step) for step in input_schedule] or [frozenset()]
+            return lambda tick: steps[tick % len(steps)]
+        except TypeError:   # a step that is not a collection of hashable ids
+            pass
+    raise InvalidParameterError("input_schedule must be a callable, a set of ids or a list "
+                                f"or tuple of id collections, got {input_schedule!r}")
 
 
 def run_until_balanced(network: Network, input_schedule,
@@ -399,8 +396,8 @@ def run_until_balanced(network: Network, input_schedule,
     network and schedule.
     """
     check_int(max_ticks, "max_ticks", InvalidParameterError, 1)
-    cfg = config or GrowthConfig()
-    state = TurbulenceState(cfg)
+    state = TurbulenceState(config)
+    cfg = state.config
     schedule = _as_schedule(input_schedule)
     events: list[GrowthEvent] = []
     ticks_to_balance = None

@@ -27,8 +27,8 @@ class ExperimentConfig:
     schedule_probability: float = 0.5   # used by the random_subset schedule
     max_ticks: int = 500
     output_dir: str = "out"
-    sweep_inputs: list[int] = field(default_factory=lambda: [10, 25, 50])
-    sweep_thresholds: list[float] = field(default_factory=lambda: [5.0])
+    sweep_inputs: tuple[int, ...] = (10, 25, 50)
+    sweep_thresholds: tuple[float, ...] = (5.0,)
 
     def __post_init__(self):
         error = ConfigurationError
@@ -44,10 +44,12 @@ class ExperimentConfig:
                         f"got {self.output_dir!r}")
         if not isinstance(self.growth, GrowthConfig):
             raise error(f"growth must be a GrowthConfig, got {self.growth!r}")
-        for name, values in (("sweep_inputs", self.sweep_inputs),
-                             ("sweep_thresholds", self.sweep_thresholds)):
-            if not isinstance(values, list) or not values:
-                raise error(f"{name} must be a non-empty list, got {values!r}")
+        # A list is kept as a tuple, so a built config's entries stay checked.
+        for name in ("sweep_inputs", "sweep_thresholds"):
+            values = getattr(self, name)
+            if not isinstance(values, (list, tuple)) or not values:
+                raise error(f"{name} must be a non-empty list or tuple, got {values!r}")
+            object.__setattr__(self, name, tuple(values))
         for i, count in enumerate(self.sweep_inputs):
             check_int(count, f"sweep_inputs[{i}]", error, 1, MAX_SWEEP_INPUTS)
         for i, threshold in enumerate(self.sweep_thresholds):

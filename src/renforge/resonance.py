@@ -15,8 +15,7 @@ from functools import cached_property
 from typing import NamedTuple
 
 from .core_net import Network
-from .errors import (InvalidCombinationError, InvalidParameterError, NotFoundError,
-                     check_int)
+from .errors import InvalidCombinationError, InvalidParameterError, check_int
 
 DEFAULT_MAX_DEPTH = 32
 
@@ -154,8 +153,7 @@ def resonate(network: Network, seeds,
     if not seed_set:
         raise InvalidParameterError("seeds must be non-empty")
     for nid in seed_set:
-        if type(nid) is not int or nid not in network.neurons:
-            raise NotFoundError(f"unknown neuron id {nid!r}")
+        network._neuron_id(nid)
     check_int(max_depth, "max_depth", InvalidParameterError, 1)
 
     network_hash = network_fingerprint(network)

@@ -7,9 +7,9 @@ import pytest
 
 from renforge import (FIRING_TOLERANCE, ClusterNet, ConceptForest, ConfigurationError,
                       GrowthConfig, InvalidParameterError, InvalidSpecError, Network,
-                      NotFoundError, RefinedSpec, average_excess, effective_weight, expand_weighted,
-                      is_balanced, repulsion_at, resistance_profile, resonate,
-                      run_until_balanced)
+                      NotFoundError, RefinedSpec, TurbulenceState, accumulate_turbulence,
+                      average_excess, effective_weight, expand_weighted, is_balanced,
+                      repulsion_at, resistance_profile, resonate, run_until_balanced)
 from renforge.errors import check_int, check_labels, check_not_str, check_number, check_str
 from renforge.harness import ExperimentConfig, sweep
 
@@ -39,6 +39,13 @@ def two_synapses():
     net = one_synapse()
     net.add_synapse(1, 0)
     return net
+
+
+def turbulence_state():
+    """A growth state whose one accumulate call gave synapses 0 and 1 their stats."""
+    net, state = two_synapses(), TurbulenceState()
+    accumulate_turbulence(net, net.step(), state)
+    return state
 
 
 def doc_with(doc, path, value):
@@ -135,9 +142,10 @@ CASES = [
      lambda v: ExperimentConfig(output_dir=v)),
     ("ExperimentConfig growth", GrowthConfig(window=2), [None, 5, "1", {}],
      lambda v: ExperimentConfig(growth=v)),
-    ("ExperimentConfig sweep_inputs", [10], [None, 5, "1", (10,)],
+    # A list or a tuple is accepted and kept as a tuple.
+    ("ExperimentConfig sweep_inputs", (10,), [None, 5, "1"],
      lambda v: ExperimentConfig(sweep_inputs=v)),
-    ("ExperimentConfig sweep_thresholds", [5.0], [None, 5.0, "1", (5.0,)],
+    ("ExperimentConfig sweep_thresholds", (5.0,), [None, 5.0, "1"],
      lambda v: ExperimentConfig(sweep_thresholds=v)),
     ("ExperimentConfig sweep_inputs entry", 10 ** 6, [*INT, 10 ** 6 + 1, 10 ** 9],
      lambda v: ExperimentConfig(sweep_inputs=[10, v])),
@@ -193,6 +201,17 @@ CASES = [
     ("resonate max_depth", 2, INT, lambda v: resonate(two_neurons(), {0}, v)),
     ("run_until_balanced max_ticks", 2, INT,
      lambda v: run_until_balanced(two_neurons(), [{0}], max_ticks=v)),
+    # One string is no schedule and no step: it would be read as its characters.
+    ("run_until_balanced input_schedule", [{0}], [5, [5], None, "0", ["0"], [[[0]]]],
+     lambda v: run_until_balanced(two_neurons(), v, max_ticks=2)),
+    # An empty dict once ran with the default constants.
+    ("run_until_balanced config", GrowthConfig(window=2), [{}, "x", 5],
+     lambda v: run_until_balanced(two_neurons(), [{0}], v, max_ticks=2)),
+    ("TurbulenceState config", GrowthConfig(window=2), [{}, "x", 5],
+     lambda v: TurbulenceState(v)),
+    # Synapses 0 and 1 have stats, so True or 1.0 would otherwise name 1's; 12345 has none.
+    ("TurbulenceState.stats_for synapse_id", 0, [12345, True, 1.0, "0"],
+     lambda v: turbulence_state().stats_for(v)),
     ("sweep n_samples", 1, INT, lambda v: sweep(ExperimentConfig(max_ticks=10), v)),
 ]
 
@@ -202,6 +221,7 @@ CASES = [
 ERRORS = {"ExperimentConfig": ConfigurationError, "RefinedSpec": InvalidSpecError,
           "ConceptForest.terminal_nodes": NotFoundError, "effective_weight": NotFoundError,
           "Network.incoming": NotFoundError, "Network.synapse_between": NotFoundError,
+          "TurbulenceState.stats_for": NotFoundError,
           **dict.fromkeys(("Network.add_synapse pre", "Network.add_synapse post",
                            "Network.set_open_fraction synapse_id"), NotFoundError)}
 

@@ -1,7 +1,7 @@
 """Turbulence accumulation, bud joining, path closure, and convergence."""
 
-import copy
 import dataclasses
+import random
 import tempfile
 
 import pytest
@@ -11,11 +11,11 @@ from hypothesis import strategies as st
 import oracles
 from oracles import _greedy_groups as oracle_greedy_groups
 from renforge import (GrowthConfig, GrowthEvent, InvalidParameterError,
-                      Network, TurbulenceState, accumulate_turbulence, close_paths,
-                      growth_tick, repulsion_at, run_until_balanced)
+                      Network, NotFoundError, TurbulenceState, accumulate_turbulence,
+                      close_paths, growth_tick, repulsion_at, run_until_balanced)
 from renforge.growth import (BUD_SPAWNED, INTERMEDIARY_CREATED,
                              NEURONS_JOINED, PATH_CLOSED, PATH_REDUCED,
-                             _greedy_groups, float_total)
+                             _greedy_groups, _SynapseStats, float_total)
 from renforge.harness import ALL_FIRING_GROWTH, build_direct_unit
 
 
@@ -27,10 +27,13 @@ def pack(flags) -> int:
     return mask
 
 
-def seed_window(stats, carried, rejected=()):
-    """Give a synapse's stats the window that pushing these flags, oldest
-    first, leaves; ``rejected`` defaults to no rejection."""
-    stats.carried, stats.rejected, stats.length = pack(carried), pack(rejected), len(carried)
+def seed_window(state, sid, carried, rejected=()):
+    """Give synapse ``sid`` of ``state`` new stats with the window that
+    pushing these flags, oldest first, leaves; ``rejected`` defaults to no
+    rejection."""
+    stats = state.stats[sid] = _SynapseStats(state.calls, carried=pack(carried),
+                                             rejected=pack(rejected), length=len(carried))
+    return stats
 
 
 class TestGrowthConfig:
@@ -104,6 +107,32 @@ class TestAccumulateTurbulence:
         assert state.stats_for(sids[1]).accumulator == gain
         assert state.stats_for(sids[2]).accumulator == gain
 
+    @pytest.mark.parametrize("n, threshold, cfg, probability", [
+        (25, 5.0, ALL_FIRING_GROWTH, 1.0),
+        (23, 1.0, GrowthConfig(bud_threshold=0.3, window=6), 0.5),
+    ])
+    def test_reading_stats_changes_no_later_value(self, n, threshold, cfg, probability):
+        # An intermediary's synapses appear after the tick's accumulate
+        # call.  Stats that a read gave them, newest first, would stand out
+        # of id order, and total_turbulence, which sums in dict order, would
+        # change in its last bits under a random drive.
+        def run(read):
+            net, inputs, _ = build_direct_unit(n, threshold)
+            state = TurbulenceState(cfg)
+            draw = random.Random(0).random
+            totals = []
+            for _ in range(60):
+                growth_tick(net, state, [i for i in inputs if draw() < probability])
+                for sid in reversed(range(len(net.synapses)) if read else ()):
+                    try:
+                        state.stats_for(sid)
+                    except NotFoundError:
+                        pass
+                totals.append(state.total_turbulence().hex())
+            return list(state.stats), totals
+
+        assert run(read=True) == run(read=False)
+
     def test_rejection_counts_never_exceed_fired_counts(self):
         net, inputs, main = build_direct_unit(10, 5.0)
         state = TurbulenceState(GrowthConfig(bud_threshold=100.0))
@@ -172,9 +201,7 @@ class TestSpawnAndJoin:
                     1: [True, True, True, True],
                     2: [False, False, True, True]}
         for sid, flags in patterns.items():
-            stats = state.stats_for(sid)
-            seed_window(stats, flags)
-            stats.budded = True
+            seed_window(state, sid, flags).budded = True
         groups = _greedy_groups([0, 1, 2], state)
         # 0~1 and 1~2 agree, 0~2 do not: no group may contain both 0 and 2.
         assert groups == [[0, 1]]
@@ -195,7 +222,7 @@ class TestSpawnAndJoin:
             for flip in data.draw(st.lists(st.integers(0, window - 1), max_size=2)):
                 flags[flip] = not flags[flip]
             length = data.draw(st.just(window) | st.integers(0, window))
-            seed_window(state.stats_for(sid), flags[:length])
+            seed_window(state, sid, flags[:length])
         assert _greedy_groups(ids, state) == oracle_greedy_groups(ids, state)
 
     def test_duplicate_group_creates_no_second_intermediary(self):
@@ -208,11 +235,13 @@ class TestSpawnAndJoin:
 
 
 def current(state, sid):
-    """The stats of ``sid`` as ``stats_for`` would return them, read from a
+    """The stats of ``sid`` as ``stats_for`` would return them, shifted in a
     copy so that ``state`` stays as the last accumulate call left it."""
-    view = copy.copy(state.stats[sid])
-    view.catch_up(state.calls, state.config.window)
-    return view
+    stats, window = state.stats[sid], state.config.window
+    missed, keep = state.calls - stats.seen, (1 << window) - 1
+    return dataclasses.replace(stats, seen=state.calls, carried=stats.carried << missed & keep,
+                               rejected=stats.rejected << missed & keep,
+                               length=min(window, stats.length + missed))
 
 
 class TestTickMatchesOracle:
@@ -303,7 +332,7 @@ class TestClosePaths:
 
     def seeded_state(self, sid, carried, rejected):
         state = TurbulenceState(GrowthConfig())
-        seed_window(state.stats_for(sid), carried, rejected)
+        seed_window(state, sid, carried, rejected)
         return state
 
     def test_full_rejection_closes_completely(self):

@@ -99,6 +99,13 @@ class TestConfig:
             setattr(config, name, value)
         assert config == ExperimentConfig()
 
+    def test_sweep_lists_are_kept_as_tuples(self):
+        config = ExperimentConfig(sweep_inputs=[10, 25], sweep_thresholds=[5.0])
+        assert config == ExperimentConfig(sweep_inputs=(10, 25), sweep_thresholds=(5.0,))
+        with pytest.raises(AttributeError):
+            config.sweep_inputs.append(10 ** 9)
+        assert dataclasses.replace(config, seed=3).sweep_inputs == (10, 25)
+
     def test_unreadable_config(self, tmp_path):
         with pytest.raises(ConfigurationError):
             load_config(tmp_path / "absent.json")
