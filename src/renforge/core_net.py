@@ -313,7 +313,7 @@ class Network:
             fired = []
             for entry in doc["neurons"]:
                 nid = net.add_neuron(entry["threshold"])
-                if nid != entry["id"]:
+                if nid != check_int(entry["id"], "neuron id", InvalidParameterError):
                     raise InvalidParameterError(
                         f"neuron ids must be dense and ascending, got {entry['id']}")
                 if check_int(entry["refractory"], "refractory", InvalidParameterError, 0, 1):

@@ -396,6 +396,8 @@ def run_until_balanced(network: Network, input_schedule,
     network and schedule.
     """
     check_int(max_ticks, "max_ticks", InvalidParameterError, 1)
+    if on_tick is not None and not callable(on_tick):
+        raise InvalidParameterError(f"on_tick must be None or a callable, got {on_tick!r}")
     state = TurbulenceState(config)
     cfg = state.config
     schedule = _as_schedule(input_schedule)

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from ..concept_forest import ConceptForest, _preorder
 from ..core_net import Network
+from ..errors import InvalidParameterError, check_int
 
 
 def build_direct_unit(input_count: int, threshold: float,
@@ -12,9 +13,10 @@ def build_direct_unit(input_count: int, threshold: float,
 
     Returns (network, input ids, main id).
     """
+    check_int(input_count, "input_count", InvalidParameterError, 1)
     net = Network(rng_seed=rng_seed)
     inputs = [net.add_neuron(1.0) for _ in range(input_count)]
-    main = net.add_neuron(float(threshold))
+    main = net.add_neuron(threshold)
     for nid in inputs:
         net.add_synapse(nid, main, 1.0, 1)
     return net, inputs, main

@@ -11,8 +11,6 @@ from ..errors import ConfigurationError, check_int, check_number, check_str
 from ..growth import GrowthConfig
 from .artifacts import read_lines
 
-KNOWN_SCHEDULES = ("all_firing", "random_subset")
-
 # A direct unit takes about 0.5-0.6 KB per input, so a sweep of this many
 # inputs holds some 0.6 GB; a larger entry would allocate until it fails.
 MAX_SWEEP_INPUTS = 10 ** 6
@@ -23,8 +21,7 @@ class ExperimentConfig:
     seed: int = 0
     scenario: str = "fig2_growth"
     growth: GrowthConfig = field(default_factory=GrowthConfig)
-    schedule: str = "all_firing"
-    schedule_probability: float = 0.5   # used by the random_subset schedule
+    schedule_probability: float = 1.0   # each input's chance to fire on a tick
     max_ticks: int = 500
     output_dir: str = "out"
     sweep_inputs: tuple[int, ...] = (10, 25, 50)
@@ -34,9 +31,6 @@ class ExperimentConfig:
         error = ConfigurationError
         check_int(self.seed, "seed", error)
         check_str(self.scenario, "scenario", error)
-        if self.schedule not in KNOWN_SCHEDULES:
-            raise ConfigurationError(
-                f"unknown schedule {self.schedule!r}; expected one of {KNOWN_SCHEDULES}")
         check_number(self.schedule_probability, "schedule_probability", error, 0, 1)
         check_int(self.max_ticks, "max_ticks", error, 1)
         if not check_str(self.output_dir, "output_dir", error) or "\0" in self.output_dir:

@@ -27,17 +27,11 @@ SWEEP_HEADER = ["sample", "sample_seed", "n_inputs", "threshold",
 ALL_FIRING_GROWTH = GrowthConfig(bud_threshold=2.5, offpattern_decay=0.95)
 
 
-def _sample_schedule(config: ExperimentConfig, input_ids, sample_seed: int):
-    if config.schedule == "all_firing":
+def _sample_schedule(probability: float, input_ids, sample_seed: int):
+    if probability == 1.0:   # every draw would pass: the drive is the constant set
         return frozenset(input_ids)
-    rng = random.Random(sample_seed)
-    probability = config.schedule_probability
-    ordered = sorted(input_ids)
-
-    def random_subset(tick):
-        return frozenset(nid for nid in ordered if rng.random() < probability)
-
-    return random_subset
+    draw = random.Random(sample_seed).random   # over build_direct_unit's ascending ids
+    return lambda tick: frozenset(nid for nid in input_ids if draw() < probability)
 
 
 def sweep(config: ExperimentConfig, n_samples: int) -> list[dict]:
@@ -56,7 +50,7 @@ def sweep(config: ExperimentConfig, n_samples: int) -> list[dict]:
         n_inputs = config.sweep_inputs[index % len(config.sweep_inputs)]
         threshold = config.sweep_thresholds[index % len(config.sweep_thresholds)]
         net, inputs, _main = build_direct_unit(n_inputs, threshold)
-        schedule = _sample_schedule(config, inputs, sample_seed)
+        schedule = _sample_schedule(config.schedule_probability, inputs, sample_seed)
         report = run_until_balanced(net, schedule, config.growth,
                                     config.max_ticks)
         results.append({

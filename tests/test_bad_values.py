@@ -11,7 +11,7 @@ from renforge import (FIRING_TOLERANCE, ClusterNet, ConceptForest, Configuration
                       average_excess, effective_weight, expand_weighted, is_balanced,
                       repulsion_at, resistance_profile, resonate, run_until_balanced)
 from renforge.errors import check_int, check_labels, check_not_str, check_number, check_str
-from renforge.harness import ExperimentConfig, sweep
+from renforge.harness import ExperimentConfig, build_direct_unit, sweep
 
 # Each bad value is a case one of the checkers' rules names: a bool is not a
 # number, a float is not an int, a number is finite, text is not a number,
@@ -110,6 +110,8 @@ CASES = [
      network_doc("synapses", 0, "open_fraction")),
     ("Network.from_json distance", 2, INT, network_doc("synapses", 0, "distance")),
     ("Network.from_json multiplicity", 2, INT, network_doc("synapses", 0, "multiplicity")),
+    # 0.0 and false equal 0, so they would load as neuron 0 and write back as 0.
+    ("Network.from_json neuron id", 0, [0.0, False, "0", None], network_doc("neurons", 0, "id")),
     ("average_excess input_total", 0.5, NUMBER, lambda v: average_excess(v, 1.0, 1)),
     ("average_excess threshold", 0.5, NUMBER, lambda v: average_excess(1.0, v, 1)),
     ("average_excess input_count", 2, INT, lambda v: average_excess(1.0, 1.0, v)),
@@ -132,8 +134,6 @@ CASES = [
       for name in ("input_count", "group_size", "group_threshold", "main_threshold",
                    "layers")),
     ("ExperimentConfig seed", -2, INT, lambda v: ExperimentConfig(seed=v)),
-    ("ExperimentConfig schedule", "random_subset", [*STR, "1"],
-     lambda v: ExperimentConfig(schedule=v)),
     ("ExperimentConfig schedule_probability", 0.5, NUMBER,
      lambda v: ExperimentConfig(schedule_probability=v)),
     ("ExperimentConfig max_ticks", 2, INT, lambda v: ExperimentConfig(max_ticks=v)),
@@ -212,6 +212,11 @@ CASES = [
     # Synapses 0 and 1 have stats, so True or 1.0 would otherwise name 1's; 12345 has none.
     ("TurbulenceState.stats_for synapse_id", 0, [12345, True, 1.0, "0"],
      lambda v: turbulence_state().stats_for(v)),
+    ("run_until_balanced on_tick", lambda *args: None, [5, "f"],
+     lambda v: run_until_balanced(two_neurons(), [{0}], max_ticks=2, on_tick=v)),
+    ("build_direct_unit input_count", 3, [True, 0, -1, 2.5, "3", None],
+     lambda v: build_direct_unit(v, 1.0)),
+    ("build_direct_unit threshold", 5, [True, None, "5"], lambda v: build_direct_unit(3, v)),
     ("sweep n_samples", 1, INT, lambda v: sweep(ExperimentConfig(max_ticks=10), v)),
 ]
 

@@ -12,7 +12,7 @@ import pytest
 from renforge import (ConfigurationError, GrowthConfig, InvalidParameterError,
                       run_until_balanced)
 from renforge.cli import main
-from renforge.harness import (ALL_FIRING_GROWTH, ExperimentConfig,
+from renforge.harness import (ALL_FIRING_GROWTH, ExperimentConfig, build_direct_unit,
                               config_from_json, config_to_json, load_config,
                               run_scenario, sweep, sweeps)
 from renforge.harness.artifacts import read_lines
@@ -57,8 +57,11 @@ class TestConfig:
         assert str(caught.value) == message
 
     def test_unknown_schedule_rejected(self):
-        with pytest.raises(ConfigurationError):
-            config_from_json('{"schedule": "sometimes"}')
+        # schedule_probability alone sets the drive; the old switch is no key.
+        for schedule in ("all_firing", "random_subset"):
+            with pytest.raises(ConfigurationError) as caught:
+                config_from_json(f'{{"schedule": "{schedule}"}}')
+            assert str(caught.value) == "unknown configuration keys: ['schedule']"
 
     @pytest.mark.parametrize("kwargs", [
         {"sweep_inputs": []},
@@ -224,13 +227,23 @@ class TestSweep:
     def test_random_subset_schedule_is_reproducible(self, tmp_path):
         results = []
         for name in ("a", "b"):
-            config = ExperimentConfig(seed=11, schedule="random_subset",
-                                      schedule_probability=0.8,
+            config = ExperimentConfig(seed=11, schedule_probability=0.8,
                                       growth=ALL_FIRING_GROWTH,
                                       output_dir=str(tmp_path / name),
                                       sweep_inputs=[10], max_ticks=120)
             results.append(sweep(config, 2))
         assert results[0] == results[1]
+
+    def test_default_probability_drives_every_input_on_every_tick(self, tmp_path):
+        config = ExperimentConfig(seed=3, growth=ALL_FIRING_GROWTH, output_dir=str(tmp_path),
+                                  sweep_inputs=[10, 25], max_ticks=120)
+        assert config.schedule_probability == 1.0
+        # Every sample balances under these constants, so no row reads -1.
+        for row in sweep(config, 4):
+            net, inputs, _main = build_direct_unit(row["n_inputs"], row["threshold"])
+            report = run_until_balanced(net, frozenset(inputs), config.growth, config.max_ticks)
+            assert (row["initial_excess"], row["ticks_to_balance"], row["intermediaries"]) == (
+                report.initial_max_excess, report.ticks_to_balance, report.intermediaries_created)
 
     def test_bad_output_dir_fails_before_the_first_sample(self, tmp_path, monkeypatch,
                                                           capsys):
@@ -276,8 +289,7 @@ class TestCli:
     "force_per_segment": 0.1,
     "close_cutoff": 0.05
   },
-  "schedule": "all_firing",
-  "schedule_probability": 0.5,
+  "schedule_probability": 1.0,
   "max_ticks": 500,
   "output_dir": "out",
   "sweep_inputs": [
