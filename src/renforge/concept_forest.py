@@ -21,7 +21,7 @@ LINK_LABEL = "M"
 
 def tokenize(text: str) -> list[str]:
     """Whitespace-split, lowercased token sequence."""
-    return text.lower().split()
+    return check_str(text, "text", InvalidParameterError).lower().split()
 
 
 class ConceptNode:

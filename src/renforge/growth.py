@@ -9,6 +9,7 @@ in proportion to how often they met rejection.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass, field, fields
 from functools import reduce
 from itertools import chain
@@ -73,26 +74,23 @@ class GrowthEvent:
 
 @dataclass(slots=True)
 class _SynapseStats:
-    # carried and rejected hold one flag per recent tick, newest in bit 0; both
-    # take a flag every tick, so one length counts the ticks they hold.  The
-    # flags are folded in up to accumulate call ``seen``; the ticks after it
-    # carried nothing, and stats_for shifts in their zero flags.
-    seen: int
     accumulator: float = 0.0
-    carried: int = 0
-    rejected: int = 0
-    length: int = 0
     budded: bool = False
 
 
-class TurbulenceState:
-    """Per-synapse turbulence accumulators and sliding activity windows.
+def _closed_ids(network: Network) -> frozenset[int]:
+    """The ids of the synapses that carry nothing: their open fraction is 0."""
+    return frozenset(sid for sid, syn in network.synapses.items() if syn.open_fraction <= 0.0)
 
-    ``calls`` counts the ``accumulate_turbulence`` calls folded in; each
-    gives the synapses added since the last one their stats.  A synapse's
-    stats change only on the calls where it carries signal, and
-    ``stats_for`` brings its window up to date when read, so read them
-    through it.
+
+class TurbulenceState:
+    """Per-synapse turbulence accumulators, and the last ``window`` calls.
+
+    Each ``accumulate_turbulence`` call keeps one entry of what the tick
+    did: its external and refractory sources, its rejecting targets, how
+    many synapses it saw and which of them were closed.  ``window``
+    rebuilds a synapse's recent carries and rejections from those entries,
+    so no call touches a window.
     """
 
     def __init__(self, config: GrowthConfig | None = None):
@@ -100,27 +98,35 @@ class TurbulenceState:
             raise InvalidParameterError(f"config must be a GrowthConfig or None, got {config!r}")
         self.config = GrowthConfig() if config is None else config
         self.stats: dict[int, _SynapseStats] = {}
-        self.calls = 0
+        self._recent: deque[tuple] = deque(maxlen=self.config.window)
         # (target, frozenset of sources) pairs that already own an intermediary
         self.groups_created: set[tuple[int, frozenset[int]]] = set()
         self._crossed: set[int] = set()   # may have reached bud_threshold since spawn
         self._budded: set[int] = set()
 
     def stats_for(self, synapse_id: int) -> _SynapseStats:
-        """The stats of ``synapse_id``, the calls it missed shifted in."""
+        """The stats of ``synapse_id``."""
         stats = self.stats.get(synapse_id) if type(synapse_id) is int else None
         if stats is None:
             raise NotFoundError(f"no stats for synapse id {synapse_id!r}: accumulate_turbulence "
                                 f"registers new synapses on its next call")
-        missed = self.calls - stats.seen
-        if missed:
-            window = self.config.window
-            keep = (1 << window) - 1
-            stats.carried = stats.carried << missed & keep
-            stats.rejected = stats.rejected << missed & keep
-            stats.length = min(window, stats.length + missed)
-            stats.seen = self.calls
         return stats
+
+    def window(self, network: Network, synapse_id: int) -> tuple[int, int, int]:
+        """Flags of ``synapse_id``'s carries and rejections, newest in bit 0,
+        over the kept calls since it was registered, and their number: it
+        carried when open with its source acting, into a rejecting target."""
+        self.stats_for(synapse_id)
+        syn = network.synapses[synapse_id]
+        pre, post = syn.pre, syn.post
+        carried = rejected = length = 0
+        for externals, refractory, rejecting, registered, closed in self._recent:
+            if synapse_id < registered:
+                length += 1
+                carry = synapse_id not in closed and (pre in externals or pre in refractory)
+                carried = carried << 1 | carry
+                rejected = rejected << 1 | (carry and post in rejecting)
+        return carried, rejected, length
 
     def total_turbulence(self) -> float:
         return float_total(st.accumulator for st in self.stats.values())
@@ -136,19 +142,18 @@ def accumulate_turbulence(network: Network, record: FiringRecord,
     Only the open synapses out of the tick's sources carried, so only they
     are visited: those out of ``record.externals``, then those out of the
     ``record.refractory`` ids not among them, without building the union.
-    Every other window catches up when it is read.
+    The call's entry in ``state`` gives every window its flags.
     """
     cfg = state.config
-    window = cfg.window
-    keep = (1 << window) - 1
-    call = state.calls = state.calls + 1
     stats_map, synapses = state.stats, network.synapses
     # New synapses join in id order, so ``stats`` keeps the order in which
     # an eager pass over every synapse would have met them.
     for sid in range(len(stats_map), len(synapses)):
-        stats_map[sid] = _SynapseStats(call - 1)
+        stats_map[sid] = _SynapseStats()
     rejecting = {nid: excess for nid, excess in record.rejections.items()
                  if excess > cfg.eps_balance}
+    state._recent.append((record.externals, record.refractory, rejecting, len(synapses),
+                          network.derived(_closed_ids)))
     gains: dict[tuple[int, int], float] = {}
     crossed, bud_threshold, decay = state._crossed, cfg.bud_threshold, cfg.offpattern_decay
     outgoing = network._outgoing
@@ -158,16 +163,8 @@ def accumulate_turbulence(network: Network, record: FiringRecord,
             if syn.open_fraction <= 0.0:
                 continue
             stats = stats_map[syn.id]
-            # stats_for's shift inlined and fused with this call's flags: a
-            # method call per carried synapse made the loop about a third slower.
-            missed = call - stats.seen
-            stats.seen = call
-            carried, rejected = stats.carried << missed | 1, stats.rejected << missed
-            length = stats.length + missed
-            stats.length = length if length < window else window
             post = syn.post
             if post in rejecting:
-                rejected |= 1
                 key = (post, syn.distance)
                 gain = gains.get(key)
                 if gain is None:
@@ -178,8 +175,6 @@ def accumulate_turbulence(network: Network, record: FiringRecord,
                     crossed.add(syn.id)
             else:
                 stats.accumulator *= decay
-            stats.carried = carried & keep
-            stats.rejected = rejected & keep
     return state
 
 
@@ -191,7 +186,8 @@ def _bit_indices(bits: int):
         bits ^= low
 
 
-def _greedy_groups(ids: list[int], state: TurbulenceState) -> list[list[int]]:
+def _greedy_groups(ids: list[int], state: TurbulenceState,
+                   network: Network) -> list[list[int]]:
     """Partition budded synapse ids into co-firing groups.
 
     Every member of a group must meet the agreement criterion pairwise with
@@ -205,11 +201,11 @@ def _greedy_groups(ids: list[int], state: TurbulenceState) -> list[list[int]]:
     """
     threshold = state.config.cofire_agreement
     order = sorted(ids)
-    # Ids by carry window, keyed (mask, length) as _SynapseStats holds it.
+    # Ids by carry window, keyed (mask, length) as ``state.window`` gives it.
     windows: dict[tuple[int, int], int] = {}
     for index, sid in enumerate(order):
-        stats = state.stats_for(sid)
-        key = (stats.carried, stats.length)
+        carried, _, length = state.window(network, sid)
+        key = (carried, length)
         windows[key] = windows.get(key, 0) | (1 << index)
     adjacency = [0] * len(order)
     for (mask_a, len_a), bits_a in windows.items():
@@ -278,7 +274,7 @@ def spawn_and_join(network: Network, state: TurbulenceState,
         budded_by_target.setdefault(network.synapses[sid].post, []).append(sid)
 
     for target in sorted(budded_by_target):
-        for group in _greedy_groups(budded_by_target[target], state):
+        for group in _greedy_groups(budded_by_target[target], state, network):
             sources = frozenset(network.synapses[sid].pre for sid in group)
             events.append(GrowthEvent(NEURONS_JOINED, tick, tuple(group)))
             key = (target, sources)
@@ -310,11 +306,10 @@ def close_paths(network: Network, state: TurbulenceState, joined_group,
     events: list[GrowthEvent] = []
     for sid in sorted(joined_group):
         syn = network.synapses[sid]
-        stats = state.stats_for(sid)
-        carried = stats.carried.bit_count()
-        if carried == 0:
+        carried, rejected, _ = state.window(network, sid)
+        if not carried:
             continue
-        ratio = stats.rejected.bit_count() / carried
+        ratio = rejected.bit_count() / carried.bit_count()
         new_fraction = syn.open_fraction * (1.0 - ratio)
         if new_fraction < cfg.close_cutoff:
             network.set_open_fraction(sid, 0.0)

@@ -29,6 +29,8 @@ def network_from_forest(forest: ConceptForest):
     dynamic link a unit synapse.  Returns (network, neuron id -> label,
     root neuron ids).
     """
+    if not isinstance(forest, ConceptForest):
+        raise InvalidParameterError(f"forest must be a ConceptForest, got {forest!r}")
     net = Network()
     ids: dict[int, int] = {}
     labels: dict[int, str] = {}

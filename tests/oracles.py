@@ -4,8 +4,9 @@ Each function here is the implementation an optimised path replaced, copied
 unchanged; a replaced method takes its object as the first argument, and
 one that called another replaced method calls its oracle here.  The
 eager ``_SynapseStats`` keeps the growth bookkeeping that took a flag for
-every synapse on every tick, and ``_agreement`` unpacks int windows to the
-flag lists it compared.
+every synapse on every tick, which ``EagerTurbulenceState.window`` returns
+as it is, and ``_agreement`` unpacks int windows to the flag lists it
+compared.
 ``step`` counts refractory ticks down in a map its caller keeps, as a
 network once did, so the network's one last-fired set is checked against it;
 it computes each synapse's delivery from its open fraction and multiplicity,
@@ -46,9 +47,10 @@ from renforge.symbolic_cluster import (ClusterNet, EventReport, GlobalConcept,
                                        HiddenNode)
 
 
-def _flags(stats) -> list[bool]:
-    """The carry window of a synapse's stats as flags, oldest first."""
-    return [bool(stats.carried >> k & 1) for k in reversed(range(stats.length))]
+def _flags(window) -> list[bool]:
+    """The carry flags of a ``(carried, rejected, length)`` window, oldest first."""
+    carried, _, length = window
+    return [bool(carried >> k & 1) for k in reversed(range(length))]
 
 
 def _agreement(a, b) -> float:
@@ -63,7 +65,8 @@ def _agreement(a, b) -> float:
     return both / either if either else 0.0
 
 
-def _greedy_groups(ids: list[int], state: TurbulenceState) -> list[list[int]]:
+def _greedy_groups(ids: list[int], state: TurbulenceState,
+                   network: Network) -> list[list[int]]:
     """Partition budded synapse ids into co-firing groups.
 
     Every member of a group must meet the agreement criterion pairwise with
@@ -76,7 +79,8 @@ def _greedy_groups(ids: list[int], state: TurbulenceState) -> list[list[int]]:
         key = (x, y) if x < y else (y, x)
         hit = cache.get(key)
         if hit is None:
-            hit = cache[key] = _agreement(state.stats_for(x), state.stats_for(y)) >= threshold
+            hit = cache[key] = _agreement(state.window(network, x),
+                                          state.window(network, y)) >= threshold
         return hit
 
     remaining = sorted(ids)
@@ -190,13 +194,17 @@ class _SynapseStats:
 
 class EagerTurbulenceState(TurbulenceState):
     """A TurbulenceState whose stats take a flag on every accumulate call,
-    so ``stats_for`` returns them as they are."""
+    so ``window`` returns them as they are."""
 
     def stats_for(self, synapse_id: int) -> _SynapseStats:
         stats = self.stats.get(synapse_id)
         if stats is None:
             stats = self.stats[synapse_id] = _SynapseStats()
         return stats
+
+    def window(self, network: Network, synapse_id: int) -> tuple[int, int, int]:
+        stats = self.stats[synapse_id]
+        return stats.carried, stats.rejected, stats.length
 
 
 def accumulate_turbulence(network: Network, record: FiringRecord,
@@ -250,7 +258,7 @@ def spawn_and_join(network: Network, state: EagerTurbulenceState,
             budded_by_target.setdefault(syn.post, []).append(sid)
 
     for target in sorted(budded_by_target):
-        for group in growth._greedy_groups(budded_by_target[target], state):
+        for group in growth._greedy_groups(budded_by_target[target], state, network):
             sources = frozenset(network.synapses[sid].pre for sid in group)
             events.append(GrowthEvent(NEURONS_JOINED, tick, tuple(group)))
             key = (target, sources)

@@ -9,9 +9,10 @@ from renforge import (FIRING_TOLERANCE, ClusterNet, ConceptForest, Configuration
                       GrowthConfig, InvalidParameterError, InvalidSpecError, Network,
                       NotFoundError, RefinedSpec, TurbulenceState, accumulate_turbulence,
                       average_excess, effective_weight, expand_weighted, is_balanced,
-                      repulsion_at, resistance_profile, resonate, run_until_balanced)
+                      repulsion_at, resistance_profile, resonate, run_until_balanced,
+                      tokenize)
 from renforge.errors import check_int, check_labels, check_not_str, check_number, check_str
-from renforge.harness import ExperimentConfig, build_direct_unit, sweep
+from renforge.harness import ExperimentConfig, build_direct_unit, network_from_forest, sweep
 
 # Each bad value is a case one of the checkers' rules names: a bool is not a
 # number, a float is not an int, a number is finite, text is not a number,
@@ -212,12 +213,18 @@ CASES = [
     # Synapses 0 and 1 have stats, so True or 1.0 would otherwise name 1's; 12345 has none.
     ("TurbulenceState.stats_for synapse_id", 0, [12345, True, 1.0, "0"],
      lambda v: turbulence_state().stats_for(v)),
+    # two_synapses() builds the network the state's one call saw.
+    ("TurbulenceState.window synapse_id", 0, [12345, True, 1.0, "0"],
+     lambda v: turbulence_state().window(two_synapses(), v)),
     ("run_until_balanced on_tick", lambda *args: None, [5, "f"],
      lambda v: run_until_balanced(two_neurons(), [{0}], max_ticks=2, on_tick=v)),
     ("build_direct_unit input_count", 3, [True, 0, -1, 2.5, "3", None],
      lambda v: build_direct_unit(v, 1.0)),
     ("build_direct_unit threshold", 5, [True, None, "5"], lambda v: build_direct_unit(3, v)),
     ("sweep n_samples", 1, INT, lambda v: sweep(ExperimentConfig(max_ticks=10), v)),
+    ("network_from_forest forest", ConceptForest(), [5, None, "x", {}],
+     lambda v: network_from_forest(v)),
+    ("tokenize text", "a b", STR, lambda v: tokenize(v)),
 ]
 
 
@@ -226,7 +233,7 @@ CASES = [
 ERRORS = {"ExperimentConfig": ConfigurationError, "RefinedSpec": InvalidSpecError,
           "ConceptForest.terminal_nodes": NotFoundError, "effective_weight": NotFoundError,
           "Network.incoming": NotFoundError, "Network.synapse_between": NotFoundError,
-          "TurbulenceState.stats_for": NotFoundError,
+          "TurbulenceState.stats_for": NotFoundError, "TurbulenceState.window": NotFoundError,
           **dict.fromkeys(("Network.add_synapse pre", "Network.add_synapse post",
                            "Network.set_open_fraction synapse_id"), NotFoundError)}
 

@@ -10,12 +10,12 @@ from hypothesis import strategies as st
 
 import oracles
 from oracles import _greedy_groups as oracle_greedy_groups
-from renforge import (GrowthConfig, GrowthEvent, InvalidParameterError,
+from renforge import (FiringRecord, GrowthConfig, GrowthEvent, InvalidParameterError,
                       Network, NotFoundError, TurbulenceState, accumulate_turbulence,
                       close_paths, growth_tick, repulsion_at, run_until_balanced)
 from renforge.growth import (BUD_SPAWNED, INTERMEDIARY_CREATED,
                              NEURONS_JOINED, PATH_CLOSED, PATH_REDUCED,
-                             _greedy_groups, _SynapseStats, float_total)
+                             _greedy_groups, float_total)
 from renforge.harness import ALL_FIRING_GROWTH, build_direct_unit
 
 
@@ -27,13 +27,22 @@ def pack(flags) -> int:
     return mask
 
 
-def seed_window(state, sid, carried, rejected=()):
-    """Give synapse ``sid`` of ``state`` new stats with the window that
-    pushing these flags, oldest first, leaves; ``rejected`` defaults to no
-    rejection."""
-    stats = state.stats[sid] = _SynapseStats(state.calls, carried=pack(carried),
-                                             rejected=pack(rejected), length=len(carried))
-    return stats
+def seed_window(net, state, windows):
+    """Fold one accumulate_turbulence call per flag into ``state``, so that
+    each synapse id of ``windows`` ends with the window its ``(carried,
+    rejected)`` flags, oldest first, describe.  On each call the sources of
+    the carrying synapses act and the targets of the rejected ones reject;
+    synapses that share a source or a target must agree on its flags."""
+    ticks = len(next(iter(windows.values()))[0])
+    for tick in range(ticks):
+        acting = frozenset(net.synapses[sid].pre for sid, (carried, _) in windows.items()
+                           if carried[tick])
+        rejections = {net.synapses[sid].post: 1.0 for sid, (_, rejected) in windows.items()
+                      if rejected[tick]}
+        accumulate_turbulence(net, FiringRecord(tick, frozenset(rejections), {}, rejections,
+                                                frozenset(), acting), state)
+    for sid, (carried, rejected) in windows.items():
+        assert state.window(net, sid) == (pack(carried), pack(rejected), ticks)
 
 
 class TestGrowthConfig:
@@ -125,7 +134,7 @@ class TestAccumulateTurbulence:
                 growth_tick(net, state, [i for i in inputs if draw() < probability])
                 for sid in reversed(range(len(net.synapses)) if read else ()):
                     try:
-                        state.stats_for(sid)
+                        state.window(net, sid)
                     except NotFoundError:
                         pass
                 totals.append(state.total_turbulence().hex())
@@ -139,8 +148,8 @@ class TestAccumulateTurbulence:
         for tick in range(12):
             growth_tick(net, state, inputs if tick % 3 else [])
         for syn in net.incoming(main):
-            stats = state.stats_for(syn.id)
-            assert stats.rejected.bit_count() <= stats.carried.bit_count()
+            carried, rejected, _ = state.window(net, syn.id)
+            assert rejected.bit_count() <= carried.bit_count()
 
 
 class TestSpawnAndJoin:
@@ -196,13 +205,13 @@ class TestSpawnAndJoin:
         assert [s for s, stats in state.stats.items() if stats.budded] == [sid]
 
     def test_groups_are_pairwise_cliques(self):
+        net, _inputs, _main = build_direct_unit(3, 1.0)
         state = TurbulenceState(GrowthConfig(cofire_agreement=0.5))
         patterns = {0: [True, True, False, False],
                     1: [True, True, True, True],
                     2: [False, False, True, True]}
-        for sid, flags in patterns.items():
-            seed_window(state, sid, flags).budded = True
-        groups = _greedy_groups([0, 1, 2], state)
+        seed_window(net, state, {sid: (flags, [False] * 4) for sid, flags in patterns.items()})
+        groups = _greedy_groups([0, 1, 2], state, net)
         # 0~1 and 1~2 agree, 0~2 do not: no group may contain both 0 and 2.
         assert groups == [[0, 1]]
 
@@ -211,9 +220,11 @@ class TestSpawnAndJoin:
     def test_greedy_groups_match_naive_oracle(self, data):
         # Members are noisy copies of a few prototype windows, so large
         # cliques and equal-size ties occur; some windows are cut short.
+        # The eager state holds them as drawn and reads no network.
         window = data.draw(st.integers(1, 12))
         agreement = data.draw(st.floats(0.0, 1.0, exclude_min=True))
-        state = TurbulenceState(GrowthConfig(window=window, cofire_agreement=agreement))
+        state = oracles.EagerTurbulenceState(GrowthConfig(window=window,
+                                                          cofire_agreement=agreement))
         pattern = st.lists(st.booleans(), min_size=window, max_size=window)
         prototypes = data.draw(st.lists(pattern, min_size=1, max_size=4))
         ids = data.draw(st.lists(st.integers(0, 99), max_size=30, unique=True))
@@ -222,8 +233,9 @@ class TestSpawnAndJoin:
             for flip in data.draw(st.lists(st.integers(0, window - 1), max_size=2)):
                 flags[flip] = not flags[flip]
             length = data.draw(st.just(window) | st.integers(0, window))
-            seed_window(state, sid, flags[:length])
-        assert _greedy_groups(ids, state) == oracle_greedy_groups(ids, state)
+            stats = state.stats_for(sid)
+            stats.carried, stats.length = pack(flags[:length]), length
+        assert _greedy_groups(ids, state, None) == oracle_greedy_groups(ids, state, None)
 
     def test_duplicate_group_creates_no_second_intermediary(self):
         net, inputs, _main = build_direct_unit(25, 5.0)
@@ -232,16 +244,6 @@ class TestSpawnAndJoin:
         created = [e for e in report.events if e.kind == INTERMEDIARY_CREATED]
         assert len(joins) >= 2      # renewed pressure re-joined the same group
         assert len(created) == 1    # but only one intermediary ever exists
-
-
-def current(state, sid):
-    """The stats of ``sid`` as ``stats_for`` would return them, shifted in a
-    copy so that ``state`` stays as the last accumulate call left it."""
-    stats, window = state.stats[sid], state.config.window
-    missed, keep = state.calls - stats.seen, (1 << window) - 1
-    return dataclasses.replace(stats, seen=state.calls, carried=stats.carried << missed & keep,
-                               rejected=stats.rejected << missed & keep,
-                               length=min(window, stats.length + missed))
 
 
 class TestTickMatchesOracle:
@@ -278,8 +280,14 @@ class TestTickMatchesOracle:
         stretches = data.draw(st.lists(st.tuples(drive, st.integers(1, 12)),
                                        min_size=2, max_size=8))
         drives = [d for d, repeat in stretches for _ in range(repeat)]
+        fraction = st.sampled_from([0.0, 0.5, 1.0])
         while drives:
             external = drives.pop(0)
+            # Paths close, reduce and reopen between ticks, mid-window.
+            for sid, open_fraction in data.draw(st.lists(
+                    st.tuples(st.sampled_from(sorted(net.synapses)), fraction), max_size=2)):
+                net.set_open_fraction(sid, open_fraction)
+                twin.set_open_fraction(sid, open_fraction)
             if data.draw(st.booleans()):
                 # A loaded network takes the same next tick; only the tick
                 # count and the history are not saved.
@@ -308,19 +316,13 @@ class TestTickMatchesOracle:
             assert net.to_json() == twin.to_json()
             assert list(state.stats) == list(oracle_state.stats)
             for sid, old in oracle_state.stats.items():
-                new = current(state, sid)
-                assert (new.carried, new.rejected, new.length, new.accumulator, new.budded) == (
+                new = state.stats[sid]
+                assert (*state.window(net, sid), new.accumulator, new.budded) == (
                     old.carried, old.rejected, old.length, old.accumulator, old.budded)
             assert state.total_turbulence() == oracle_state.total_turbulence()
             if any(e.kind == INTERMEDIARY_CREATED for e in events) and data.draw(st.booleans()):
                 # The new synapses first carry after a silence.
                 drives[:0] = [()] * data.draw(st.integers(2, 40))
-            # A read through stats_for brings a window up to date early; the
-            # windows it leaves must be the ones later calls would have made.
-            for sid in data.draw(st.lists(st.sampled_from(sorted(state.stats)), max_size=2)):
-                read, old = state.stats_for(sid), oracle_state.stats[sid]
-                assert (read.carried, read.rejected, read.length) == (
-                    old.carried, old.rejected, old.length)
 
 
 class TestClosePaths:
@@ -330,35 +332,35 @@ class TestClosePaths:
         sid = net.add_synapse(src, dst, 1.0, 1)
         return net, sid
 
-    def seeded_state(self, sid, carried, rejected):
+    def seeded_state(self, net, sid, carried, rejected):
         state = TurbulenceState(GrowthConfig())
-        seed_window(state, sid, carried, rejected)
+        seed_window(net, state, {sid: (carried, rejected)})
         return state
 
     def test_full_rejection_closes_completely(self):
         net, sid = self.make_single_edge()
-        state = self.seeded_state(sid, [True] * 4, [True] * 4)
+        state = self.seeded_state(net, sid, [True] * 4, [True] * 4)
         events = close_paths(net, state, [sid], tick=9)
         assert events == [GrowthEvent(PATH_CLOSED, 9, (sid,))]
         assert net.synapses[sid].open_fraction == 0.0
 
     def test_half_rejection_halves_fraction(self):
         net, sid = self.make_single_edge()
-        state = self.seeded_state(sid, [True] * 4, [True, True, False, False])
+        state = self.seeded_state(net, sid, [True] * 4, [True, True, False, False])
         events = close_paths(net, state, [sid], tick=3)
         assert events[0].kind == PATH_REDUCED
         assert net.synapses[sid].open_fraction == 0.5
 
     def test_zero_rejection_leaves_fraction_unchanged(self):
         net, sid = self.make_single_edge()
-        state = self.seeded_state(sid, [True] * 4, [False] * 4)
+        state = self.seeded_state(net, sid, [True] * 4, [False] * 4)
         events = close_paths(net, state, [sid], tick=1)
         assert events[0].kind == PATH_REDUCED
         assert net.synapses[sid].open_fraction == 1.0
 
     def test_no_evidence_skips_synapse(self):
         net, sid = self.make_single_edge()
-        state = self.seeded_state(sid, [False] * 4, [False] * 4)
+        state = self.seeded_state(net, sid, [False] * 4, [False] * 4)
         assert close_paths(net, state, [sid], tick=0) == []
         assert net.synapses[sid].open_fraction == 1.0
 
