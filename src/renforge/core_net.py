@@ -76,6 +76,9 @@ class FiringRecord:
     argument itself when it is already a frozenset.  Together they hold
     every id that acted as a signal source this tick.  ``sources`` builds
     their union on each read, so hot loops visit the two sets instead.
+    ``fired`` may be shared with an earlier record that had the same
+    sources on the same topology (see ``Network.step``); ``input_sums``
+    and ``rejections`` are the record's own.
     """
 
     tick: int
@@ -97,6 +100,13 @@ def _union(a: frozenset[int], b: frozenset[int]) -> frozenset[int]:
     return a | b if b else a
 
 
+def _pulls(network: Network) -> deque[tuple]:
+    """The step memo: of each of the last two ticks ``step`` pulled, its
+    drive, refractory set, fired set and copies of its sums and rejections.
+    It reads the topology alone, so ticks and ``reset_dynamics`` keep it."""
+    return deque(maxlen=2)
+
+
 class Network:
     """Directed threshold-unit graph with synchronous tick semantics.
 
@@ -111,7 +121,8 @@ class Network:
     its one cache.  The topology mutators (``add_neuron``, ``add_synapse``,
     ``set_open_fraction``) drop every view.  A tick or ``reset_dynamics``
     changes only the firing state, so it drops only the fingerprint, the
-    one view that reads it; the rest outlive ticks.
+    one view that reads it; the rest outlive ticks, the step memo of the
+    last two pulls among them.
     """
 
     def __init__(self, rng_seed: int = 0):
@@ -209,8 +220,10 @@ class Network:
         ``reset_dynamics`` drop only ``Network._fingerprint``, so any other
         ``build`` must read the topology alone, not the firing state.  The
         caller must not mutate the returned value: later callers share it.
-        One view is filled by its owner after it is built: the seed memo
-        of ``resonance.resonate``, built empty and filled per seed.
+        Two views are filled by their owner after they are built: the seed
+        memo of ``resonance.resonate``, built empty and filled per seed,
+        and the step memo ``_pulls``, built empty and filled by ``step``
+        with each tick it pulls.
         """
         try:
             return self._derived[build]
@@ -236,15 +249,49 @@ class Network:
         driven this tick.  A neuron that fired last tick cannot fire; the
         per-input excess of every fired neuron is recorded as its rejection.
         The record keeps the nonzero sums, the only ones that reach a threshold.
-        """
-        externals = frozenset(external_inputs)
-        # Inline, not _neuron_id: a call per external made sweep_saturated about 2 % slower.
-        for nid in externals:
-            if type(nid) is not int or nid not in self.neurons:
-                raise NotFoundError(f"unknown neuron id {nid!r}")
-        refractory = self._last_fired
-        sources = _union(refractory, externals)
 
+        A tick whose drive and refractory set equal those of one of the last
+        two pulls, with no topology change since, takes that pull's outcome
+        instead of pulling again: thresholds and deliveries change only
+        through the topology mutators, which drop the memo.
+        """
+        try:
+            externals = frozenset(external_inputs)
+        except TypeError:
+            raise InvalidParameterError("external_inputs must be a collection of neuron ids, "
+                                        f"got {external_inputs!r}") from None
+        # The last record's own drive was checked then, and ids are never
+        # deleted.  An equal drive is not enough: frozenset({True}) == frozenset({1}).
+        if not self.history or externals is not self.history[-1].externals:
+            # Inline, not _neuron_id: a call per external made sweep_saturated about 2 % slower.
+            for nid in externals:
+                if type(nid) is not int or nid not in self.neurons:
+                    raise NotFoundError(f"unknown neuron id {nid!r}")
+        refractory = self._last_fired
+        pulls = self.derived(_pulls)
+        for drive, blocked, fired, input_sums, rejections in pulls:
+            if ((drive is externals or drive == externals)
+                    and (blocked is refractory or blocked == refractory)):
+                input_sums, rejections = dict(input_sums), dict(rejections)
+                break
+        else:
+            fired, input_sums, rejections = self._pull(externals, refractory)
+            # Copies, so that editing the returned record changes no later one.
+            pulls.append((externals, refractory, fired, dict(input_sums), dict(rejections)))
+
+        record = FiringRecord(tick=self.tick, fired=fired,
+                              input_sums=input_sums, rejections=rejections,
+                              refractory=refractory, externals=externals)
+        self.tick += 1
+        self._last_fired = fired
+        self._derived.pop(Network._fingerprint, None)
+        self.history.append(record)
+        return record
+
+    def _pull(self, externals: frozenset[int], refractory: frozenset[int]):
+        """The fired set, the nonzero input sums and the rejections of a tick
+        with these sources, each neuron pulling over its incoming synapses."""
+        sources = _union(refractory, externals)
         incoming = self._incoming
         input_sums: dict[int, float] = {}
         rejections: dict[int, float] = {}
@@ -264,15 +311,7 @@ class Network:
                         open_counts = self.derived(Network._open_input_counts)
                     # A nonzero sum came through an open synapse, so the count is >= 1.
                     rejections[nid] = (total - neuron.threshold) / open_counts[nid]
-
-        record = FiringRecord(tick=self.tick, fired=frozenset(fired),
-                              input_sums=input_sums, rejections=rejections,
-                              refractory=refractory, externals=externals)
-        self.tick += 1
-        self._last_fired = record.fired
-        self._derived.pop(Network._fingerprint, None)
-        self.history.append(record)
-        return record
+        return frozenset(fired), input_sums, rejections
 
     def reset_dynamics(self) -> None:
         """Clear firing state (tick, history, refractory) but keep topology."""

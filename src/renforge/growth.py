@@ -257,6 +257,7 @@ def spawn_and_join(network: Network, state: TurbulenceState,
     never produces a second one; it is reported as joined again so the
     proportional closure step can keep relieving the path.
     """
+    check_int(tick, "tick", InvalidParameterError, 0)
     cfg = state.config
     events: list[GrowthEvent] = []
     # An accumulator rises only on a rejection, where accumulate_turbulence
@@ -302,6 +303,7 @@ def close_paths(network: Network, state: TurbulenceState, joined_group,
     that also completed clean transmissions keeps a reduced open fraction.
     Synapses with no carrying evidence in the window are skipped.
     """
+    check_int(tick, "tick", InvalidParameterError, 0)
     cfg = state.config
     events: list[GrowthEvent] = []
     for sid in sorted(joined_group):

@@ -8,9 +8,9 @@ import pytest
 from renforge import (FIRING_TOLERANCE, ClusterNet, ConceptForest, ConfigurationError,
                       GrowthConfig, InvalidParameterError, InvalidSpecError, Network,
                       NotFoundError, RefinedSpec, TurbulenceState, accumulate_turbulence,
-                      average_excess, effective_weight, expand_weighted, is_balanced,
-                      repulsion_at, resistance_profile, resonate, run_until_balanced,
-                      tokenize)
+                      average_excess, close_paths, effective_weight, expand_weighted,
+                      growth_tick, is_balanced, repulsion_at, resistance_profile, resonate,
+                      run_until_balanced, spawn_and_join, tokenize)
 from renforge.errors import check_int, check_labels, check_not_str, check_number, check_str
 from renforge.harness import ExperimentConfig, build_direct_unit, network_from_forest, sweep
 
@@ -22,6 +22,8 @@ INT = [2.5, *NUMBER]
 # A 0.0 sum would reach a threshold at or below the firing tolerance.
 THRESHOLD = [*NUMBER, 1e-10, FIRING_TOLERANCE]
 STR = [True, 2.5, math.nan, math.inf, None]
+# Not a collection of hashable ids.
+DRIVE = [5, None, 2.5, [[1]]]
 
 
 def two_neurons():
@@ -105,6 +107,7 @@ CASES = [
      lambda v: two_synapses().synapse_between(v, 0)),
     ("Network.synapse_between post", 1, [*INT, 1.0, 2],
      lambda v: two_synapses().synapse_between(0, v)),
+    ("Network.step external_inputs", [0], DRIVE, lambda v: two_neurons().step(v)),
     ("Network.from_json threshold", 0.5, THRESHOLD, network_doc("neurons", 0, "threshold")),
     ("Network.from_json refractory", 1, INT, network_doc("neurons", 0, "refractory")),
     ("Network.from_json open_fraction", 0.5, NUMBER,
@@ -216,6 +219,12 @@ CASES = [
     # two_synapses() builds the network the state's one call saw.
     ("TurbulenceState.window synapse_id", 0, [12345, True, 1.0, "0"],
      lambda v: turbulence_state().window(two_synapses(), v)),
+    ("growth_tick external_inputs", [0], DRIVE,
+     lambda v: growth_tick(two_synapses(), TurbulenceState(), v)),
+    ("spawn_and_join tick", 0, [*INT, -1],
+     lambda v: spawn_and_join(two_synapses(), turbulence_state(), v)),
+    ("close_paths tick", 0, [*INT, -1],
+     lambda v: close_paths(two_synapses(), turbulence_state(), [0], v)),
     ("run_until_balanced on_tick", lambda *args: None, [5, "f"],
      lambda v: run_until_balanced(two_neurons(), [{0}], max_ticks=2, on_tick=v)),
     ("build_direct_unit input_count", 3, [True, 0, -1, 2.5, "3", None],

@@ -4,10 +4,13 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 from renforge import (FIRING_TOLERANCE, DuplicateEdgeError, InvalidParameterError,
                       Network, NotFoundError, RefinedSpec, build_refined)
+from renforge.core_net import _pulls
 
 
 class TestFires:
@@ -415,3 +418,103 @@ class TestProperties:
             assert len(record.fired) <= len(net.neurons)
             for nid in record.fired:
                 assert record.input_sums[nid] >= net.neurons[nid].threshold - 1e-9
+
+
+class TestStepMemo:
+    """A tick whose drive and refractory set repeat those of one of the last
+    two pulls on an unchanged topology reuses that pull."""
+
+    @staticmethod
+    def count_pulls(monkeypatch):
+        pulls = []
+        pull = Network._pull
+
+        def counted(self, externals, refractory):
+            pulls.append(externals)
+            return pull(self, externals, refractory)
+
+        monkeypatch.setattr(Network, "_pull", counted)
+        return pulls
+
+    def test_a_constant_drive_pulls_twice_per_topology_change(self, monkeypatch):
+        pulls = self.count_pulls(monkeypatch)
+        net, inputs, main = build_fan_in(5, 4.0)
+        drive = frozenset(inputs)
+        changes = [lambda: None, lambda: net.add_neuron(1.0),
+                   lambda: net.add_synapse(inputs[0], len(net.neurons) - 1),
+                   lambda: net.set_open_fraction(0, 0.5), net.reset_dynamics]
+        counts = []
+        for change in changes:
+            change()
+            before = len(pulls)
+            # The target fires, sits out a tick, and fires again.
+            fired = [main in net.step(drive).fired for _ in range(20)]
+            assert fired == [True, False] * 10
+            counts.append(len(pulls) - before)
+            assert len(net.derived(_pulls)) == 2
+        # A drive equal to the last but a new object, or a list, also reuses.
+        net.step(set(inputs)), net.step(list(inputs))
+        assert counts == [2, 2, 2, 2, 0] and len(pulls) == 8
+
+    def test_edits_to_a_record_change_no_later_record(self):
+        net, inputs, main = build_fan_in(5, 4.0)
+        twin = Network.from_json(net.to_json())
+        drive = frozenset(inputs)
+        for _ in range(6):
+            record, expected = net.step(drive), twin.step(drive)
+            assert record == expected
+            record.input_sums.clear()
+            record.input_sums[main] = -1.0
+            record.rejections[main] = -1.0
+
+    @pytest.mark.parametrize("bad", [True, 1.0])
+    def test_an_equal_drive_of_other_ids_is_still_checked(self, bad):
+        net = Network()
+        net.add_neuron(1.0), net.add_neuron(1.0)
+        net.step(frozenset({1}))
+        assert frozenset({bad}) == frozenset({1})
+        with pytest.raises(NotFoundError, match="unknown neuron id"):
+            net.step(frozenset({bad}))
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_reused_pulls_match_the_oracle(self, data):
+        net = random_network(random.Random(data.draw(st.integers(0, 2 ** 16))),
+                             n_neurons=6, n_edges=8)
+        twin = Network.from_json(net.to_json())
+        countdown: dict[int, int] = {}
+        # Few drive objects, each repeated over a stretch of ticks.
+        drives = data.draw(st.lists(st.frozensets(st.integers(0, 5)), min_size=1, max_size=3))
+        change = st.sampled_from(["none", "add_neuron", "add_synapse", "set_open_fraction",
+                                  "reset_dynamics", "from_json"])
+        for _ in range(data.draw(st.integers(1, 6))):
+            kind = data.draw(change)
+            if kind == "add_neuron":
+                threshold = data.draw(st.sampled_from([0.5, 1.0, 2.0]))
+                net.add_neuron(threshold), twin.add_neuron(threshold)
+            elif kind == "add_synapse":
+                pre, post = data.draw(st.permutations(sorted(net.neurons)))[:2]
+                if net.synapse_between(pre, post) is None:
+                    fraction = data.draw(st.sampled_from([0.0, 0.5, 1.0]))
+                    net.add_synapse(pre, post, fraction), twin.add_synapse(pre, post, fraction)
+            elif kind == "set_open_fraction":
+                sid = data.draw(st.sampled_from(sorted(net.synapses)))
+                fraction = data.draw(st.sampled_from([0.0, 0.25, 1.0]))
+                net.set_open_fraction(sid, fraction), twin.set_open_fraction(sid, fraction)
+            elif kind == "reset_dynamics":
+                net.reset_dynamics(), twin.reset_dynamics()
+                countdown.clear()
+            elif kind == "from_json":
+                net, twin = Network.from_json(net.to_json()), Network.from_json(twin.to_json())
+            drive = data.draw(st.sampled_from(drives))
+            for _ in range(data.draw(st.integers(1, 8))):
+                record = net.step(drive)
+                expected = oracles.step(twin, countdown, drive)
+                assert record.tick == expected.tick
+                assert record.fired == expected.fired
+                assert list(record.input_sums.items()) == list(
+                    oracles.sparse_input_sums(expected).items())
+                assert list(record.rejections.items()) == list(expected.rejections.items())
+                assert record.refractory == expected.refractory
+                assert record.externals is drive
+                assert len(net.derived(_pulls)) <= 2
