@@ -13,8 +13,8 @@ import math
 from collections import deque
 from dataclasses import dataclass
 
-from .errors import (InvalidParameterError, NotFoundError, check_int, check_not_str,
-                     check_str, reading_document)
+from .errors import (InvalidParameterError, NotFoundError, check_int, check_str,
+                     iter_collection, reading_document)
 
 LINK_LABEL = "M"
 
@@ -156,7 +156,7 @@ class ConceptForest:
         events, at most one.
         """
         toks = [check_str(tok, "token", InvalidParameterError)
-                for tok in check_not_str(tokens, "tokens", InvalidParameterError)]
+                for tok in iter_collection(tokens, "tokens", InvalidParameterError)]
         if not toks:
             raise InvalidParameterError("token sequence is empty")
         tree_index, attached = self._attachment_point(toks[0])
@@ -236,7 +236,7 @@ class ConceptForest:
         """Insert one whitespace-tokenized sequence per non-empty line of
         ``lines``, a collection of strings, not one string."""
         inserted = 0
-        for line in check_not_str(lines, "lines", InvalidParameterError):
+        for line in iter_collection(lines, "lines", InvalidParameterError):
             toks = tokenize(check_str(line, "line", InvalidParameterError))
             if toks:
                 self.insert_sequence(toks)
@@ -253,7 +253,7 @@ class ConceptForest:
         consumes every token is complete.
         """
         q = [check_str(tok, "token", InvalidParameterError)
-             for tok in check_not_str(query, "query", InvalidParameterError)]
+             for tok in iter_collection(query, "query", InvalidParameterError)]
         if not q:
             raise InvalidParameterError("query is empty")
         # Depth-first over an explicit stack, so a long query cannot reach

@@ -122,7 +122,8 @@ class Network:
     ``set_open_fraction``) drop every view.  A tick or ``reset_dynamics``
     changes only the firing state, so it drops only the fingerprint, the
     one view that reads it; the rest outlive ticks, the step memo of the
-    last two pulls among them.
+    last two pulls and growth's carry groups of the last two source pairs
+    among them.
     """
 
     def __init__(self, rng_seed: int = 0):
@@ -220,10 +221,13 @@ class Network:
         ``reset_dynamics`` drop only ``Network._fingerprint``, so any other
         ``build`` must read the topology alone, not the firing state.  The
         caller must not mutate the returned value: later callers share it.
-        Two views are filled by their owner after they are built: the seed
-        memo of ``resonance.resonate``, built empty and filled per seed,
-        and the step memo ``_pulls``, built empty and filled by ``step``
-        with each tick it pulls.
+        Three views are filled by their owner after they are built: the
+        seed memo of ``resonance.resonate``, built empty and filled per
+        seed; the step memo ``_pulls``, built empty and filled by ``step``
+        with each tick it pulls; and the carry-group memo
+        ``growth._carry_memo``, built empty and filled by
+        ``accumulate_turbulence`` with the groups of each source pair it
+        groups.  The last two hold two entries each.
         """
         try:
             return self._derived[build]

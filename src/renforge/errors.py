@@ -87,12 +87,30 @@ def check_str(value, name: str, error) -> str:
     raise error(f"{name} must be a string, got {value!r}")
 
 
+def check_instance(value, name: str, error, kind: type):
+    """``value`` when it is an instance of ``kind``."""
+    if isinstance(value, kind):
+        return value
+    raise error(f"{name} must be a {kind.__name__}, got {value!r}")
+
+
 def check_not_str(value, name: str, error):
     """``value`` when it is not one string, which would be read as its
     characters where a collection of strings is wanted."""
     if isinstance(value, str):
         raise error(f"{name} must be a collection of strings, not one string, got {value!r}")
     return value
+
+
+def iter_collection(value, name: str, error):
+    """An iterator over ``value`` when it is a collection, not one string;
+    unlike the checkers it returns the iterator, so that one ``iter`` both
+    checks ``value`` and reads it.  The caller checks the entries."""
+    check_not_str(value, name, error)
+    try:
+        return iter(value)
+    except TypeError:
+        raise error(f"{name} must be a collection of strings, got {value!r}") from None
 
 
 def check_labels(value, name: str, error) -> list:

@@ -15,8 +15,9 @@ from functools import reduce
 from itertools import chain
 from operator import add
 
-from .core_net import HISTORY_LIMIT, FiringRecord, Network
-from .errors import InvalidParameterError, NotFoundError, check_int, check_number
+from .core_net import HISTORY_LIMIT, FiringRecord, Network, Synapse
+from .errors import (InvalidParameterError, NotFoundError, check_instance, check_int,
+                     check_number)
 from .feedback import DEFAULT_EPS_BALANCE, is_balanced, repulsion_at
 
 BUD_SPAWNED = "bud_spawned"
@@ -90,7 +91,9 @@ class TurbulenceState:
     did: its external and refractory sources, its rejecting targets, how
     many synapses it saw and which of them were closed.  ``window``
     rebuilds a synapse's recent carries and rejections from those entries,
-    so no call touches a window.
+    so no call touches a window.  The entries change only on a call, so a
+    window rebuilt once is kept until the next call: ``close_paths`` reads
+    again the windows that grouping rebuilt in the same tick.
     """
 
     def __init__(self, config: GrowthConfig | None = None):
@@ -99,6 +102,8 @@ class TurbulenceState:
         self.config = GrowthConfig() if config is None else config
         self.stats: dict[int, _SynapseStats] = {}
         self._recent: deque[tuple] = deque(maxlen=self.config.window)
+        # The windows rebuilt since the last accumulate_turbulence call.
+        self._windows: dict[int, tuple[int, int, int]] = {}
         # (target, frozenset of sources) pairs that already own an intermediary
         self.groups_created: set[tuple[int, frozenset[int]]] = set()
         self._crossed: set[int] = set()   # may have reached bud_threshold since spawn
@@ -116,7 +121,15 @@ class TurbulenceState:
         """Flags of ``synapse_id``'s carries and rejections, newest in bit 0,
         over the kept calls since it was registered, and their number: it
         carried when open with its source acting, into a rejecting target."""
-        self.stats_for(synapse_id)
+        # Only a registered id is kept, and True would find 1's window.
+        window = self._windows.get(synapse_id) if type(synapse_id) is int else None
+        if window is None:
+            self.stats_for(synapse_id)
+            window = self._windows[synapse_id] = self._rebuild_window(network, synapse_id)
+        return window
+
+    def _rebuild_window(self, network: Network, synapse_id: int) -> tuple[int, int, int]:
+        """``window`` of ``synapse_id``, read from the kept calls."""
         syn = network.synapses[synapse_id]
         pre, post = syn.pre, syn.post
         carried = rejected = length = 0
@@ -132,6 +145,30 @@ class TurbulenceState:
         return float_total(st.accumulator for st in self.stats.values())
 
 
+def _carry_memo(network: Network) -> deque[tuple]:
+    """The carry-group memo: of each of the last two ticks
+    ``accumulate_turbulence`` grouped, its drive, its refractory set and its
+    carry groups.  It reads the topology alone, so ticks keep it."""
+    return deque(maxlen=2)
+
+
+def _carry_groups(network: Network, externals: frozenset[int],
+                  refractory: frozenset[int]) -> dict[int, list[Synapse]]:
+    """The open synapses out of ``externals``, then out of the ``refractory``
+    ids not among them, grouped by target: those a tick with these sources
+    carried, each once."""
+    groups: dict[int, list[Synapse]] = {}
+    outgoing = network._outgoing
+    for src in chain(externals, refractory - externals):
+        for syn in outgoing.get(src, ()):
+            if syn.open_fraction > 0.0:
+                try:
+                    groups[syn.post].append(syn)
+                except KeyError:
+                    groups[syn.post] = [syn]
+    return groups
+
+
 def accumulate_turbulence(network: Network, record: FiringRecord,
                           state: TurbulenceState) -> TurbulenceState:
     """Fold one tick's firing outcome into the turbulence bookkeeping.
@@ -140,10 +177,20 @@ def accumulate_turbulence(network: Network, record: FiringRecord,
     backward repulsion; synapses that carried signal when the target did
     not reject decay instead, which keeps frequently useful paths open.
     Only the open synapses out of the tick's sources carried, so only they
-    are visited: those out of ``record.externals``, then those out of the
-    ``record.refractory`` ids not among them, without building the union.
-    The call's entry in ``state`` gives every window its flags.
+    are visited, grouped by target: a target that rejects computes the
+    gain once per distance, one that does not decays its whole group.
+
+    The groups read the topology alone, and the network keeps those of the
+    last two source pairs it was given (``_carry_memo``), so a tick whose
+    drive and refractory set equal one of them, as every tick between two
+    rewires does under a constant drive, reuses its groups.  Each carried
+    synapse still takes exactly one float operation.  The call's entry in
+    ``state`` gives every window its flags, so the call drops the windows
+    ``state`` kept.
     """
+    check_instance(network, "network", InvalidParameterError, Network)
+    check_instance(record, "record", InvalidParameterError, FiringRecord)
+    check_instance(state, "state", InvalidParameterError, TurbulenceState)
     cfg = state.config
     stats_map, synapses = state.stats, network.synapses
     # New synapses join in id order, so ``stats`` keeps the order in which
@@ -152,29 +199,35 @@ def accumulate_turbulence(network: Network, record: FiringRecord,
         stats_map[sid] = _SynapseStats()
     rejecting = {nid: excess for nid, excess in record.rejections.items()
                  if excess > cfg.eps_balance}
-    state._recent.append((record.externals, record.refractory, rejecting, len(synapses),
+    externals, refractory = record.externals, record.refractory
+    state._recent.append((externals, refractory, rejecting, len(synapses),
                           network.derived(_closed_ids)))
-    gains: dict[tuple[int, int], float] = {}
+    state._windows.clear()
+    memo = network.derived(_carry_memo)
+    for drive, blocked, groups in memo:
+        if ((drive is externals or drive == externals)
+                and (blocked is refractory or blocked == refractory)):
+            break
+    else:
+        groups = _carry_groups(network, externals, refractory)
+        memo.append((externals, refractory, groups))
     crossed, bud_threshold, decay = state._crossed, cfg.bud_threshold, cfg.offpattern_decay
-    outgoing = network._outgoing
-    externals = record.externals
-    for src in chain(externals, record.refractory - externals):
-        for syn in outgoing.get(src, ()):
-            if syn.open_fraction <= 0.0:
-                continue
+    for post, group in groups.items():
+        excess = rejecting.get(post)
+        if excess is None:
+            for syn in group:
+                stats_map[syn.id].accumulator *= decay
+            continue
+        gains: dict[int, float] = {}
+        for syn in group:
+            gain = gains.get(syn.distance)
+            if gain is None:
+                gain = gains[syn.distance] = repulsion_at(excess, syn.distance,
+                                                          cfg.force_per_segment)
             stats = stats_map[syn.id]
-            post = syn.post
-            if post in rejecting:
-                key = (post, syn.distance)
-                gain = gains.get(key)
-                if gain is None:
-                    gain = gains[key] = repulsion_at(rejecting[post], syn.distance,
-                                                     cfg.force_per_segment)
-                stats.accumulator += gain
-                if stats.accumulator >= bud_threshold and not stats.budded:
-                    crossed.add(syn.id)
-            else:
-                stats.accumulator *= decay
+            stats.accumulator += gain
+            if stats.accumulator >= bud_threshold and not stats.budded:
+                crossed.add(syn.id)
     return state
 
 
@@ -257,6 +310,8 @@ def spawn_and_join(network: Network, state: TurbulenceState,
     never produces a second one; it is reported as joined again so the
     proportional closure step can keep relieving the path.
     """
+    check_instance(network, "network", InvalidParameterError, Network)
+    check_instance(state, "state", InvalidParameterError, TurbulenceState)
     check_int(tick, "tick", InvalidParameterError, 0)
     cfg = state.config
     events: list[GrowthEvent] = []
@@ -303,12 +358,21 @@ def close_paths(network: Network, state: TurbulenceState, joined_group,
     that also completed clean transmissions keeps a reduced open fraction.
     Synapses with no carrying evidence in the window are skipped.
     """
+    check_instance(network, "network", InvalidParameterError, Network)
+    check_instance(state, "state", InvalidParameterError, TurbulenceState)
     check_int(tick, "tick", InvalidParameterError, 0)
+    try:
+        group = sorted(joined_group)
+    except TypeError:   # not a collection, or ids that do not compare
+        raise InvalidParameterError("joined_group must be a collection of synapse ids, "
+                                    f"got {joined_group!r}") from None
+    # Reading every window first checks every id before any path changes;
+    # closing changes no window.
+    windows = [state.window(network, sid) for sid in group]
     cfg = state.config
     events: list[GrowthEvent] = []
-    for sid in sorted(joined_group):
+    for sid, (carried, rejected, _) in zip(group, windows):
         syn = network.synapses[sid]
-        carried, rejected, _ = state.window(network, sid)
         if not carried:
             continue
         ratio = rejected.bit_count() / carried.bit_count()

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from ..concept_forest import ConceptForest, _preorder
 from ..core_net import Network
-from ..errors import InvalidParameterError, check_int
+from ..errors import InvalidParameterError, check_instance, check_int
 
 
 def build_direct_unit(input_count: int, threshold: float,
@@ -29,8 +29,7 @@ def network_from_forest(forest: ConceptForest):
     dynamic link a unit synapse.  Returns (network, neuron id -> label,
     root neuron ids).
     """
-    if not isinstance(forest, ConceptForest):
-        raise InvalidParameterError(f"forest must be a ConceptForest, got {forest!r}")
+    check_instance(forest, "forest", InvalidParameterError, ConceptForest)
     net = Network()
     ids: dict[int, int] = {}
     labels: dict[int, str] = {}

@@ -7,7 +7,7 @@ import json
 from dataclasses import dataclass, field
 
 from ..core_net import FIRING_TOLERANCE
-from ..errors import ConfigurationError, check_int, check_number, check_str
+from ..errors import ConfigurationError, check_instance, check_int, check_number, check_str
 from ..growth import GrowthConfig
 from .artifacts import read_lines
 
@@ -36,8 +36,7 @@ class ExperimentConfig:
         if not check_str(self.output_dir, "output_dir", error) or "\0" in self.output_dir:
             raise error(f"output_dir must be a non-empty string without NUL, "
                         f"got {self.output_dir!r}")
-        if not isinstance(self.growth, GrowthConfig):
-            raise error(f"growth must be a GrowthConfig, got {self.growth!r}")
+        check_instance(self.growth, "growth", error, GrowthConfig)
         # A list is kept as a tuple, so a built config's entries stay checked.
         for name in ("sweep_inputs", "sweep_thresholds"):
             values = getattr(self, name)

@@ -149,7 +149,11 @@ def resonate(network: Network, seeds,
     from there over the summed forward edges; see the README's resonance
     section.
     """
-    seed_set = frozenset(seeds)
+    try:
+        seed_set = frozenset(seeds)
+    except TypeError:
+        raise InvalidParameterError("seeds must be a collection of neuron ids, "
+                                    f"got {seeds!r}") from None
     if not seed_set:
         raise InvalidParameterError("seeds must be non-empty")
     for nid in seed_set:

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from itertools import chain, combinations
 
 from .errors import (InvalidParameterError, NotFoundError, check_int, check_labels,
-                     check_not_str, check_number, check_str, reading_document)
+                     check_number, check_str, iter_collection, reading_document)
 
 
 @dataclass
@@ -65,7 +65,7 @@ class ClusterNet:
         """
         concept_set = frozenset(
             check_str(label, "event label", InvalidParameterError)
-            for label in check_not_str(concepts, "event", InvalidParameterError))
+            for label in iter_collection(concepts, "event", InvalidParameterError))
         if not concept_set:
             raise InvalidParameterError("event concept set is empty")
         self.base_concepts |= concept_set
@@ -128,7 +128,7 @@ class ClusterNet:
         reports = []
         last_time = None
         for line_number, raw in enumerate(
-                check_not_str(lines, "lines", InvalidParameterError), 1):
+                iter_collection(lines, "lines", InvalidParameterError), 1):
             line = check_str(raw, "line", InvalidParameterError).rstrip("\n")
             if not line.strip():
                 continue

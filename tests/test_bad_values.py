@@ -6,12 +6,13 @@ import math
 import pytest
 
 from renforge import (FIRING_TOLERANCE, ClusterNet, ConceptForest, ConfigurationError,
-                      GrowthConfig, InvalidParameterError, InvalidSpecError, Network,
+                      GrowthConfig, GrowthEvent, InvalidParameterError, InvalidSpecError, Network,
                       NotFoundError, RefinedSpec, TurbulenceState, accumulate_turbulence,
                       average_excess, close_paths, effective_weight, expand_weighted,
                       growth_tick, is_balanced, repulsion_at, resistance_profile, resonate,
                       run_until_balanced, spawn_and_join, tokenize)
-from renforge.errors import check_int, check_labels, check_not_str, check_number, check_str
+from renforge.errors import (check_instance, check_int, check_labels, check_not_str, check_number,
+                             check_str, iter_collection)
 from renforge.harness import ExperimentConfig, build_direct_unit, network_from_forest, sweep
 
 # Each bad value is a case one of the checkers' rules names: a bool is not a
@@ -24,6 +25,8 @@ THRESHOLD = [*NUMBER, 1e-10, FIRING_TOLERANCE]
 STR = [True, 2.5, math.nan, math.inf, None]
 # Not a collection of hashable ids.
 DRIVE = [5, None, 2.5, [[1]]]
+# Not the object a growth call's object slot takes.
+NOT_OBJECT = [None, 5, "x", {}]
 
 
 def two_neurons():
@@ -172,15 +175,16 @@ CASES = [
     ("ClusterNet.from_json global_concepts", [{"members": [0], "id": 0}], [*STR, "1"],
      cluster_doc("global_concepts")),
     # One string is not a list of labels: it would be read as its characters.
-    ("ConceptForest.insert_sequence tokens", ["c", "a", "t"], ["cat", "c"],
+    ("ConceptForest.insert_sequence tokens", ["c", "a", "t"], ["cat", "c", 5, None],
      lambda v: ConceptForest().insert_sequence(v)),
-    ("ConceptForest.search query", ["a", "b"], ["ab", "a", [1, None], ["a", 2]],
+    ("ConceptForest.search query", ["a", "b"], ["ab", "a", [1, None], ["a", 2], 5, None],
      lambda v: ConceptForest.from_json(json.dumps(FOREST_DOC)).search(v)),
-    ("ClusterNet.present_event concepts", ["c", "0"], ["c0", "c"],
+    ("ClusterNet.present_event concepts", ["c", "0"], ["c0", "c", 5, None],
      lambda v: ClusterNet().present_event(v)),
-    ("ConceptForest.ingest_lines lines", ["black cat"], ["black cat", [5], ["a b", None]],
+    ("ConceptForest.ingest_lines lines", ["black cat"],
+     ["black cat", [5], ["a b", None], 5, None],
      lambda v: ConceptForest().ingest_lines(v)),
-    ("ClusterNet.ingest_events lines", ["0\ta,b"], ["0\ta,b", [5], ["0\ta,b", None]],
+    ("ClusterNet.ingest_events lines", ["0\ta,b"], ["0\ta,b", [5], ["0\ta,b", None], 5, None],
      lambda v: ClusterNet().ingest_events(v)),
     ("ConceptForest.from_json label", "x", STR, forest_doc("trees", 0, "label")),
     ("ConceptForest.from_json child label", "x", STR,
@@ -203,6 +207,7 @@ CASES = [
     ("effective_weight layer_path entry", 1, INT,
      lambda v: effective_weight(RefinedSpec(4, 2, 1, 1), [v])),
     ("resonate max_depth", 2, INT, lambda v: resonate(two_neurons(), {0}, v)),
+    ("resonate seeds", {0}, [5, None, [[0]]], lambda v: resonate(two_neurons(), v)),
     ("run_until_balanced max_ticks", 2, INT,
      lambda v: run_until_balanced(two_neurons(), [{0}], max_ticks=v)),
     # One string is no schedule and no step: it would be read as its characters.
@@ -225,6 +230,29 @@ CASES = [
      lambda v: spawn_and_join(two_synapses(), turbulence_state(), v)),
     ("close_paths tick", 0, [*INT, -1],
      lambda v: close_paths(two_synapses(), turbulence_state(), [0], v)),
+    # A wrong object in a growth call's object slots: a config is no state, an
+    # event no record.
+    ("accumulate_turbulence network", two_synapses(), NOT_OBJECT,
+     lambda v: accumulate_turbulence(v, two_synapses().step(), TurbulenceState())),
+    ("accumulate_turbulence record", two_synapses().step(),
+     [*NOT_OBJECT, GrowthEvent("x", 0, ())],
+     lambda v: accumulate_turbulence(two_synapses(), v, TurbulenceState())),
+    ("accumulate_turbulence state", TurbulenceState(), [*NOT_OBJECT, GrowthConfig()],
+     lambda v: accumulate_turbulence(two_synapses(), two_synapses().step(), v)),
+    ("spawn_and_join network", two_synapses(), NOT_OBJECT,
+     lambda v: spawn_and_join(v, turbulence_state(), 0)),
+    ("spawn_and_join state", TurbulenceState(), [*NOT_OBJECT, GrowthConfig()],
+     lambda v: spawn_and_join(two_synapses(), v, 0)),
+    ("close_paths network", two_synapses(), NOT_OBJECT,
+     lambda v: close_paths(v, turbulence_state(), [0], 0)),
+    ("close_paths state", turbulence_state(), [*NOT_OBJECT, GrowthConfig()],
+     lambda v: close_paths(two_synapses(), v, [0], 0)),
+    # Ids that do not sort together are no collection of synapse ids either.
+    ("close_paths joined_group", [0], [5, None, [0, "0"]],
+     lambda v: close_paths(two_synapses(), turbulence_state(), v, 0)),
+    # Synapses 0 and 1 exist, so True or 1.0 would otherwise name 1.
+    ("close_paths joined_group entry", 0, [12345, True, 1.0, "0", None],
+     lambda v: close_paths(two_synapses(), turbulence_state(), [v], 0)),
     ("run_until_balanced on_tick", lambda *args: None, [5, "f"],
      lambda v: run_until_balanced(two_neurons(), [{0}], max_ticks=2, on_tick=v)),
     ("build_direct_unit input_count", 3, [True, 0, -1, 2.5, "3", None],
@@ -243,6 +271,7 @@ ERRORS = {"ExperimentConfig": ConfigurationError, "RefinedSpec": InvalidSpecErro
           "ConceptForest.terminal_nodes": NotFoundError, "effective_weight": NotFoundError,
           "Network.incoming": NotFoundError, "Network.synapse_between": NotFoundError,
           "TurbulenceState.stats_for": NotFoundError, "TurbulenceState.window": NotFoundError,
+          "close_paths joined_group entry": NotFoundError,
           **dict.fromkeys(("Network.add_synapse pre", "Network.add_synapse post",
                            "Network.set_open_fraction synapse_id"), NotFoundError)}
 
@@ -282,6 +311,8 @@ class TestCheckers:
          "inputs must be a list of distinct strings, got ['a', 'a']"),
         (check_not_str, ("cat", "tokens"),
          "tokens must be a collection of strings, not one string, got 'cat'"),
+        (iter_collection, (5, "tokens"), "tokens must be a collection of strings, got 5"),
+        (check_instance, (5, "forest", ConceptForest), "forest must be a ConceptForest, got 5"),
     ])
     def test_message_names_the_value_and_its_bounds(self, checker, args, message):
         value, name, *bounds = args
@@ -295,6 +326,7 @@ class TestCheckers:
         (check_number, (10 ** 400, 0)), (check_int, (10 ** 400, 0)),
         (check_str, ("",)), (check_labels, ([],)), (check_labels, (["b", "a"],)),
         (check_not_str, (["cat"],)), (check_not_str, ({"c", "0"},)),
+        (check_instance, (ConceptForest(), ConceptForest)),
     ])
     def test_accepted_value_is_returned_as_is(self, checker, args):
         value, *bounds = args

@@ -5,7 +5,8 @@ agrees with itself.  The pins in ``perfbench/pins.json`` were recorded
 before any refactor, so matching them shows that a change left every
 scenario and sweep artifact byte-identical across versions.  Those cover
 the growth windows of 8 ticks and fig2's 20; the run pins below, recorded
-the same way, cover windows of 1, 3 and 256 ticks.
+the same way, cover windows of 1, 3 and 256 ticks under a random and a
+saturating drive.
 """
 
 import hashlib
@@ -61,6 +62,11 @@ def _digest(text: str) -> str:
     (1, 0.9, ("43052c3797521229", "58a5138f8ab2b279", "881adf6223285e29")),
     (3, 0.6, ("d964cedfc68395b5", "8d574eb25a1f1d88", "478ff8d586ecb148")),
     (256, 0.6, ("0a512466b4251699", "ab8851e1ce0563e5", "07f8e62ef5a98714")),
+    # Every input fires on every tick: equal drives, which the step memo
+    # and the carry groups reuse.
+    (1, 1.0, ("ca0e45ae8909a94e", "10cd5db5cd364d48", "1350c71dbfac2cb8")),
+    (3, 1.0, ("a5c051fcf7d938f7", "10cd5db5cd364d48", "1350c71dbfac2cb8")),
+    (256, 1.0, ("9a4d2b55cf851bcf", "10cd5db5cd364d48", "99957eb390fd0ce8")),
 ])
 def test_random_drive_runs_match_golden_pins(window, probability, pins):
     # Each input fires with ``probability`` on each tick; a low bud

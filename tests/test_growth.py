@@ -12,10 +12,11 @@ import oracles
 from oracles import _greedy_groups as oracle_greedy_groups
 from renforge import (FiringRecord, GrowthConfig, GrowthEvent, InvalidParameterError,
                       Network, NotFoundError, TurbulenceState, accumulate_turbulence,
-                      close_paths, growth_tick, repulsion_at, run_until_balanced)
+                      close_paths, growth, growth_tick, repulsion_at, run_until_balanced,
+                      spawn_and_join)
 from renforge.growth import (BUD_SPAWNED, INTERMEDIARY_CREATED,
                              NEURONS_JOINED, PATH_CLOSED, PATH_REDUCED,
-                             _greedy_groups, float_total)
+                             _carry_memo, _greedy_groups, float_total)
 from renforge.harness import ALL_FIRING_GROWTH, build_direct_unit
 
 
@@ -43,6 +44,24 @@ def seed_window(net, state, windows):
                                                 frozenset(), acting), state)
     for sid, (carried, rejected) in windows.items():
         assert state.window(net, sid) == (pack(carried), pack(rejected), ticks)
+
+
+def assert_matches_eager(net, state, oracle_state, crossed):
+    """Every accumulator, bud flag and window of ``state`` equals the eager
+    oracle's, and ``_crossed`` holds the synapses ``crossed`` names."""
+    assert list(state.stats) == list(oracle_state.stats)
+    for sid, old in oracle_state.stats.items():
+        new = state.stats[sid]
+        assert (*state.window(net, sid), new.accumulator, new.budded) == (
+            old.carried, old.rejected, old.length, old.accumulator, old.budded)
+    assert state._crossed == crossed
+
+
+def crossed_now(oracle_state) -> set[int]:
+    """The synapses of the eager oracle at or above the bud threshold, unbudded."""
+    threshold = oracle_state.config.bud_threshold
+    return {sid for sid, stats in oracle_state.stats.items()
+            if not stats.budded and stats.accumulator >= threshold}
 
 
 class TestGrowthConfig:
@@ -323,6 +342,192 @@ class TestTickMatchesOracle:
             if any(e.kind == INTERMEDIARY_CREATED for e in events) and data.draw(st.booleans()):
                 # The new synapses first carry after a silence.
                 drives[:0] = [()] * data.draw(st.integers(2, 40))
+
+
+class TestCarryGroups:
+    """A tick whose drive and refractory set repeat those of one of the last
+    two calls on an unchanged topology reuses that call's carry groups."""
+
+    @staticmethod
+    def count_builds(monkeypatch):
+        builds = []
+        build = growth._carry_groups
+
+        def counted(network, externals, refractory):
+            builds.append(externals)
+            return build(network, externals, refractory)
+
+        monkeypatch.setattr(growth, "_carry_groups", counted)
+        return builds
+
+    def test_a_constant_drive_builds_twice_per_topology_change(self, monkeypatch):
+        builds = self.count_builds(monkeypatch)
+        net, inputs, main = build_direct_unit(5, 4.0)
+        state = TurbulenceState(GrowthConfig(bud_threshold=100.0))
+        drive = frozenset(inputs)
+        changes = [lambda: None, lambda: net.add_neuron(1.0),
+                   lambda: net.add_synapse(inputs[0], len(net.neurons) - 1),
+                   lambda: net.set_open_fraction(0, 0.5), net.reset_dynamics]
+        counts = []
+        for change in changes:
+            change()
+            before = len(builds)
+            # The target fires, sits out a tick, and fires again.
+            fired = []
+            for _ in range(20):
+                record = net.step(drive)
+                accumulate_turbulence(net, record, state)
+                fired.append(main in record.fired)
+            assert fired == [True, False] * 10
+            counts.append(len(builds) - before)
+            assert len(net.derived(_carry_memo)) == 2
+        # A drive equal to the last but a new object, or a list, also reuses.
+        for again in (set(inputs), list(inputs)):
+            accumulate_turbulence(net, net.step(again), state)
+        assert counts == [2, 2, 2, 2, 0] and len(builds) == 8
+
+    def test_two_states_on_one_network_share_the_groups(self, monkeypatch):
+        builds = self.count_builds(monkeypatch)
+        # Six inputs over threshold 2 reject on every firing tick.
+        net, inputs, _main = build_direct_unit(6, 2.0)
+        twin = Network.from_json(net.to_json())
+        configs = [GrowthConfig(bud_threshold=100.0),
+                   GrowthConfig(bud_threshold=0.3, offpattern_decay=0.0, force_per_segment=0.3)]
+        states = [TurbulenceState(cfg) for cfg in configs]
+        oracle_states = [oracles.EagerTurbulenceState(cfg) for cfg in configs]
+        crossed = [set(), set()]
+        drive, countdown = frozenset(inputs), {}
+        for _ in range(12):
+            record, expected = net.step(drive), oracles.step(twin, countdown, drive)
+            for state, oracle_state, pending in zip(states, oracle_states, crossed):
+                accumulate_turbulence(net, record, state)
+                oracles.accumulate_turbulence(twin, expected, oracle_state)
+                pending |= crossed_now(oracle_state)
+                assert_matches_eager(net, state, oracle_state, pending)
+        assert crossed[1] and len(builds) == 2
+
+    def test_reused_groups_match_the_oracle(self, monkeypatch):
+        builds = self.count_builds(monkeypatch)
+        calls = []
+
+        @settings(max_examples=150, deadline=None)
+        @given(st.data())
+        def run(data):
+            # A fan-in to neuron 0 over distances 1-3, so a rejecting target
+            # takes several gains, and a few other edges, some into cycles.
+            cfg = GrowthConfig(bud_threshold=data.draw(st.sampled_from([0.05, 0.3, 1.0])),
+                               window=data.draw(st.integers(1, 6)),
+                               offpattern_decay=data.draw(st.sampled_from([0.0, 0.5])),
+                               eps_balance=data.draw(st.sampled_from([0.0, 0.2])))
+            n = data.draw(st.integers(3, 8))
+            net = Network()
+            for _ in range(n):
+                net.add_neuron(data.draw(st.sampled_from([0.5, 1.0, 2.0])))
+            fraction = st.sampled_from([0.0, 0.5, 1.0])
+            pair = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+            for pre, post in [(pre, 0) for pre in range(1, n)] + data.draw(st.lists(
+                    pair.filter(lambda p: p[0] != p[1] and p[1] != 0), max_size=n, unique=True)):
+                net.add_synapse(pre, post, data.draw(fraction), data.draw(st.integers(1, 3)),
+                                data.draw(st.integers(1, 2)))
+            twin = Network.from_json(net.to_json())
+            state, oracle_state = TurbulenceState(cfg), oracles.EagerTurbulenceState(cfg)
+            countdown: dict[int, int] = {}
+            crossed: set[int] = set()
+            # Few drive objects, each repeated over a stretch of ticks.
+            drives = data.draw(st.lists(st.frozensets(st.integers(1, n - 1)),
+                                        min_size=1, max_size=3))
+            change = st.sampled_from(["none", "add_neuron", "add_synapse", "set_open_fraction",
+                                      "reset_dynamics", "from_json"])
+            for _ in range(data.draw(st.integers(1, 5))):
+                kind = data.draw(change)
+                if kind == "add_neuron":
+                    net.add_neuron(1.0), twin.add_neuron(1.0)
+                elif kind == "add_synapse":
+                    pre, post = data.draw(st.permutations(sorted(net.neurons)))[:2]
+                    if net.synapse_between(pre, post) is None:
+                        open_fraction = data.draw(fraction)
+                        net.add_synapse(pre, post, open_fraction)
+                        twin.add_synapse(pre, post, open_fraction)
+                elif kind == "set_open_fraction":
+                    sid = data.draw(st.sampled_from(sorted(net.synapses)))
+                    open_fraction = data.draw(fraction)
+                    net.set_open_fraction(sid, open_fraction)
+                    twin.set_open_fraction(sid, open_fraction)
+                elif kind == "reset_dynamics":
+                    net.reset_dynamics(), twin.reset_dynamics()
+                    countdown.clear()
+                elif kind == "from_json":
+                    net = Network.from_json(net.to_json())
+                drive = data.draw(st.sampled_from(drives))
+                for _ in range(data.draw(st.integers(1, 8))):
+                    record = net.step(drive)
+                    expected = oracles.step(twin, countdown, drive)
+                    accumulate_turbulence(net, record, state)
+                    oracles.accumulate_turbulence(twin, expected, oracle_state)
+                    calls.append(drive)
+                    crossed |= crossed_now(oracle_state)
+                    assert_matches_eager(net, state, oracle_state, crossed)
+                    if data.draw(st.booleans()):
+                        # Spawn, join and close as growth_tick does.
+                        events = spawn_and_join(net, state, expected.tick)
+                        expected_events = oracles.spawn_and_join(twin, oracle_state,
+                                                                 expected.tick)
+                        for joined in [e for e in events if e.kind == NEURONS_JOINED]:
+                            events += close_paths(net, state, joined.affected, expected.tick)
+                        for joined in [e for e in expected_events if e.kind == NEURONS_JOINED]:
+                            expected_events += close_paths(twin, oracle_state, joined.affected,
+                                                           expected.tick)
+                        crossed.clear()
+                        assert events == expected_events
+                        assert net.to_json() == twin.to_json()
+                        assert_matches_eager(net, state, oracle_state, crossed)
+
+        run()
+        # The memo was hit, on far more calls than chance repeats give.
+        assert len(builds) < len(calls) / 2
+
+
+class TestWindowMemo:
+    """A window rebuilt in one call is kept until the next call."""
+
+    def test_a_window_is_built_at_most_once_per_call(self, monkeypatch):
+        calls, built, reads = [0], [], []
+        accumulate, rebuild, window = (growth.accumulate_turbulence,
+                                       TurbulenceState._rebuild_window, TurbulenceState.window)
+
+        def counted_call(*args):
+            calls[0] += 1
+            return accumulate(*args)
+
+        def counted_rebuild(self, network, synapse_id):
+            built.append((calls[0], synapse_id))
+            return rebuild(self, network, synapse_id)
+
+        def counted_read(self, network, synapse_id):
+            reads.append(synapse_id)
+            return window(self, network, synapse_id)
+
+        monkeypatch.setattr(growth, "accumulate_turbulence", counted_call)
+        monkeypatch.setattr(TurbulenceState, "_rebuild_window", counted_rebuild)
+        monkeypatch.setattr(TurbulenceState, "window", counted_read)
+        net, inputs, _main = build_direct_unit(25, 5.0)
+        report = run_until_balanced(net, frozenset(inputs), ALL_FIRING_GROWTH, 500)
+        assert any(e.kind in (PATH_CLOSED, PATH_REDUCED) for e in report.events)
+        assert len(set(built)) == len(built)
+        # Closing re-read the windows that joining built in the same call.
+        assert len(reads) > len(built)
+
+    def test_a_window_read_after_closing_equals_a_rebuild(self):
+        net, inputs, _main = build_direct_unit(25, 5.0)
+        state = TurbulenceState(ALL_FIRING_GROWTH)
+        closed = []
+        while not closed:
+            _, events = growth_tick(net, state, inputs)
+            closed = [e.affected[0] for e in events if e.kind in (PATH_CLOSED, PATH_REDUCED)]
+        for sid in closed:
+            # close_paths read the window, then changed the open fraction.
+            assert sid in state._windows
+            assert state.window(net, sid) == state._rebuild_window(net, sid)
 
 
 class TestClosePaths:
