@@ -101,8 +101,8 @@ def _union(a: frozenset[int], b: frozenset[int]) -> frozenset[int]:
 
 
 def _pulls(network: Network) -> deque[tuple]:
-    """The step memo: of each of the last two ticks ``step`` pulled, its
-    drive, refractory set, fired set and copies of its sums and rejections.
+    """The step memo: of each of the last two source pairs pulled, its
+    drive, its refractory set and the pull's outcome (see ``Network._pull``).
     It reads the topology alone, so ticks and ``reset_dynamics`` keep it."""
     return deque(maxlen=2)
 
@@ -122,8 +122,8 @@ class Network:
     ``set_open_fraction``) drop every view.  A tick or ``reset_dynamics``
     changes only the firing state, so it drops only the fingerprint, the
     one view that reads it; the rest outlive ticks, the step memo of the
-    last two pulls and growth's carry groups of the last two source pairs
-    among them.
+    last two pulls among them.  Each pull also finds the synapses that
+    carried signal, so growth reads a tick's carry groups from that memo.
     """
 
     def __init__(self, rng_seed: int = 0):
@@ -221,13 +221,10 @@ class Network:
         ``reset_dynamics`` drop only ``Network._fingerprint``, so any other
         ``build`` must read the topology alone, not the firing state.  The
         caller must not mutate the returned value: later callers share it.
-        Three views are filled by their owner after they are built: the
+        Two views are filled by their owner after they are built: the
         seed memo of ``resonance.resonate``, built empty and filled per
-        seed; the step memo ``_pulls``, built empty and filled by ``step``
-        with each tick it pulls; and the carry-group memo
-        ``growth._carry_memo``, built empty and filled by
-        ``accumulate_turbulence`` with the groups of each source pair it
-        groups.  The last two hold two entries each.
+        seed, and the step memo ``_pulls``, built empty and filled by
+        ``_pulled`` with each source pair it pulls; it holds two entries.
         """
         try:
             return self._derived[build]
@@ -257,7 +254,8 @@ class Network:
         A tick whose drive and refractory set equal those of one of the last
         two pulls, with no topology change since, takes that pull's outcome
         instead of pulling again: thresholds and deliveries change only
-        through the topology mutators, which drop the memo.
+        through the topology mutators, which drop the memo.  The memo also
+        keeps each pull's carry groups, which ``accumulate_turbulence`` reads.
         """
         try:
             externals = frozenset(external_inputs)
@@ -272,17 +270,9 @@ class Network:
                 if type(nid) is not int or nid not in self.neurons:
                     raise NotFoundError(f"unknown neuron id {nid!r}")
         refractory = self._last_fired
-        pulls = self.derived(_pulls)
-        for drive, blocked, fired, input_sums, rejections in pulls:
-            if ((drive is externals or drive == externals)
-                    and (blocked is refractory or blocked == refractory)):
-                input_sums, rejections = dict(input_sums), dict(rejections)
-                break
-        else:
-            fired, input_sums, rejections = self._pull(externals, refractory)
-            # Copies, so that editing the returned record changes no later one.
-            pulls.append((externals, refractory, fired, dict(input_sums), dict(rejections)))
-
+        fired, input_sums, rejections, _ = self._pulled(externals, refractory)
+        # Copies, so that editing the returned record changes no memo entry.
+        input_sums, rejections = dict(input_sums), dict(rejections)
         record = FiringRecord(tick=self.tick, fired=fired,
                               input_sums=input_sums, rejections=rejections,
                               refractory=refractory, externals=externals)
@@ -292,30 +282,59 @@ class Network:
         self.history.append(record)
         return record
 
+    def _pulled(self, externals: frozenset[int], refractory: frozenset[int]) -> tuple:
+        """The outcome of ``_pull`` for these sources: that of the step memo
+        entry whose drive and refractory set equal them, by identity and
+        then by ``==``, or else a new pull, kept as the memo's newest entry.
+        The caller must not mutate it."""
+        pulls = self.derived(_pulls)
+        for drive, blocked, outcome in pulls:
+            if ((drive is externals or drive == externals)
+                    and (blocked is refractory or blocked == refractory)):
+                return outcome
+        outcome = self._pull(externals, refractory)
+        pulls.append((externals, refractory, outcome))
+        return outcome
+
     def _pull(self, externals: frozenset[int], refractory: frozenset[int]):
-        """The fired set, the nonzero input sums and the rejections of a tick
-        with these sources, each neuron pulling over its incoming synapses."""
+        """The fired set, the nonzero input sums, the rejections and the carry
+        groups of a tick with these sources, each neuron pulling over its
+        incoming synapses.  A carry group maps a reached target to the open
+        synapses out of the sources into it, in id order.  A closed synapse
+        would add only 0.0 or -0.0, so it is skipped: a target reached only
+        through closed ones has a sum of 0.0 and no group."""
         sources = _union(refractory, externals)
         incoming = self._incoming
         input_sums: dict[int, float] = {}
         rejections: dict[int, float] = {}
+        groups: dict[int, list[Synapse]] = {}
         fired = []
         open_counts = None
+        carried = []
+        carry = carried.append
         # Ids are dense and never deleted, so the dict iterates in id order.
         for nid, neuron in self.neurons.items():
+            synapses = incoming.get(nid)
+            if synapses is None:
+                continue
             total = 0.0
-            for syn in incoming.get(nid, ()):
-                if syn.pre in sources:
+            for syn in synapses:
+                if syn.pre in sources and syn.delivery:
                     total += syn.delivery
+                    carry(syn)
+            # Only open synapses were carried, so a zero total carried none.
             if total:
                 input_sums[nid] = total
+                groups[nid] = carried
+                carried = []
+                carry = carried.append
                 if nid not in refractory and total >= neuron.threshold - FIRING_TOLERANCE:
                     fired.append(nid)
                     if open_counts is None:
                         open_counts = self.derived(Network._open_input_counts)
                     # A nonzero sum came through an open synapse, so the count is >= 1.
                     rejections[nid] = (total - neuron.threshold) / open_counts[nid]
-        return frozenset(fired), input_sums, rejections
+        return frozenset(fired), input_sums, rejections, groups
 
     def reset_dynamics(self) -> None:
         """Clear firing state (tick, history, refractory) but keep topology."""

@@ -12,7 +12,7 @@ from __future__ import annotations
 from itertools import islice
 
 from .core_net import Network
-from .errors import InvalidParameterError, check_int, check_number
+from .errors import InvalidParameterError, check_instance, check_int, check_number
 
 # A 5-input unit with threshold 4 carries per-input excess exactly 0.2 when
 # saturated; that canonical stable unit must count as balanced.
@@ -58,6 +58,7 @@ def is_balanced(network: Network, window: int,
     """True when no neuron that fired in the last ``window`` ticks carried
     per-input excess above ``eps_balance``.  Vacuously true with no firing.
     """
+    check_instance(network, "network", InvalidParameterError, Network)
     check_int(window, "window", InvalidParameterError, 1)
     check_number(eps_balance, "eps_balance", InvalidParameterError, 0)
     for record in islice(reversed(network.history), window):

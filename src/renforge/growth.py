@@ -12,10 +12,9 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass, field, fields
 from functools import reduce
-from itertools import chain
 from operator import add
 
-from .core_net import HISTORY_LIMIT, FiringRecord, Network, Synapse
+from .core_net import HISTORY_LIMIT, FiringRecord, Network
 from .errors import (InvalidParameterError, NotFoundError, check_instance, check_int,
                      check_number)
 from .feedback import DEFAULT_EPS_BALANCE, is_balanced, repulsion_at
@@ -145,30 +144,6 @@ class TurbulenceState:
         return float_total(st.accumulator for st in self.stats.values())
 
 
-def _carry_memo(network: Network) -> deque[tuple]:
-    """The carry-group memo: of each of the last two ticks
-    ``accumulate_turbulence`` grouped, its drive, its refractory set and its
-    carry groups.  It reads the topology alone, so ticks keep it."""
-    return deque(maxlen=2)
-
-
-def _carry_groups(network: Network, externals: frozenset[int],
-                  refractory: frozenset[int]) -> dict[int, list[Synapse]]:
-    """The open synapses out of ``externals``, then out of the ``refractory``
-    ids not among them, grouped by target: those a tick with these sources
-    carried, each once."""
-    groups: dict[int, list[Synapse]] = {}
-    outgoing = network._outgoing
-    for src in chain(externals, refractory - externals):
-        for syn in outgoing.get(src, ()):
-            if syn.open_fraction > 0.0:
-                try:
-                    groups[syn.post].append(syn)
-                except KeyError:
-                    groups[syn.post] = [syn]
-    return groups
-
-
 def accumulate_turbulence(network: Network, record: FiringRecord,
                           state: TurbulenceState) -> TurbulenceState:
     """Fold one tick's firing outcome into the turbulence bookkeeping.
@@ -180,13 +155,14 @@ def accumulate_turbulence(network: Network, record: FiringRecord,
     are visited, grouped by target: a target that rejects computes the
     gain once per distance, one that does not decays its whole group.
 
-    The groups read the topology alone, and the network keeps those of the
-    last two source pairs it was given (``_carry_memo``), so a tick whose
-    drive and refractory set equal one of them, as every tick between two
-    rewires does under a constant drive, reuses its groups.  Each carried
-    synapse still takes exactly one float operation.  The call's entry in
-    ``state`` gives every window its flags, so the call drops the windows
-    ``state`` kept.
+    The groups are those the network's pull found for the record's drive
+    and refractory set, read from the step memo, so a record that ``step``
+    just returned costs no second search.  Only a record that matches no
+    memo entry, such as a hand-built one or one read after a rewire, is
+    pulled again, and its pull is kept as the memo's newest entry.  Each
+    carried synapse still takes exactly one float operation.  The call's
+    entry in ``state`` gives every window its flags, so the call drops the
+    windows ``state`` kept.
     """
     check_instance(network, "network", InvalidParameterError, Network)
     check_instance(record, "record", InvalidParameterError, FiringRecord)
@@ -203,14 +179,7 @@ def accumulate_turbulence(network: Network, record: FiringRecord,
     state._recent.append((externals, refractory, rejecting, len(synapses),
                           network.derived(_closed_ids)))
     state._windows.clear()
-    memo = network.derived(_carry_memo)
-    for drive, blocked, groups in memo:
-        if ((drive is externals or drive == externals)
-                and (blocked is refractory or blocked == refractory)):
-            break
-    else:
-        groups = _carry_groups(network, externals, refractory)
-        memo.append((externals, refractory, groups))
+    groups = network._pulled(externals, refractory)[3]
     crossed, bud_threshold, decay = state._crossed, cfg.bud_threshold, cfg.offpattern_decay
     for post, group in groups.items():
         excess = rejecting.get(post)
@@ -389,6 +358,9 @@ def close_paths(network: Network, state: TurbulenceState, joined_group,
 def growth_tick(network: Network, state: TurbulenceState,
                 external_inputs=()) -> tuple[FiringRecord, list[GrowthEvent]]:
     """One engine tick: step, accumulate, join, and close in order."""
+    # Checked before the step, so a wrong state leaves the network as it was.
+    check_instance(network, "network", InvalidParameterError, Network)
+    check_instance(state, "state", InvalidParameterError, TurbulenceState)
     record = network.step(external_inputs)
     accumulate_turbulence(network, record, state)
     events = spawn_and_join(network, state, record.tick)
@@ -456,6 +428,7 @@ def run_until_balanced(network: Network, input_schedule,
     at least ``config.window`` ticks.  Fully deterministic given the
     network and schedule.
     """
+    check_instance(network, "network", InvalidParameterError, Network)
     check_int(max_ticks, "max_ticks", InvalidParameterError, 1)
     if on_tick is not None and not callable(on_tick):
         raise InvalidParameterError(f"on_tick must be None or a callable, got {on_tick!r}")

@@ -51,10 +51,12 @@ class ExperimentConfig:
 
 
 def config_to_json(config: ExperimentConfig) -> str:
+    check_instance(config, "config", ConfigurationError, ExperimentConfig)
     return json.dumps(dataclasses.asdict(config), indent=2, allow_nan=False) + "\n"
 
 
 def config_from_json(text: str) -> ExperimentConfig:
+    check_str(text, "config text", ConfigurationError)
     try:
         doc = json.loads(text)
     except (json.JSONDecodeError, RecursionError) as exc:

@@ -15,6 +15,8 @@ it asks ``fires``, the activation rule ``Network.step`` once called per
 neuron, whether a neuron fires, and it records a dense ``input_sums``, an
 entry for every neuron, of which ``sparse_input_sums`` selects the entries a
 library record keeps.
+``carry_groups`` groups by target the synapses that ``accumulate_turbulence``
+here counts as carried, which the network's pull now finds.
 ``forest_index`` rebuilds a forest's label index from its trees, as the
 forest once did on every load and split, and ``to_json`` finds tree indexes
 by scanning, as ``tree_index_of`` once did, so it writes a forest that the
@@ -234,6 +236,16 @@ def accumulate_turbulence(network: Network, record: FiringRecord,
         elif carried:
             stats.accumulator *= cfg.offpattern_decay
     return state
+
+
+def carry_groups(network: Network, record: FiringRecord) -> dict[int, list]:
+    """Per target, in id order, the synapses ``accumulate_turbulence`` counts
+    as carried on ``record``, in id order."""
+    groups: dict[int, list] = {}
+    for syn in network.synapses.values():
+        if syn.pre in record.sources and syn.open_fraction > 0.0:
+            groups.setdefault(syn.post, []).append(syn)
+    return dict(sorted(groups.items()))
 
 
 def spawn_and_join(network: Network, state: EagerTurbulenceState,

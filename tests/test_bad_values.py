@@ -13,7 +13,8 @@ from renforge import (FIRING_TOLERANCE, ClusterNet, ConceptForest, Configuration
                       run_until_balanced, spawn_and_join, tokenize)
 from renforge.errors import (check_instance, check_int, check_labels, check_not_str, check_number,
                              check_str, iter_collection)
-from renforge.harness import ExperimentConfig, build_direct_unit, network_from_forest, sweep
+from renforge.harness import (ExperimentConfig, build_direct_unit, config_from_json,
+                              config_to_json, network_from_forest, sweep)
 
 # Each bad value is a case one of the checkers' rules names: a bool is not a
 # number, a float is not an int, a number is finite, text is not a number,
@@ -128,6 +129,7 @@ CASES = [
     ("resistance_profile force_per_segment", 0.5, NUMBER, lambda v: resistance_profile(v, 2)),
     ("resistance_profile segments", 2, INT, lambda v: resistance_profile(1.0, v)),
     ("is_balanced window", 2, INT, lambda v: is_balanced(Network(), v)),
+    ("is_balanced network", Network(), NOT_OBJECT, lambda v: is_balanced(v, 2)),
     ("is_balanced eps_balance", 0.5, NUMBER, lambda v: is_balanced(Network(), 2, v)),
     ("expand_weighted weight", 2, INT, lambda v: expand_weighted(two_neurons(), 0, 1, v)),
     *((f"GrowthConfig {name}", 0.5, NUMBER, lambda v, name=name: GrowthConfig(**{name: v}))
@@ -255,6 +257,12 @@ CASES = [
      lambda v: close_paths(two_synapses(), turbulence_state(), [v], 0)),
     ("run_until_balanced on_tick", lambda *args: None, [5, "f"],
      lambda v: run_until_balanced(two_neurons(), [{0}], max_ticks=2, on_tick=v)),
+    ("run_until_balanced network", two_neurons(), NOT_OBJECT,
+     lambda v: run_until_balanced(v, [{0}], max_ticks=2)),
+    ("growth_tick network", two_synapses(), NOT_OBJECT,
+     lambda v: growth_tick(v, TurbulenceState(), [0])),
+    ("growth_tick state", TurbulenceState(), [*NOT_OBJECT, GrowthConfig()],
+     lambda v: growth_tick(two_synapses(), v, [0])),
     ("build_direct_unit input_count", 3, [True, 0, -1, 2.5, "3", None],
      lambda v: build_direct_unit(v, 1.0)),
     ("build_direct_unit threshold", 5, [True, None, "5"], lambda v: build_direct_unit(3, v)),
@@ -262,12 +270,17 @@ CASES = [
     ("network_from_forest forest", ConceptForest(), [5, None, "x", {}],
      lambda v: network_from_forest(v)),
     ("tokenize text", "a b", STR, lambda v: tokenize(v)),
+    ("config_from_json text", config_to_json(ExperimentConfig()), [5, None, b"{}", ["{}"]],
+     lambda v: config_from_json(v)),
+    ("config_to_json config", ExperimentConfig(), [*NOT_OBJECT, GrowthConfig()],
+     lambda v: config_to_json(v)),
 ]
 
 
 # The RenforgeError each entry point, or each place named in full, raises;
 # the rest raise InvalidParameterError.
-ERRORS = {"ExperimentConfig": ConfigurationError, "RefinedSpec": InvalidSpecError,
+ERRORS = {"ExperimentConfig": ConfigurationError, "config_from_json": ConfigurationError,
+          "config_to_json": ConfigurationError, "RefinedSpec": InvalidSpecError,
           "ConceptForest.terminal_nodes": NotFoundError, "effective_weight": NotFoundError,
           "Network.incoming": NotFoundError, "Network.synapse_between": NotFoundError,
           "TurbulenceState.stats_for": NotFoundError, "TurbulenceState.window": NotFoundError,
@@ -291,6 +304,13 @@ def test_good_value_in_the_same_place_passes(call, good, tmp_path, monkeypatch):
     # So each bad value above is rejected for itself, not for the rest of the call.
     monkeypatch.chdir(tmp_path)
     call(good)
+
+
+def test_growth_tick_checks_its_state_before_the_step():
+    net = two_synapses()
+    with pytest.raises(InvalidParameterError, match="state must be a TurbulenceState"):
+        growth_tick(net, GrowthConfig(), [0])
+    assert net.tick == 0 and not net.history
 
 
 class TestCheckers:

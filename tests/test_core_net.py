@@ -486,10 +486,19 @@ class TestStepMemo:
         # Few drive objects, each repeated over a stretch of ticks.
         drives = data.draw(st.lists(st.frozensets(st.integers(0, 5)), min_size=1, max_size=3))
         change = st.sampled_from(["none", "add_neuron", "add_synapse", "set_open_fraction",
-                                  "reset_dynamics", "from_json"])
+                                  "close_driven", "reset_dynamics", "from_json"])
         for _ in range(data.draw(st.integers(1, 6))):
             kind = data.draw(change)
-            if kind == "add_neuron":
+            drive = data.draw(st.sampled_from(drives))
+            if kind == "close_driven":
+                # Closing a synapse out of the coming drive, to 0.0 or -0.0,
+                # leaves its target reached only through the rest.
+                driven = [sid for sid, syn in net.synapses.items() if syn.pre in drive]
+                if driven:
+                    sid = data.draw(st.sampled_from(driven))
+                    fraction = data.draw(st.sampled_from([0.0, -0.0]))
+                    net.set_open_fraction(sid, fraction), twin.set_open_fraction(sid, fraction)
+            elif kind == "add_neuron":
                 threshold = data.draw(st.sampled_from([0.5, 1.0, 2.0]))
                 net.add_neuron(threshold), twin.add_neuron(threshold)
             elif kind == "add_synapse":
@@ -506,7 +515,6 @@ class TestStepMemo:
                 countdown.clear()
             elif kind == "from_json":
                 net, twin = Network.from_json(net.to_json()), Network.from_json(twin.to_json())
-            drive = data.draw(st.sampled_from(drives))
             for _ in range(data.draw(st.integers(1, 8))):
                 record = net.step(drive)
                 expected = oracles.step(twin, countdown, drive)
@@ -518,3 +526,8 @@ class TestStepMemo:
                 assert record.refractory == expected.refractory
                 assert record.externals is drive
                 assert len(net.derived(_pulls)) <= 2
+                # The pull's carry groups are the oracle's, and a target
+                # reached only through closed synapses has none.
+                groups = net._pulled(record.externals, record.refractory)[3]
+                assert list(groups.items()) == list(oracles.carry_groups(net, record).items())
+                assert groups.keys() == record.input_sums.keys()

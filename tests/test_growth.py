@@ -14,9 +14,10 @@ from renforge import (FiringRecord, GrowthConfig, GrowthEvent, InvalidParameterE
                       Network, NotFoundError, TurbulenceState, accumulate_turbulence,
                       close_paths, growth, growth_tick, repulsion_at, run_until_balanced,
                       spawn_and_join)
+from renforge.core_net import _pulls
 from renforge.growth import (BUD_SPAWNED, INTERMEDIARY_CREATED,
                              NEURONS_JOINED, PATH_CLOSED, PATH_REDUCED,
-                             _carry_memo, _greedy_groups, float_total)
+                             _greedy_groups, float_total)
 from renforge.harness import ALL_FIRING_GROWTH, build_direct_unit
 
 
@@ -344,24 +345,26 @@ class TestTickMatchesOracle:
                 drives[:0] = [()] * data.draw(st.integers(2, 40))
 
 
+def count_pulls(monkeypatch) -> list:
+    """The drive of each ``Network._pull`` call from now on."""
+    pulls = []
+    pull = Network._pull
+
+    def counted(self, externals, refractory):
+        pulls.append(externals)
+        return pull(self, externals, refractory)
+
+    monkeypatch.setattr(Network, "_pull", counted)
+    return pulls
+
+
 class TestCarryGroups:
-    """A tick whose drive and refractory set repeat those of one of the last
-    two calls on an unchanged topology reuses that call's carry groups."""
+    """``accumulate_turbulence`` reads its carry groups from the step memo
+    entry of the record's drive and refractory set, and pulls only for a
+    record that matches no entry."""
 
-    @staticmethod
-    def count_builds(monkeypatch):
-        builds = []
-        build = growth._carry_groups
-
-        def counted(network, externals, refractory):
-            builds.append(externals)
-            return build(network, externals, refractory)
-
-        monkeypatch.setattr(growth, "_carry_groups", counted)
-        return builds
-
-    def test_a_constant_drive_builds_twice_per_topology_change(self, monkeypatch):
-        builds = self.count_builds(monkeypatch)
+    def test_a_constant_drive_pulls_twice_per_topology_change(self, monkeypatch):
+        pulls = count_pulls(monkeypatch)
         net, inputs, main = build_direct_unit(5, 4.0)
         state = TurbulenceState(GrowthConfig(bud_threshold=100.0))
         drive = frozenset(inputs)
@@ -371,23 +374,55 @@ class TestCarryGroups:
         counts = []
         for change in changes:
             change()
-            before = len(builds)
+            before = len(pulls)
             # The target fires, sits out a tick, and fires again.
             fired = []
             for _ in range(20):
-                record = net.step(drive)
-                accumulate_turbulence(net, record, state)
+                record, events = growth_tick(net, state, drive)
+                assert events == []
                 fired.append(main in record.fired)
             assert fired == [True, False] * 10
-            counts.append(len(builds) - before)
-            assert len(net.derived(_carry_memo)) == 2
+            counts.append(len(pulls) - before)
+            assert len(net.derived(_pulls)) == 2
         # A drive equal to the last but a new object, or a list, also reuses.
         for again in (set(inputs), list(inputs)):
-            accumulate_turbulence(net, net.step(again), state)
-        assert counts == [2, 2, 2, 2, 0] and len(builds) == 8
+            growth_tick(net, state, again)
+        assert counts == [2, 2, 2, 2, 0] and len(pulls) == 8
+
+    def test_a_record_that_matches_no_entry_is_pulled_and_grouped_as_the_oracle(
+            self, monkeypatch):
+        pulls = count_pulls(monkeypatch)
+        net, inputs, main = build_direct_unit(6, 2.0)
+        # A second target, reached from inputs 0 and 1 only through closed
+        # synapses, and closed synapses from inputs 2 and 3 into the main one.
+        other = net.add_neuron(1.0)
+        net.add_synapse(inputs[0], other, 0.0)
+        net.add_synapse(inputs[1], other, 0.5)
+        net.set_open_fraction(net.synapse_between(inputs[1], other).id, -0.0)
+        net.set_open_fraction(net.synapse_between(inputs[2], main).id, 0.0)
+        net.set_open_fraction(net.synapse_between(inputs[3], main).id, -0.0)
+        twin = Network.from_json(net.to_json())
+        state, oracle_state = TurbulenceState(), oracles.EagerTurbulenceState()
+        record, expected = net.step(inputs), oracles.step(twin, {}, inputs)
+        accumulate_turbulence(net, record, state)
+        oracles.accumulate_turbulence(twin, expected, oracle_state)
+        assert len(pulls) == 1
+        # Sources that match no memo entry, with a rejection made up.
+        sources = {"externals": frozenset(inputs[:4]), "refractory": frozenset({inputs[4]})}
+        for tick in range(2):
+            hand_built = FiringRecord(tick, frozenset({main}), {}, {main: 1.0}, **sources)
+            accumulate_turbulence(net, hand_built, state)
+            oracles.accumulate_turbulence(twin, hand_built, oracle_state)
+            assert_matches_eager(net, state, oracle_state, crossed_now(oracle_state))
+            # An equal record of new sets matches the entry its first call kept.
+            sources = {key: frozenset(sorted(ids)) for key, ids in sources.items()}
+        assert len(pulls) == 2
+        groups = net._pulled(hand_built.externals, hand_built.refractory)[3]
+        assert list(groups.items()) == list(oracles.carry_groups(net, hand_built).items())
+        assert other not in groups and len(groups[main]) == 3
 
     def test_two_states_on_one_network_share_the_groups(self, monkeypatch):
-        builds = self.count_builds(monkeypatch)
+        pulls = count_pulls(monkeypatch)
         # Six inputs over threshold 2 reject on every firing tick.
         net, inputs, _main = build_direct_unit(6, 2.0)
         twin = Network.from_json(net.to_json())
@@ -404,10 +439,10 @@ class TestCarryGroups:
                 oracles.accumulate_turbulence(twin, expected, oracle_state)
                 pending |= crossed_now(oracle_state)
                 assert_matches_eager(net, state, oracle_state, pending)
-        assert crossed[1] and len(builds) == 2
+        assert crossed[1] and len(pulls) == 2
 
     def test_reused_groups_match_the_oracle(self, monkeypatch):
-        builds = self.count_builds(monkeypatch)
+        pulls = count_pulls(monkeypatch)
         calls = []
 
         @settings(max_examples=150, deadline=None)
@@ -437,9 +472,10 @@ class TestCarryGroups:
             drives = data.draw(st.lists(st.frozensets(st.integers(1, n - 1)),
                                         min_size=1, max_size=3))
             change = st.sampled_from(["none", "add_neuron", "add_synapse", "set_open_fraction",
-                                      "reset_dynamics", "from_json"])
+                                      "close_driven", "reset_dynamics", "from_json"])
             for _ in range(data.draw(st.integers(1, 5))):
                 kind = data.draw(change)
+                drive = data.draw(st.sampled_from(drives))
                 if kind == "add_neuron":
                     net.add_neuron(1.0), twin.add_neuron(1.0)
                 elif kind == "add_synapse":
@@ -448,9 +484,16 @@ class TestCarryGroups:
                         open_fraction = data.draw(fraction)
                         net.add_synapse(pre, post, open_fraction)
                         twin.add_synapse(pre, post, open_fraction)
-                elif kind == "set_open_fraction":
-                    sid = data.draw(st.sampled_from(sorted(net.synapses)))
-                    open_fraction = data.draw(fraction)
+                elif kind in ("set_open_fraction", "close_driven"):
+                    # Closing a synapse out of the coming drive, to 0.0 or
+                    # -0.0, leaves its target reached only through the rest.
+                    driven = [sid for sid, syn in net.synapses.items() if syn.pre in drive]
+                    if kind == "close_driven" and driven:
+                        sid = data.draw(st.sampled_from(driven))
+                        open_fraction = data.draw(st.sampled_from([0.0, -0.0]))
+                    else:
+                        sid = data.draw(st.sampled_from(sorted(net.synapses)))
+                        open_fraction = data.draw(fraction)
                     net.set_open_fraction(sid, open_fraction)
                     twin.set_open_fraction(sid, open_fraction)
                 elif kind == "reset_dynamics":
@@ -458,13 +501,16 @@ class TestCarryGroups:
                     countdown.clear()
                 elif kind == "from_json":
                     net = Network.from_json(net.to_json())
-                drive = data.draw(st.sampled_from(drives))
                 for _ in range(data.draw(st.integers(1, 8))):
                     record = net.step(drive)
                     expected = oracles.step(twin, countdown, drive)
                     accumulate_turbulence(net, record, state)
                     oracles.accumulate_turbulence(twin, expected, oracle_state)
                     calls.append(drive)
+                    groups = net._pulled(record.externals, record.refractory)[3]
+                    assert list(groups.items()) == list(
+                        oracles.carry_groups(net, record).items())
+                    assert groups.keys() == record.input_sums.keys()
                     crossed |= crossed_now(oracle_state)
                     assert_matches_eager(net, state, oracle_state, crossed)
                     if data.draw(st.booleans()):
@@ -484,7 +530,7 @@ class TestCarryGroups:
 
         run()
         # The memo was hit, on far more calls than chance repeats give.
-        assert len(builds) < len(calls) / 2
+        assert len(pulls) < len(calls) / 2
 
 
 class TestWindowMemo:
